@@ -60,14 +60,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, floor: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be >= 1")
+    if value < floor:
+        raise argparse.ArgumentTypeError(f"{text!r} must be >= {floor}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _seed_int(text: str) -> int:
@@ -387,7 +395,7 @@ def build_parser() -> _Parser:
                      help="snapshot TSV or event log (csv/jsonl)")
     fit.add_argument("--format", choices=["auto", "snapshot", "csv", "jsonl"],
                      default="auto")
-    fit.add_argument("--bootstrap-reps", type=int, default=1000)
+    fit.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
     fit.add_argument("--seed", type=_seed_int, default=0)
     fit.add_argument("--svg", default=None, help="write a scatter+fit figure here")
     fit.add_argument("--out", default=None, help="directory for the manifest")
@@ -400,7 +408,7 @@ def build_parser() -> _Parser:
     predict.add_argument("--format", choices=["auto", "csv", "jsonl"],
                          default="auto")
     predict.add_argument("--bins-per-decade", type=_positive_int, default=5)
-    predict.add_argument("--bootstrap-reps", type=int, default=1000)
+    predict.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
     predict.add_argument("--seed", type=_seed_int, default=0)
     predict.add_argument("--out", default=None)
     predict.set_defaults(func=cmd_predict)
@@ -416,7 +424,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--protocol", choices=sorted(_PROTOCOL_FLAG),
                        default="coupled")
     sweep.add_argument("--seed", type=_seed_int, default=0)
-    sweep.add_argument("--bootstrap-reps", type=int, default=0)
+    sweep.add_argument("--bootstrap-reps", type=_nonnegative_int, default=0)
     sweep.add_argument("--threads", type=int, default=None,
                        help="thread cap (default: GROWTHLAB_THREADS, 0 = auto)")
     sweep.add_argument("--svg", default=None)
@@ -430,7 +438,7 @@ def build_parser() -> _Parser:
     collapse.add_argument("--format", choices=["auto", "csv", "jsonl"],
                           default="auto")
     collapse.add_argument("--bins-per-decade", type=_positive_int, default=5)
-    collapse.add_argument("--bootstrap-reps", type=int, default=1000)
+    collapse.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
     collapse.add_argument("--beta", type=_beta_value, default=None,
                           help="score the collapse against this fixed beta")
     collapse.add_argument("--seed", type=_seed_int, default=0)

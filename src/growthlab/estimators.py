@@ -15,9 +15,14 @@ cannot outvote a small one), and the exponent is the negative log-log
 slope. fit_beta_mle is the closed-form continuous power-law maximum
 likelihood estimator for unbounded samples, used as a cross-check.
 
-Confidence intervals are nonparametric percentile bootstraps with
-replicate-indexed derived seeds: replicate r always consumes the stream
-(seed, BOOTSTRAP, r), so the interval does not depend on evaluation order.
+Confidence intervals are nonparametric percentile bootstraps over days
+with replicate-indexed derived seeds: replicate r always consumes the
+stream (seed, BOOTSTRAP, r), so the interval does not depend on evaluation
+order. Both bootstraps draw their day indices from one helper. A resampled
+day set is a multiplicity vector over days, so the collapse bootstrap bins
+each day once into a day x bin matrix and forms every replicate's binned
+cloud as one row of a weight-matrix product (Efron & Tibshirani 1993, the
+resampling-vector form), then fits all replicates with one masked OLS.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "rescale_histogram",
     "binned_cloud",
     "pool_and_fit_beta",
+    "score_against_beta",
     "fit_beta_mle",
 ]
 
@@ -153,13 +159,28 @@ def _adjusted_r2(x: np.ndarray, y: np.ndarray, slope: float, intercept: float) -
     return 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
 
 
-def _percentile_ci(values: list[float], center: float) -> tuple[float, float]:
-    if not values:
+def _percentile_ci(values: Sequence[float], center: float) -> tuple[float, float]:
+    if len(values) == 0:
         return (center, center)
     low, high = np.percentile(np.asarray(values), [2.5, 97.5])
     # The percentile interval brackets the point estimate in all but
     # pathological resamples; clamp so the fit types' invariant is total.
     return (min(float(low), center), max(float(high), center))
+
+
+def _bootstrap_indices(n: int, reps: int, seed: int) -> np.ndarray:
+    """Resampled day indices, one row of n draws per replicate (reps x n).
+
+    Row r is drawn from the stream (seed, BOOTSTRAP, r) alone, so it does
+    not depend on reps or on the order in which replicates are evaluated.
+    """
+    if reps < 0:
+        raise DomainError(f"bootstrap_reps must be >= 0, got {reps}")
+    indices = np.empty((reps, n), dtype=np.int64)
+    for rep in range(reps):
+        rng = seeding.generator(seed, seeding.STREAM_BOOTSTRAP, rep)
+        indices[rep] = rng.integers(0, n, size=n)
+    return indices
 
 
 def _as_log_pairs(series) -> tuple[np.ndarray, np.ndarray]:
@@ -180,15 +201,14 @@ def fit_gamma_tls(series: Iterable[tuple[float, float]],
     The slope is base-invariant (any common rescaling of both log axes
     cancels) and symmetric: swapping the axes inverts it. The 95% CI is a
     percentile bootstrap over days; bootstrap_reps=0 degrades the interval
-    to the point estimate. Degenerate resamples (all one day) are skipped.
+    to the point estimate, and a negative count raises DomainError.
+    Degenerate resamples (all one day) are skipped.
     """
     x, y = _as_log_pairs(series)
     slope, intercept = _tls_line(x, y)
     n = len(x)
     slopes: list[float] = []
-    for rep in range(bootstrap_reps):
-        rng = seeding.generator(seed, seeding.STREAM_BOOTSTRAP, rep)
-        idx = rng.integers(0, n, size=n)
+    for idx in _bootstrap_indices(n, bootstrap_reps, seed):
         try:
             rep_slope, _ = _tls_line(x[idx], y[idx])
         except DomainError:
@@ -231,6 +251,11 @@ def rescale_histogram(histogram: Mapping[float, float],
     return RescaledHistogram(points=points, source_day=source_day, f_max=f_max)
 
 
+def _bin_index(rel: float, bins_per_decade: int) -> int:
+    """Log bin j of a relative activity: rel in (10^-(j+1)/b, 10^-j/b]."""
+    return max(int(math.floor(-math.log10(rel) * bins_per_decade)), 0)
+
+
 def binned_cloud(rescaled: Sequence[RescaledHistogram], bins_per_decade: int = 5,
                  per_day_average: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Pool rescaled days and average counts in logarithmic bins.
@@ -253,8 +278,7 @@ def binned_cloud(rescaled: Sequence[RescaledHistogram], bins_per_decade: int = 5
     per_bin: dict[int, dict[int, list[float]]] = {}
     for day_ordinal, hist in enumerate(rescaled):
         for rel, count in hist.points:
-            j = int(math.floor(-math.log10(rel) * bins_per_decade))
-            j = max(j, 0)
+            j = _bin_index(rel, bins_per_decade)
             per_bin.setdefault(j, {}).setdefault(day_ordinal, []).append(count)
     centers: list[float] = []
     values: list[float] = []
@@ -271,16 +295,49 @@ def binned_cloud(rescaled: Sequence[RescaledHistogram], bins_per_decade: int = 5
     return np.asarray(centers), np.asarray(values)
 
 
+def _day_bin_matrices(rescaled: Sequence[RescaledHistogram],
+                      bins_per_decade: int,
+                      per_day_average: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each day binned once: day x bin value and weight matrices (M, I).
+
+    With per_day_average, M holds the day's mean count in the bin and I is
+    1 where the day has a point there; otherwise M holds the count sum and
+    I the number of points. For day multiplicities w, binned_cloud of the
+    resampled days averages (w @ M) / (w @ I) over the bins where w @ I > 0.
+    """
+    day_bins = [[_bin_index(rel, bins_per_decade) for rel, _ in hist.points]
+                for hist in rescaled]
+    n_bins = 1 + max(max(bins) for bins in day_bins)
+    sums = np.zeros((len(rescaled), n_bins))
+    points = np.zeros((len(rescaled), n_bins))
+    for day, (hist, bins) in enumerate(zip(rescaled, day_bins)):
+        np.add.at(sums[day], bins, [count for _, count in hist.points])
+        np.add.at(points[day], bins, 1.0)
+    if not per_day_average:
+        return sums, points
+    present = points > 0
+    means = np.divide(sums, points, out=np.zeros_like(sums), where=present)
+    return means, present.astype(float)
+
+
 def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
                       bins_per_decade: int = 5, bootstrap_reps: int = 1000,
                       seed: int = 0, per_day_average: bool = True) -> BetaFit:
     """Activity exponent from the pooled, log-binned master curve.
 
     beta is minus the ordinary log-log slope of the binned cloud. The CI
-    bootstraps whole days (replicate-indexed streams), since days, not
-    points, are the independent units. Pooling is idempotent under
-    duplication of a day: per-day averaging makes ten copies of one day
-    weigh exactly as the day itself.
+    bootstraps whole days, since days, not points, are the independent
+    units; replicate r still consumes the stream (seed, BOOTSTRAP, r). A
+    replicate is the vector w of day multiplicities, one row of the reps x
+    days weight matrix W, so with each day binned once into the day x bin
+    matrices (M, I) every replicate's cloud is a row of (W @ M) / (W @ I)
+    on its populated bins, and one masked OLS fits them all. A replicate is
+    skipped, as binned_cloud would reject it, when its days span less than
+    one decade or populate fewer than 3 bins; replicates with beta <= 1
+    are dropped. bootstrap_reps=0 degrades the interval to the point
+    estimate, and a negative count raises DomainError. Pooling is
+    idempotent under duplication of a day: per-day averaging makes ten
+    copies of one day weigh exactly as the day itself.
     """
     rescaled = list(rescaled)
     centers, values = binned_cloud(rescaled, bins_per_decade, per_day_average)
@@ -290,23 +347,34 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
         raise EstimationError(
             f"pooled cloud implies beta {beta:.4g} <= 1; data outside model class"
         )
-    betas: list[float] = []
     n_days = len(rescaled)
-    for rep in range(bootstrap_reps):
-        rng = seeding.generator(seed, seeding.STREAM_BOOTSTRAP, rep)
-        idx = rng.integers(0, n_days, size=n_days)
-        try:
-            rep_centers, rep_values = binned_cloud(
-                [rescaled[i] for i in idx], bins_per_decade, per_day_average
-            )
-            rep_slope, _ = _ols_line(rep_centers, rep_values)
-        except (DomainError, EstimationError):
-            continue
-        if -rep_slope > 1:
-            betas.append(-rep_slope)
+    draws = _bootstrap_indices(n_days, bootstrap_reps, seed)
+    # Row r is np.bincount(draws[r], minlength=n_days), all rows at once.
+    offsets = draws + n_days * np.arange(bootstrap_reps)[:, None]
+    weights = np.bincount(offsets.ravel(), minlength=bootstrap_reps * n_days)
+    weights = weights.reshape(bootstrap_reps, n_days).astype(float)
+    day_values, day_weights = _day_bin_matrices(rescaled, bins_per_decade,
+                                                per_day_average)
+    sums = weights @ day_values
+    totals = weights @ day_weights
+    populated = totals > 0
+    day_min_rel = np.array([min(rel for rel, _ in hist.points)
+                            for hist in rescaled])
+    kept = (day_min_rel[draws].min(axis=1) <= 0.1) \
+        & (populated.sum(axis=1) >= 3)
+    mask = populated[kept]
+    x = -(np.arange(mask.shape[1]) + 0.5) / bins_per_decade
+    y = np.log10(np.divide(sums[kept], totals[kept],
+                           out=np.ones(mask.shape), where=mask))
+    n_populated = mask.sum(axis=1)
+    mean_x = (mask @ x) / n_populated
+    mean_y = np.where(mask, y, 0.0).sum(axis=1) / n_populated
+    dx = np.where(mask, x - mean_x[:, None], 0.0)
+    rep_betas = -((dx * (y - mean_y[:, None])).sum(axis=1)
+                  / (dx * dx).sum(axis=1))
     return BetaFit(
         beta=beta,
-        ci95_beta=_percentile_ci(betas, beta),
+        ci95_beta=_percentile_ci(rep_betas[rep_betas > 1], beta),
         adjusted_r2=_adjusted_r2(centers, values, slope, intercept),
         method="collapse-regression",
         n_points_or_samples=sum(len(hist.points) for hist in rescaled),

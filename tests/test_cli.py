@@ -330,6 +330,21 @@ class TestCollapse:
         assert "2 days" in stderr
 
 
+class TestBootstrapRepsOption:
+    @pytest.mark.parametrize("subcommand", ["fit", "predict", "collapse",
+                                            "sweep"])
+    @pytest.mark.parametrize("value", ["-3", "many"])
+    def test_bad_count_is_a_usage_error(self, tmp_path, capsys, subcommand,
+                                        value):
+        target = ["--out", str(tmp_path / "out")] if subcommand == "sweep" \
+            else ["--input", str(tmp_path / "events.csv")]
+        code, stdout, stderr = _run(capsys, subcommand, *target,
+                                    "--bootstrap-reps", value)
+        assert code == 1
+        assert "--bootstrap-reps" in stderr
+        assert stdout == ""
+
+
 class TestManifest:
     def test_manifest_file_only_with_out(self, tmp_path, capsys):
         path = tmp_path / "noiseless.tsv"

@@ -19,6 +19,7 @@ from growthlab import (
     RescaledHistogram,
     SamplerConfig,
     TlsFit,
+    estimators,
     seeding,
 )
 
@@ -235,6 +236,89 @@ class TestPoolAndFitBeta:
         assert a == b
         low, high = a.ci95_beta
         assert low < a.beta < high
+
+
+def _loop_pool_and_fit_beta_ci(rescaled, bins_per_decade=5, bootstrap_reps=1000,
+                               seed=0, per_day_average=True):
+    """The per-replicate collapse bootstrap, kept as the reference.
+
+    Re-bins the resampled days with binned_cloud once per replicate.
+    Returns the 95% CI and the number of replicates that entered it.
+    """
+    centers, values = gl.binned_cloud(rescaled, bins_per_decade,
+                                      per_day_average)
+    beta = -estimators._ols_line(centers, values)[0]
+    betas = []
+    n_days = len(rescaled)
+    for rep in range(bootstrap_reps):
+        rng = seeding.generator(seed, seeding.STREAM_BOOTSTRAP, rep)
+        idx = rng.integers(0, n_days, size=n_days)
+        try:
+            rep_centers, rep_values = gl.binned_cloud(
+                [rescaled[i] for i in idx], bins_per_decade, per_day_average
+            )
+            rep_slope, _ = estimators._ols_line(rep_centers, rep_values)
+        except (DomainError, EstimationError):
+            continue
+        if -rep_slope > 1:
+            betas.append(-rep_slope)
+    return estimators._percentile_ci(betas, beta), len(betas)
+
+
+def _sampled_days(n_days, seed):
+    cfg = SamplerConfig(beta=1.5, lower_cutoff=1.0, integerize=True,
+                        seed=seed)
+    schedule = gl.log_uniform_schedule(
+        seeding.generator(seed, seeding.STREAM_SCHEDULE), n_days, (1e3, 1e4))
+    return [gl.rescale_histogram(s.histogram, s.day)
+            for s in gl.synthesize_series(schedule, cfg).days]
+
+
+class TestCollapseBootstrapMatchesReplicateLoop:
+    """The weight-matrix bootstrap against the per-replicate loop.
+
+    Sums run in another order, so endpoints may differ in the last bits;
+    1e-12 is about 5000 ulps at beta ~ 1.5.
+    """
+
+    @staticmethod
+    def _day_sets():
+        a, b, c = _sampled_days(3, seed=5)
+        narrow = gl.rescale_histogram({200: 11, 500: 3, 1000: 1})
+        two_bins = gl.rescale_histogram({1: 1200, 1000: 1})
+        return {
+            "sampled": _sampled_days(6, seed=3),
+            "skipped": [a, narrow, two_bins],
+            "duplicated": [a, b, a, a, c],
+        }
+
+    @pytest.mark.parametrize("per_day_average", [True, False])
+    @pytest.mark.parametrize("day_set", ["sampled", "skipped", "duplicated"])
+    def test_ci_endpoints_agree(self, day_set, per_day_average):
+        rescaled = self._day_sets()[day_set]
+        fit = gl.pool_and_fit_beta(rescaled, bootstrap_reps=300, seed=11,
+                                   per_day_average=per_day_average)
+        (low, high), used = _loop_pool_and_fit_beta_ci(
+            rescaled, bootstrap_reps=300, seed=11,
+            per_day_average=per_day_average)
+        assert fit.ci95_beta[0] == pytest.approx(low, abs=1e-12)
+        assert fit.ci95_beta[1] == pytest.approx(high, abs=1e-12)
+        assert low < high
+        if day_set == "skipped":
+            assert 0 < used < 300
+
+    def test_zero_reps_give_the_point_interval(self):
+        rescaled = self._day_sets()["sampled"]
+        fit = gl.pool_and_fit_beta(rescaled, bootstrap_reps=0)
+        assert fit.ci95_beta == (fit.beta, fit.beta)
+        assert _loop_pool_and_fit_beta_ci(rescaled, bootstrap_reps=0) == \
+            ((fit.beta, fit.beta), 0)
+
+    def test_negative_reps_are_rejected(self):
+        with pytest.raises(DomainError, match="bootstrap_reps"):
+            gl.pool_and_fit_beta([_exact_model_day(1.5)], bootstrap_reps=-3)
+        with pytest.raises(DomainError, match="bootstrap_reps"):
+            gl.fit_gamma_tls(_power_series(1.3), bootstrap_reps=-3)
 
 
 class TestScoreAgainstBeta:
