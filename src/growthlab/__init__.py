@@ -45,6 +45,7 @@ from .experiment import (
 from .ingest import (
     ActivityEvent,
     DailySnapshot,
+    EventTable,
     aggregate,
     export_events_csv,
     load_events,
@@ -93,6 +94,7 @@ __all__ = [
     "iid_sum_exponent",
     "ActivityEvent",
     "DailySnapshot",
+    "EventTable",
     "parse_events",
     "load_events",
     "aggregate",

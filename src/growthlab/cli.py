@@ -171,9 +171,16 @@ def _parse_snapshot_tsv(path: str) -> list[tuple[float, float]]:
         if len(cells) != 4:
             raise DataError(f"line {lineno}: expected 4 fields, got {len(cells)}")
         try:
-            pairs.append((float(cells[1]), float(cells[2])))
+            population, activity = float(cells[1]), float(cells[2])
         except ValueError:
             raise DataError(f"line {lineno}: P and F must be numeric") from None
+        # Also false for nan, which no comparison admits.
+        if not (1.0 <= population < math.inf and 1.0 <= activity < math.inf):
+            raise DataError(
+                f"line {lineno}: P and F must be finite and >= 1, "
+                f"got {cells[1].strip()!r} and {cells[2].strip()!r}"
+            )
+        pairs.append((population, activity))
     return pairs
 
 
@@ -462,7 +469,16 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, not at interpreter exit, so a closed pipe lands below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (`growthlab ... | head -1`): not a
+        # data error. Point stdout at devnull so the exit-time flush of
+        # what is still buffered cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except _UsageError as exc:
         print(f"growthlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,6 +27,7 @@ resampling-vector form), then fits all replicates with one masked OLS.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -168,11 +169,14 @@ def _percentile_ci(values: Sequence[float], center: float) -> tuple[float, float
     return (min(float(low), center), max(float(high), center))
 
 
+@functools.lru_cache(maxsize=1)
 def _bootstrap_indices(n: int, reps: int, seed: int) -> np.ndarray:
     """Resampled day indices, one row of n draws per replicate (reps x n).
 
     Row r is drawn from the stream (seed, BOOTSTRAP, r) alone, so it does
     not depend on reps or on the order in which replicates are evaluated.
+    The last array is kept, read-only, because compare_prediction's two
+    bootstraps ask for the same (n, reps, seed) back to back.
     """
     if reps < 0:
         raise DomainError(f"bootstrap_reps must be >= 0, got {reps}")
@@ -180,6 +184,7 @@ def _bootstrap_indices(n: int, reps: int, seed: int) -> np.ndarray:
     for rep in range(reps):
         rng = seeding.generator(seed, seeding.STREAM_BOOTSTRAP, rep)
         indices[rep] = rng.integers(0, n, size=n)
+    indices.flags.writeable = False
     return indices
 
 

@@ -3,9 +3,17 @@
 The on-disk interchange format is deliberately tiny. CSV files carry a
 header ``user_id,day,count``; JSONL files carry one object per line with
 the same three keys. ``day`` is either an ISO-8601 calendar date or an
-integer day index, ``count`` a positive integer. Parsing is strict and
-error messages name the offending line, because silent coercion of a
-malformed activity log poisons every estimate downstream.
+integer day index, ``count`` a positive integer that fits in 64 bits.
+Parsing is strict and error messages name the offending line, because
+silent coercion of a malformed activity log poisons every estimate
+downstream.
+
+A log is read as a stream, one row at a time, into an ``EventTable``: the
+distinct day values, the distinct user ids, and per-row int64 arrays of
+day code, user code and count. Each distinct day text is parsed once, and
+day texts naming the same day (``5``, `` 5``, ``05``) share a code.
+``aggregate`` sums and histograms those arrays with numpy. The table is
+still a sequence of ``ActivityEvent`` for code that wants rows.
 """
 
 from __future__ import annotations
@@ -15,14 +23,19 @@ import datetime as dt
 import io
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Union
+from typing import IO, Iterable, Iterator, Mapping, Union
+
+import numpy as np
 
 from .errors import DataError, DomainError
 
 __all__ = [
     "ActivityEvent",
     "DailySnapshot",
+    "EventTable",
     "parse_events",
     "load_events",
     "aggregate",
@@ -33,6 +46,8 @@ __all__ = [
 Day = Union[int, dt.date]
 
 _CSV_HEADER = ["user_id", "day", "count"]
+
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,103 @@ class DailySnapshot:
             raise DomainError(f"f_max {self.f_max} != max activity level {top}")
 
 
+class EventTable(Sequence):
+    """An event log in columns.
+
+    Row i is user ``users[user_codes[i]]`` with ``counts[i]`` tags on day
+    ``days[day_codes[i]]``. ``days`` and ``users`` hold distinct values;
+    the three columns are read-only int64 arrays of one length. The table
+    is a Sequence of ActivityEvent (len, indexing, iteration) and compares
+    equal to any sequence of the same events in the same order.
+    """
+
+    __slots__ = ("days", "users", "day_codes", "user_codes", "counts")
+    __hash__ = None  # mutable-sequence equality, like list
+
+    def __init__(self, days: Iterable[Day], users: Iterable[str],
+                 day_codes, user_codes, counts) -> None:
+        self.days = tuple(days)
+        self.users = tuple(users)
+        try:
+            columns = [np.asarray(column, dtype=np.int64)
+                       for column in (day_codes, user_codes, counts)]
+        except OverflowError:
+            raise DataError("codes and counts must fit in 64 bits") from None
+        if any(column.ndim != 1 or len(column) != len(columns[0])
+               for column in columns):
+            raise DataError("day_codes, user_codes and counts must be "
+                            "1-D and of one length")
+        for day in self.days:
+            if isinstance(day, bool) or not isinstance(day, (int, dt.date)):
+                raise DataError(f"day must be a date or integer index, got {day!r}")
+        if len(set(self.days)) != len(self.days):
+            raise DataError("days must be distinct")
+        # Dict keys are distinct already; skip the set that would prove it.
+        user_set = users if isinstance(users, dict) else set(self.users)
+        if len(user_set) != len(self.users) or "" in user_set:
+            raise DataError("user ids must be distinct and non-empty")
+        for name, column, size in (("day_codes", columns[0], len(self.days)),
+                                   ("user_codes", columns[1], len(self.users))):
+            if len(column) and not (column.min() >= 0 and column.max() < size):
+                raise DataError(f"{name} must lie in [0, {size})")
+        if len(columns[2]) and columns[2].min() < 1:
+            raise DataError(f"count must be >= 1, got {columns[2].min()}")
+        for column in columns:
+            column.flags.writeable = False
+        self.day_codes, self.user_codes, self.counts = columns
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        return ActivityEvent(self.users[self.user_codes[index]],
+                             self.days[self.day_codes[index]],
+                             int(self.counts[index]))
+
+    def __iter__(self) -> Iterator[ActivityEvent]:
+        users, days = self.users, self.days
+        for user, day, count in zip(self.user_codes.tolist(),
+                                    self.day_codes.tolist(),
+                                    self.counts.tolist()):
+            yield ActivityEvent(users[user], days[day], count)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self) -> str:
+        return (f"EventTable({len(self)} events, {len(self.days)} days, "
+                f"{len(self.users)} users)")
+
+
+class _TableBuilder:
+    """Rows appended as codes; each distinct day and user id gets the next code."""
+
+    def __init__(self) -> None:
+        self.days: dict[Day, int] = {}
+        self.users: dict[str, int] = {}
+        self.day_codes: list[int] = []
+        self.user_codes: list[int] = []
+        self.counts: list[int] = []
+
+    def day_code(self, day: Day) -> int:
+        return self.days.setdefault(day, len(self.days))
+
+    def user_code(self, user_id: str) -> int:
+        if not user_id:
+            raise DataError("user_id must be non-empty")
+        return self.users.setdefault(user_id, len(self.users))
+
+    def table(self) -> EventTable:
+        return EventTable(self.days, self.users, self.day_codes,
+                          self.user_codes, self.counts)
+
+
 def _parse_day(text: str) -> Day:
     """ISO date if it looks like one, else integer index."""
     text = text.strip()
@@ -110,64 +222,68 @@ def _parse_day(text: str) -> Day:
 
 
 def _parse_count(raw: object) -> int:
-    if isinstance(raw, bool):
-        raise DataError(f"count must be an integer, got {raw!r}")
-    if isinstance(raw, int):
-        count = raw
-    elif isinstance(raw, str):
+    if isinstance(raw, str):
         try:
-            count = int(raw.strip())
+            count = int(raw)  # int() itself ignores surrounding whitespace
         except ValueError:
             raise DataError(f"count {raw!r} is not an integer") from None
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        count = raw
     else:
         raise DataError(f"count must be an integer, got {raw!r}")
     if count < 1:
         raise DataError(f"count must be >= 1, got {count}")
+    if count > _INT64_MAX:
+        raise DataError(f"count {count} does not fit in 64 bits")
     return count
 
 
-def _decode(stream: IO) -> io.TextIOBase:
-    data = stream.read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input is not valid UTF-8: {exc}") from None
-    return io.StringIO(data)
-
-
-def _parse_csv(text: io.TextIOBase) -> list[ActivityEvent]:
+def _parse_csv(text: IO[str]) -> EventTable:
+    builder = _TableBuilder()
     reader = csv.reader(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
+    header = next(reader, None)
+    if header is None:
+        return builder.table()
     if [column.strip() for column in header] != _CSV_HEADER:
         raise DataError(
             f"line 1: expected header {','.join(_CSV_HEADER)!r}, got {','.join(header)!r}"
         )
-    events: list[ActivityEvent] = []
+    # Raw cell text -> day code or count; a miss parses the text and caches
+    # it, so a bad text still fails, with its message, at its first line.
+    # Raw user text that hits builder.users is already stripped.
+    day_by_text: dict[str, int] = {}
+    count_by_text: dict[str, int] = {}
+    user_by_id = builder.users
+    add_day = builder.day_codes.append
+    add_user = builder.user_codes.append
+    add_count = builder.counts.append
     for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        user_id, day_text, count_text = (cell.strip() for cell in row)
         try:
-            events.append(
-                ActivityEvent(
-                    user_id=user_id,
-                    day=_parse_day(day_text),
-                    count=_parse_count(count_text),
-                )
-            )
+            user_text, day_text, count_text = row
+        except ValueError:
+            if not row:
+                continue
+            raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}") from None
+        try:
+            day = day_by_text.get(day_text)
+            if day is None:
+                day = day_by_text[day_text] = builder.day_code(_parse_day(day_text))
+            count = count_by_text.get(count_text)
+            if count is None:
+                count = count_by_text[count_text] = _parse_count(count_text)
+            user = user_by_id.get(user_text)
+            if user is None:
+                user = builder.user_code(user_text.strip())
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
-    return events
+        add_day(day)
+        add_user(user)
+        add_count(count)
+    return builder.table()
 
 
-def _parse_jsonl(text: io.TextIOBase) -> list[ActivityEvent]:
-    events: list[ActivityEvent] = []
+def _parse_jsonl(text: IO[str]) -> EventTable:
+    builder = _TableBuilder()
     for lineno, line in enumerate(text, start=1):
         if not line.strip():
             continue
@@ -185,34 +301,43 @@ def _parse_jsonl(text: io.TextIOBase) -> list[ActivityEvent]:
             if isinstance(day_raw, bool):
                 raise DataError(f"day {day_raw!r} is neither an ISO date nor an integer")
             day = day_raw if isinstance(day_raw, int) else _parse_day(str(day_raw))
-            events.append(
-                ActivityEvent(
-                    user_id=str(record["user_id"]),
-                    day=day,
-                    count=_parse_count(record["count"]),
-                )
-            )
+            day_code = builder.day_code(day)
+            count = _parse_count(record["count"])
+            user_code = builder.user_code(str(record["user_id"]))
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
-    return events
+        builder.day_codes.append(day_code)
+        builder.user_codes.append(user_code)
+        builder.counts.append(count)
+    return builder.table()
 
 
-def parse_events(stream: IO, format: str = "csv") -> list[ActivityEvent]:
+def parse_events(stream: IO, format: str = "csv") -> EventTable:
     """Parse an event log from a byte or text stream.
 
-    format is "csv" or "jsonl". Events are returned in input order; empty
-    input yields an empty list. Malformed rows raise DataError naming the
-    line number.
+    format is "csv" or "jsonl". Bytes are decoded as UTF-8 while rows are
+    read, so the log is never held whole as text. Events are returned in
+    input order; empty input yields an empty table. Malformed rows raise
+    DataError naming the line number. A byte stream is left open.
     """
-    text = _decode(stream)
     if format == "csv":
-        return _parse_csv(text)
-    if format == "jsonl":
-        return _parse_jsonl(text)
-    raise DataError(f"unknown format {format!r} (expected 'csv' or 'jsonl')")
+        parse, newline = _parse_csv, ""
+    elif format == "jsonl":
+        parse, newline = _parse_jsonl, "\n"
+    else:
+        raise DataError(f"unknown format {format!r} (expected 'csv' or 'jsonl')")
+    text = stream if isinstance(stream.read(0), str) \
+        else io.TextIOWrapper(stream, encoding="utf-8", newline=newline)
+    try:
+        return parse(text)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input is not valid UTF-8: {exc.reason}") from None
+    finally:
+        if text is not stream:
+            text.detach()
 
 
-def load_events(path: str, format: str | None = None) -> list[ActivityEvent]:
+def load_events(path: str, format: str | None = None) -> EventTable:
     """parse_events on a file path, sniffing the format from the suffix."""
     if format is None:
         format = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
@@ -230,31 +355,64 @@ def _format_day(day: Day) -> str:
     return day.isoformat() if isinstance(day, dt.date) else str(day)
 
 
+def _as_table(events: Iterable[ActivityEvent]) -> EventTable:
+    builder = _TableBuilder()
+    for event in events:
+        builder.day_codes.append(builder.day_code(event.day))
+        builder.user_codes.append(builder.user_code(event.user_id))
+        builder.counts.append(_parse_count(event.count))
+    return builder.table()
+
+
 def aggregate(events: Iterable[ActivityEvent]) -> list[DailySnapshot]:
     """Collapse an event log into per-day snapshots.
 
-    Multiple events for the same (user, day) pair sum their counts. Days
-    come back sorted ascending; days with no events simply do not appear.
-    The result is invariant under permutation of the input.
+    events is an EventTable or any iterable of ActivityEvent. Multiple
+    events for the same (user, day) pair sum their counts; a sum above
+    2^63 - 1 raises DataError. Days come back sorted ascending; days with
+    no events simply do not appear. The result is invariant under
+    permutation of the input.
     """
-    per_day: dict[Day, dict[str, int]] = {}
-    for event in events:
-        per_day.setdefault(event.day, {})
-        user_totals = per_day[event.day]
-        user_totals[event.user_id] = user_totals.get(event.user_id, 0) + event.count
+    table = events if isinstance(events, EventTable) else _as_table(events)
+    if not len(table):
+        return []
+    day_order = sorted(range(len(table.days)),
+                       key=lambda code: _day_sort_key(table.days[code]))
+    day_rank = np.empty(len(day_order), dtype=np.int64)
+    day_rank[day_order] = np.arange(len(day_order))
+    n_users = len(table.users)
+    user_days, inverse = np.unique(day_rank[table.day_codes] * n_users
+                                   + table.user_codes, return_inverse=True)
+    counts = table.counts
+    if int(counts.max()) > _INT64_MAX // len(counts):
+        # A per-user-day or per-day sum could pass 2^63 - 1, where int64
+        # wraps: add exact Python ints instead.
+        counts = counts.astype(object)
+    totals = np.zeros(len(user_days), dtype=counts.dtype)
+    np.add.at(totals, inverse, counts)
+    too_big = np.flatnonzero(totals > _INT64_MAX)
+    if too_big.size:
+        key = int(user_days[too_big[0]])
+        day = table.days[day_order[key // n_users]]
+        raise DataError(
+            f"user {table.users[key % n_users]!r} on day {_format_day(day)}: "
+            f"summed count {totals[too_big[0]]} does not fit in 64 bits"
+        )
+    # user_days is sorted, so each day's user totals form one run.
+    bounds = np.searchsorted(user_days // n_users, np.arange(len(day_order) + 1))
     snapshots = []
-    for day in sorted(per_day, key=_day_sort_key):
-        user_totals = per_day[day]
-        histogram: dict[float, int] = {}
-        for total in user_totals.values():
-            histogram[total] = histogram.get(total, 0) + 1
+    for rank, code in enumerate(day_order):
+        user_totals = totals[bounds[rank]:bounds[rank + 1]]
+        if not len(user_totals):
+            continue
+        levels, users = np.unique(user_totals, return_counts=True)
         snapshots.append(
             DailySnapshot(
-                day=day,
+                day=table.days[code],
                 population=len(user_totals),
-                total_activity=float(sum(user_totals.values())),
-                histogram=histogram,
-                f_max=float(max(histogram)),
+                total_activity=float(user_totals.sum()),
+                histogram=dict(zip(levels.tolist(), users.tolist())),
+                f_max=float(levels[-1]),
             )
         )
     return snapshots

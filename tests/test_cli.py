@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,25 @@ class TestFit:
         assert code == 2
         assert "line 1" in stderr
 
+    @pytest.mark.parametrize("population, activity", [
+        ("nan", "2000"), ("1000", "inf"), ("-inf", "2000"), ("1000", "NaN"),
+        ("0.5", "2000"), ("1000", "0"),
+    ])
+    def test_non_finite_or_sub_unit_values_name_their_line(
+            self, tmp_path, capsys, population, activity):
+        path = tmp_path / "bad.tsv"
+        _write_noiseless_snapshots(path, n_days=5)
+        lines = path.read_text().splitlines()
+        lines[3] = f"2\t{population}\t{activity}\t{activity}"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = _run(capsys, "fit", "--input", str(path))
+        assert code == 2
+        assert stderr.startswith("growthlab: line 4: P and F must be finite")
+        assert "RuntimeWarning" not in stderr and "bracket" not in stderr
+        assert stdout == ""
+
 
 class TestPredict:
     def test_consistent_series_reports_true(self, tmp_path, capsys):
@@ -199,6 +219,19 @@ class TestPredict:
         assert float(row[3]) == pytest.approx(2.0 / beta, rel=1e-4)
         assert float(row[5]) <= float(row[4]) <= float(row[6])
         assert row[7] == "true"
+
+    @pytest.mark.parametrize("name, data", [
+        ("bad.csv", b"user_id,day,count\nu1,0,1\nu\xff2,0,1\n"),
+        ("bad.jsonl", b'{"user_id": "u1", "day": 0, "count": 1}\n'
+                      b'{"user_id": "u\xff2", "day": 0, "count": 1}\n'),
+    ])
+    def test_non_utf8_log_exits_two(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, stdout, stderr = _run(capsys, "predict", "--input", str(path))
+        assert code == 2
+        assert stderr.startswith("growthlab: input is not valid UTF-8")
+        assert stdout == ""
 
     def test_snapshot_input_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -375,6 +408,28 @@ class TestManifest:
         line = [l for l in stdout.splitlines() if l.startswith("# manifest ")][0]
         assert json.loads(line[len("# manifest "):]) == \
             json.loads((out / "manifest.json").read_text())
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_zero_without_a_message(self, tmp_path):
+        # `growthlab ... | head -1`: the reader may be gone before a write.
+        path = tmp_path / "noiseless.tsv"
+        _write_noiseless_snapshots(path)
+        source_root = Path(growthlab.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(source_root), env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "growthlab", "fit", "--input", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 0
+        assert result.stderr == b""
 
 
 class TestEntryPoints:

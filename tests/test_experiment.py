@@ -16,11 +16,14 @@ from growthlab import (
     compare_prediction,
     fit_gamma_tls,
     log_uniform_schedule,
+    pool_and_fit_beta,
+    rescale_histogram,
     run_sweep,
     seeding,
     series_totals,
     synthesize_series,
 )
+from growthlab import estimators
 from growthlab.errors import DomainError, EstimationError
 
 
@@ -236,6 +239,25 @@ class TestComparePrediction:
         prediction = compare_prediction(series, bootstrap_reps=400, seed=0)
         assert prediction.gamma_theory == 1.0
         assert abs(prediction.gamma_fit.slope - 1.0) <= 0.05
+
+    def test_both_bootstraps_share_one_draw(self, monkeypatch):
+        series = _coupled_series(1.8, 3.0, 10, (1e3, 1e5), 2)
+        rescaled = [rescale_histogram(s.histogram, s.day) for s in series.days]
+        pairs = [(s.population, s.total_activity) for s in series.days]
+        estimators._bootstrap_indices.cache_clear()
+        gamma_alone = fit_gamma_tls(pairs, bootstrap_reps=300, seed=7)
+        estimators._bootstrap_indices.cache_clear()
+        beta_alone = pool_and_fit_beta(rescaled, bootstrap_reps=300, seed=7)
+        estimators._bootstrap_indices.cache_clear()
+        streams = []
+        generator = seeding.generator
+        monkeypatch.setattr(seeding, "generator",
+                            lambda *key: streams.append(key) or generator(*key))
+        prediction = compare_prediction(series, bootstrap_reps=300, seed=7)
+        assert len(streams) == 300
+        assert prediction.gamma_fit.ci95_slope == gamma_alone.ci95_slope
+        assert prediction.beta_fit.ci95_beta == beta_alone.ci95_beta
+        assert not estimators._bootstrap_indices(10, 300, 7).flags.writeable
 
     def test_requires_three_days(self):
         series = _coupled_series(1.5, 1.0, 10, (1e3, 1e4), 0)

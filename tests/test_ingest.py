@@ -2,7 +2,9 @@
 
 import datetime as dt
 import io
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,3 +212,199 @@ class TestSamplerRoundTrip:
         for recovered, original in zip(snapshots, series.days):
             assert recovered.histogram == {
                 int(k): v for k, v in original.histogram.items()}
+
+
+def reference_aggregate(events):
+    """Row-by-row aggregation: a dict of per-user totals for each day.
+
+    This is the earlier implementation of aggregate, kept as the reference
+    the columnar path must match.
+    """
+    per_day = {}
+    for event in events:
+        per_day.setdefault(event.day, {})
+        user_totals = per_day[event.day]
+        user_totals[event.user_id] = user_totals.get(event.user_id, 0) + event.count
+    snapshots = []
+    for day in sorted(per_day, key=lambda d: (isinstance(d, dt.date), d)):
+        user_totals = per_day[day]
+        histogram = {}
+        for total in user_totals.values():
+            histogram[total] = histogram.get(total, 0) + 1
+        snapshots.append(
+            DailySnapshot(
+                day=day,
+                population=len(user_totals),
+                total_activity=float(sum(user_totals.values())),
+                histogram=histogram,
+                f_max=float(max(histogram)),
+            )
+        )
+    return snapshots
+
+
+def _day_spellings(day):
+    """Texts that all parse to `day`: padding, leading zeros, a sign."""
+    if isinstance(day, dt.date):
+        return [day.isoformat(), f" {day.isoformat()}", f"{day.isoformat()} "]
+    return [str(day), f" {day}", f"{day} ", f"0{day}", f"+{day}", f"00{day} "]
+
+
+# One row: (user, day, count, day spelling pick, user padding, blank row after).
+rows_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "user_7"]),
+        st.one_of(st.integers(min_value=0, max_value=12),
+                  st.dates(min_value=dt.date(2024, 2, 27),
+                           max_value=dt.date(2024, 3, 2))),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from(["", " ", "  "]),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+class TestColumnarMatchesRowReference:
+    @given(rows_strategy, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_and_aggregate_match_the_row_path(self, rows, as_bytes):
+        lines = ["user_id,day,count"]
+        events = []
+        for user, day, count, pick, pad, blank in rows:
+            spellings = _day_spellings(day)
+            lines.append(f"{pad}{user},{spellings[pick % len(spellings)]}, {count} ")
+            if blank:
+                lines.append("")
+            events.append(ActivityEvent(user, day, count))
+        text = "\n".join(lines) + "\n"
+        stream = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        table = gl.parse_events(stream)
+        assert isinstance(table, gl.EventTable)
+        assert table == events
+        assert list(table) == events
+        expected = reference_aggregate(events)
+        assert gl.aggregate(table) == expected
+        assert gl.aggregate(events) == expected
+
+    def test_day_aliases_merge_into_one_day(self):
+        text = "user_id,day,count\nu1,5,1\nu1, 5,2\nu2,05,4\nu3,2024-01-02,1\n"
+        table = gl.parse_events(io.StringIO(text))
+        assert table.days == (5, dt.date(2024, 1, 2))
+        first, second = gl.aggregate(table)
+        assert (first.day, first.population, first.histogram) == (5, 2, {3: 1, 4: 1})
+        assert second.day == dt.date(2024, 1, 2)
+
+    def test_table_reads_as_a_sequence_of_events(self):
+        table = gl.parse_events(io.StringIO(CSV_SAMPLE))
+        assert table[-1] == ActivityEvent("alice", dt.date(2024, 3, 2), 2)
+        assert table[:2] == list(table)[:2]
+        assert table.counts.dtype == "int64" and not table.counts.flags.writeable
+        assert table != gl.parse_events(io.StringIO(JSONL_SAMPLE), format="jsonl")
+        assert gl.parse_events(io.StringIO(JSONL_SAMPLE), format="jsonl") == _events(
+            ("alice", 5, 3), ("bob", 5, 1))
+        with pytest.raises(IndexError):
+            table[3]
+
+
+HEADER = "user_id,day,count\n"
+
+
+class TestBadRowsKeepTheirMessages:
+    @pytest.mark.parametrize("text, message", [
+        (HEADER + "u1,0,1\nu2,1\n", "line 3: expected 3 fields, got 2"),
+        (HEADER + "u1,0,1,9\n", "line 2: expected 3 fields, got 4"),
+        (HEADER + "  ,0,1\n", "line 2: user_id must be non-empty"),
+        (HEADER + "u1,first,1\n",
+         "line 2: day 'first' is neither an ISO date nor an integer"),
+        (HEADER + "u1,0,zero\n", "line 2: count 'zero' is not an integer"),
+        (HEADER + "u1,0,0\n", "line 2: count must be >= 1, got 0"),
+        (HEADER + "u1,0,1\n\nu1,0,-2\n", "line 4: count must be >= 1, got -2"),
+        # Day, then count, then user id: the first failing check names the row.
+        (HEADER + ",x,0\n", "line 2: day 'x' is neither an ISO date nor an integer"),
+        (HEADER + ",0,0\n", "line 2: count must be >= 1, got 0"),
+        (HEADER + "u1,0,9223372036854775808\n",
+         "line 2: count 9223372036854775808 does not fit in 64 bits"),
+    ])
+    def test_csv(self, text, message):
+        with pytest.raises(DataError) as raised:
+            gl.parse_events(io.StringIO(text))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"user_id": "", "day": 0, "count": 1}\n', "line 1: user_id must be non-empty"),
+        ('\n{"user_id": "u", "day": true, "count": 1}\n',
+         "line 2: day True is neither an ISO date nor an integer"),
+        ('{"user_id": "u", "day": 0, "count": "0"}\n',
+         "line 1: count must be >= 1, got 0"),
+        ('{"user_id": "u", "day": 0, "count": 1.5}\n',
+         "line 1: count must be an integer, got 1.5"),
+        ('{"user_id": "u", "day": 0, "count": 9223372036854775808}\n',
+         "line 1: count 9223372036854775808 does not fit in 64 bits"),
+    ])
+    def test_jsonl(self, text, message):
+        with pytest.raises(DataError) as raised:
+            gl.parse_events(io.StringIO(text), format="jsonl")
+        assert str(raised.value) == message
+
+    def test_largest_int64_count_is_accepted(self):
+        table = gl.parse_events(io.StringIO(HEADER + "u1,0,9223372036854775807\n"))
+        assert table[0].count == 2**63 - 1
+
+    @pytest.mark.parametrize("data, format", [
+        (HEADER.encode() + b"u1,0,1\nu\xff,0,1\n", "csv"),
+        (b'{"user_id": "u\xff", "day": 0, "count": 1}\n', "jsonl"),
+    ])
+    def test_non_utf8_bytes(self, data, format):
+        stream = io.BytesIO(data)
+        with pytest.raises(DataError, match="^input is not valid UTF-8"):
+            gl.parse_events(stream, format=format)
+        assert not stream.closed
+
+
+class TestSumsDoNotWrap:
+    def test_user_day_sum_past_int64_is_a_data_error(self):
+        text = HEADER + f"u1,3,{2**62}\nu2,3,1\nu1,3,{2**62}\n"
+        table = gl.parse_events(io.StringIO(text))
+        with pytest.raises(DataError, match="'u1' on day 3: summed count "
+                                            f"{2**63} does not fit in 64 bits"):
+            gl.aggregate(table)
+
+    def test_day_total_past_int64_stays_exact(self):
+        events = _events(("u1", 0, 2**62), ("u2", 0, 2**62), ("u3", 0, 2**62 - 1))
+        (snap,) = gl.aggregate(events)
+        assert snap == reference_aggregate(events)[0]
+        assert snap.histogram == {2**62: 2, 2**62 - 1: 1}
+
+    def test_event_count_past_int64_is_a_data_error(self):
+        with pytest.raises(DataError, match="does not fit in 64 bits"):
+            gl.aggregate([ActivityEvent("u1", 0, 2**63)])
+
+
+class TestMemory:
+    def test_streamed_read_peaks_below_eight_times_the_file(self, tmp_path):
+        # A 50k-row log shaped like a real one: ISO dates, mostly distinct
+        # users, rows shuffled. Reading the whole text plus one object per
+        # row peaked at about 12x the file size.
+        rng = np.random.default_rng(5)
+        rows = 50_000
+        days = [(dt.date(2009, 1, 1) + dt.timedelta(days=d)).isoformat()
+                for d in range(12)]
+        users = rng.integers(0, 400_000, rows)
+        day_codes = rng.integers(0, 12, rows)
+        counts = np.floor(rng.pareto(0.5, rows) + 1).astype(np.int64)
+        path = tmp_path / "log.csv"
+        path.write_text(HEADER + "".join(
+            f"user{user:06d},{days[day]},{min(count, 10**6)}\n"
+            for user, day, count in zip(users.tolist(), day_codes.tolist(),
+                                        counts.tolist())))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            snapshots = gl.aggregate(gl.load_events(str(path)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(s.population for s in snapshots) > 0.9 * rows
+        assert peak < 8 * size, f"peak {peak / size:.1f}x the file size"
