@@ -20,7 +20,7 @@ from growthlab.svg import sweep_svg
 
 # A reduced grid keeps this demo quick; the CLI default is 10 cutoffs
 # by 40 betas. Every cell derives its streams from (seed, cell index),
-# so the table is identical for any thread count.
+# so the table is a pure function of the grid and the seed.
 cells = run_sweep(
     c_values=(1.0, 2.0, 3.0),
     beta_values=(1.2, 1.4, 1.6, 1.8, 2.2, 3.0, 5.0, 8.0),

@@ -31,7 +31,9 @@ from .estimators import binned_cloud, fit_gamma_tls, rescale_histogram
 from .experiment import collapse_check, compare_prediction, run_sweep
 from .ingest import DailySnapshot, aggregate, load_events, write_events_csv
 from .sampler import (
+    _PROTOCOL_ALIASES,
     SamplerConfig,
+    canonical_protocol,
     events_from_series,
     log_uniform_schedule,
     synthesize_series,
@@ -45,9 +47,6 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 _SNAPSHOT_HEADER = ["day", "P", "F", "f_max"]
-
-_PROTOCOL_FLAG = {"coupled": "coupled-truncation", "fixed": "fixed-truncation",
-                  "unbounded": "unbounded"}
 
 
 class _UsageError(Exception):
@@ -222,7 +221,7 @@ def _print_table(header: list[str], row: list[str]) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.pmax < args.pmin:
         raise _UsageError("--pmax must be >= --pmin")
-    protocol = _PROTOCOL_FLAG[args.protocol]
+    protocol = canonical_protocol(args.protocol)
     if protocol == "fixed-truncation" and args.upper_cutoff is None:
         raise _UsageError("--protocol fixed requires --upper-cutoff")
     config = SamplerConfig(
@@ -308,12 +307,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     c_values = args.c_values
     if c_values is not None and not c_values:
         raise _UsageError("--c-values must name at least one cutoff")
-    protocol = _PROTOCOL_FLAG[args.protocol]
+    protocol = canonical_protocol(args.protocol)
     cells = run_sweep(
         c_values=c_values, beta_values=betas, days_per_cell=args.days,
         population_range=(args.pmin, args.pmax), protocol=protocol,
         seed=args.seed, bootstrap_reps=args.bootstrap_reps,
-        max_workers=args.threads,
     )
     os.makedirs(args.out, exist_ok=True)
     lines = ["C\tbeta\tinv_beta\tgamma_fit\tgamma_theory\tr2\tstatus"]
@@ -384,7 +382,7 @@ def build_parser() -> _Parser:
     simulate.add_argument("--beta", type=_beta_value, required=True)
     simulate.add_argument("--c", type=float, default=1.0,
                           help="lower activity cutoff (default 1)")
-    simulate.add_argument("--protocol", choices=sorted(_PROTOCOL_FLAG),
+    simulate.add_argument("--protocol", choices=sorted(_PROTOCOL_ALIASES),
                           default="coupled")
     simulate.add_argument("--upper-cutoff", type=float, default=None,
                           help="cutoff for --protocol fixed")
@@ -428,12 +426,10 @@ def build_parser() -> _Parser:
     sweep.add_argument("--days", type=_positive_int, default=100)
     sweep.add_argument("--pmin", type=_positive_int, default=100)
     sweep.add_argument("--pmax", type=_positive_int, default=10000)
-    sweep.add_argument("--protocol", choices=sorted(_PROTOCOL_FLAG),
+    sweep.add_argument("--protocol", choices=sorted(_PROTOCOL_ALIASES),
                        default="coupled")
     sweep.add_argument("--seed", type=_seed_int, default=0)
     sweep.add_argument("--bootstrap-reps", type=_nonnegative_int, default=0)
-    sweep.add_argument("--threads", type=int, default=None,
-                       help="thread cap (default: GROWTHLAB_THREADS, 0 = auto)")
     sweep.add_argument("--svg", default=None)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)

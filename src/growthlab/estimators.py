@@ -194,8 +194,9 @@ def _as_log_pairs(series) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("expected a sequence of (population, activity) pairs")
     if pairs.shape[0] < 3:
         raise DomainError("need at least 3 days to fit a growth line")
-    if np.any(pairs < 1.0):
-        raise DomainError("all populations and activities must be >= 1")
+    # Also true for nan, which no comparison admits.
+    if not np.all((pairs >= 1.0) & (pairs < np.inf)):
+        raise DomainError("all populations and activities must be finite and >= 1")
     return np.log10(pairs[:, 0]), np.log10(pairs[:, 1])
 
 

@@ -9,17 +9,13 @@ is off. compare_prediction and collapse_check run the same measurement on
 a single series: estimate beta from the daily histograms, map it through
 the law, and confront the prediction with the directly fitted exponent.
 
-Cells are embarrassingly parallel and every cell derives its RNG streams
-from (seed, cell index) alone, so results are identical for any thread
-count; GROWTHLAB_THREADS (0 = auto) caps the pool when max_workers is not
-given explicitly.
+Every cell derives its RNG streams from (seed, cell index) alone, so a
+cell's result never depends on the cells run before it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,20 +104,6 @@ def default_beta_grid(count: int = 40) -> list[float]:
     return [float(1.0 / v) for v in inverse]
 
 
-def _resolve_workers(max_workers: int | None) -> int:
-    if max_workers is None:
-        raw = os.environ.get("GROWTHLAB_THREADS", "0")
-        try:
-            max_workers = int(raw)
-        except ValueError:
-            raise DomainError(f"GROWTHLAB_THREADS must be an integer, got {raw!r}")
-    if max_workers < 0:
-        raise DomainError("thread cap must be >= 0")
-    if max_workers == 0:
-        return min(32, os.cpu_count() or 1)
-    return max_workers
-
-
 def run_sweep(c_values: Sequence[float] | None = None,
               beta_values: Sequence[float] | None = None,
               days_per_cell: int = 100,
@@ -129,16 +111,14 @@ def run_sweep(c_values: Sequence[float] | None = None,
               protocol: str = "coupled-truncation",
               seed: int = 0,
               bootstrap_reps: int = 0,
-              integerize: bool = False,
-              max_workers: int | None = None) -> list[SweepCell]:
+              integerize: bool = False) -> list[SweepCell]:
     """Fit the growth exponent over a (C, beta) grid of synthetic series.
 
     Each cell draws its own log-uniform population schedule, synthesizes
     days under `protocol` and fits gamma by TLS. A cell that cannot be
     synthesized or fitted (e.g. cutoff collapsing below C at high beta and
     high C) is returned with status "failed" and the error message; it
-    never aborts the sweep. Cell results depend only on (seed, cell index),
-    so any max_workers value produces identical output, ordered by cell.
+    never aborts the sweep. Cells are returned in grid order, C outer.
     """
     protocol = canonical_protocol(protocol)
     cs = list(default_c_values() if c_values is None else c_values)
@@ -151,15 +131,7 @@ def run_sweep(c_values: Sequence[float] | None = None,
     if not (low >= 10 and high > low):
         raise DomainError("population range must satisfy 10 <= low < high")
 
-    jobs = [
-        (index, c, beta)
-        for index, (c, beta) in enumerate(
-            (c, beta) for c in cs for beta in betas
-        )
-    ]
-
-    def one_cell(job: tuple[int, float, float]) -> SweepCell:
-        index, c, beta = job
+    def one_cell(index: int, c: float, beta: float) -> SweepCell:
         gamma_theory = gamma_of_beta(beta)
         cell_seed = seeding.derive_seed(seed, seeding.STREAM_CELL, index)
         try:
@@ -184,11 +156,8 @@ def run_sweep(c_values: Sequence[float] | None = None,
             fit_quality=fit.adjusted_r2, status="ok",
         )
 
-    workers = _resolve_workers(max_workers)
-    if workers == 1:
-        return [one_cell(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_cell, jobs))
+    grid = [(c, beta) for c in cs for beta in betas]
+    return [one_cell(index, c, beta) for index, (c, beta) in enumerate(grid)]
 
 
 def _snapshots(series) -> list[DailySnapshot]:

@@ -239,8 +239,15 @@ def _parse_count(raw: object) -> int:
 
 
 def _parse_csv(text: IO[str]) -> EventTable:
-    builder = _TableBuilder()
     reader = csv.reader(text)
+    try:
+        return _csv_table(reader)
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+
+
+def _csv_table(reader) -> EventTable:
+    builder = _TableBuilder()
     header = next(reader, None)
     if header is None:
         return builder.table()

@@ -4,7 +4,7 @@ Per-user daily activity is drawn from a power-law density
 p(x) ~ x^(-beta) on [C, infinity) or, truncated, on [C, U] via the
 inverse-CDF transform. A day is P iid draws; a series is a schedule of
 days, each with its own derived RNG stream so that day k's data never
-depends on how many days preceded it or on which thread produced it.
+depends on how many days preceded it or on the order days are drawn in.
 
 The essential modelling choice lives in synthesize_series' protocol:
 
@@ -25,7 +25,7 @@ event-log round trips and histogram work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,13 +51,9 @@ __all__ = [
 
 PROTOCOLS = ("coupled-truncation", "fixed-truncation", "unbounded")
 
-_PROTOCOL_ALIASES = {
-    "coupled": "coupled-truncation",
-    "fixed": "fixed-truncation",
-    "coupled-truncation": "coupled-truncation",
-    "fixed-truncation": "fixed-truncation",
-    "unbounded": "unbounded",
-}
+# Short protocol names; the CLI's --protocol takes exactly these.
+_PROTOCOL_ALIASES = {"coupled": "coupled-truncation", "fixed": "fixed-truncation",
+                     "unbounded": "unbounded"}
 
 
 @dataclass(frozen=True)
@@ -103,6 +99,14 @@ class SyntheticSeries:
             raise DomainError("one snapshot per scheduled day required")
 
 
+def _inverse_cdf(beta: float, c: float, upper: float | None, u: np.ndarray):
+    exponent = -1.0 / (beta - 1.0)
+    if upper is None:
+        return c * (1.0 - u) ** exponent
+    ratio = (upper / c) ** (1.0 - beta)
+    return c * (1.0 - u * (1.0 - ratio)) ** exponent
+
+
 def sample_activity(config: SamplerConfig, u):
     """Map uniform u in [0, 1) to an activity via the inverse CDF.
 
@@ -115,24 +119,19 @@ def sample_activity(config: SamplerConfig, u):
     u_arr = np.asarray(u, dtype=float)
     if np.any((u_arr < 0.0) | (u_arr >= 1.0)):
         raise DomainError("u must lie in [0, 1)")
-    c = config.lower_cutoff
-    exponent = -1.0 / (config.beta - 1.0)
-    if config.upper_cutoff is None:
-        x = c * (1.0 - u_arr) ** exponent
-    else:
-        ratio = (config.upper_cutoff / c) ** (1.0 - config.beta)
-        x = c * (1.0 - u_arr * (1.0 - ratio)) ** exponent
+    x = _inverse_cdf(config.beta, config.lower_cutoff, config.upper_cutoff, u_arr)
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(x)
     return x
 
 
-def _draw_day(day_index: int, population: int, config: SamplerConfig,
-              rng: np.random.Generator | None) -> np.ndarray:
-    """The shared draw pipeline: one activity array for one day.
+def _draw(day_index: int, population: int, config: SamplerConfig,
+          upper: float | None, rng: np.random.Generator | None = None) -> np.ndarray:
+    """The one draw pipeline: day `day_index`'s activities below cutoff `upper`.
 
-    Both the snapshot path and the totals path run through here, so they
-    consume the identical derived stream and agree to the last bit.
+    Snapshots and totals, single days and whole series all run through
+    here, so they consume the identical derived stream and agree to the
+    last bit. rng.random() lies in [0, 1), so u needs no range check.
     """
     if not isinstance(population, (int, np.integer)) or isinstance(population, bool):
         raise DomainError(f"population must be an integer, got {population!r}")
@@ -140,12 +139,46 @@ def _draw_day(day_index: int, population: int, config: SamplerConfig,
         raise DomainError(f"population must be >= 1, got {population}")
     if rng is None:
         rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
-    u = rng.random(int(population))
-    x = sample_activity(config, u)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(over="ignore"):
+        x = _inverse_cdf(config.beta, config.lower_cutoff, upper,
+                         rng.random(int(population)))
+    top = float(x.max())
+    if top == math.inf:
+        raise DomainError(
+            f"day {day_index}: an activity draw overflows to inf; beta "
+            f"{config.beta} is too close to 1 for this cutoff"
+        )
     if config.integerize:
+        if top >= 2.0**63:
+            raise DomainError(
+                f"day {day_index}: an integerized activity draw {top:.6g} "
+                f"exceeds 2^63 - 1"
+            )
         x = np.maximum(1.0, np.floor(x))
     return x
+
+
+def _total(x: np.ndarray, integerize: bool) -> float:
+    """F of one day's draws; integerized draws are summed exactly."""
+    if not integerize:
+        return float(x.sum())
+    levels = x.astype(np.int64)
+    if float(x.max()) * x.size < 2.0**63:  # no partial sum can wrap
+        return float(int(levels.sum()))
+    return float(sum(levels.tolist()))
+
+
+def _snapshot(day_index: int, population: int, x: np.ndarray,
+              integerize: bool) -> DailySnapshot:
+    levels, counts = np.unique(x.astype(np.int64) if integerize else x,
+                               return_counts=True)
+    return DailySnapshot(
+        day=day_index,
+        population=int(population),
+        total_activity=_total(x, integerize),
+        histogram=dict(zip(levels.tolist(), counts.tolist())),
+        f_max=float(levels[-1]),
+    )
 
 
 def synthesize_day(day_index: int, population: int, config: SamplerConfig,
@@ -156,24 +189,8 @@ def synthesize_day(day_index: int, population: int, config: SamplerConfig,
     explicit generator is passed, so equal (day_index, population, config)
     always reproduce the same snapshot regardless of call order.
     """
-    x = _draw_day(day_index, population, config, rng)
-    if config.integerize:
-        levels, counts = np.unique(x.astype(np.int64), return_counts=True)
-        histogram = dict(zip(levels.tolist(), counts.tolist()))
-        total = float(int(levels @ counts))
-        f_max = float(levels[-1])
-    else:
-        levels, counts = np.unique(x, return_counts=True)
-        histogram = dict(zip(levels.tolist(), counts.tolist()))
-        total = float(x.sum())
-        f_max = float(levels[-1])
-    return DailySnapshot(
-        day=day_index,
-        population=int(population),
-        total_activity=total,
-        histogram=histogram,
-        f_max=f_max,
-    )
+    x = _draw(day_index, population, config, config.upper_cutoff, rng)
+    return _snapshot(day_index, population, x, config.integerize)
 
 
 def day_totals(day_index: int, population: int, config: SamplerConfig,
@@ -184,10 +201,8 @@ def day_totals(day_index: int, population: int, config: SamplerConfig,
     snapshot's (population, total_activity) exactly. This is the cheap path
     for exponent sweeps, which never read histograms.
     """
-    x = _draw_day(day_index, population, config, rng)
-    if config.integerize:
-        return int(population), float(int(x.astype(np.int64).sum()))
-    return int(population), float(x.sum())
+    x = _draw(day_index, population, config, config.upper_cutoff, rng)
+    return int(population), _total(x, config.integerize)
 
 
 def log_uniform_schedule(rng: np.random.Generator, days: int,
@@ -209,6 +224,8 @@ def log_uniform_schedule(rng: np.random.Generator, days: int,
 
 
 def canonical_protocol(name: str) -> str:
+    if name in PROTOCOLS:
+        return name
     try:
         return _PROTOCOL_ALIASES[name]
     except KeyError:
@@ -217,8 +234,9 @@ def canonical_protocol(name: str) -> str:
         ) from None
 
 
-def _day_config(config: SamplerConfig, protocol: str, day_index: int,
-                population: int) -> SamplerConfig:
+def _day_cutoff(config: SamplerConfig, protocol: str, day_index: int,
+                population: int) -> float | None:
+    """Day `day_index`'s upper cutoff under `protocol`; None is unbounded."""
     if protocol == "coupled-truncation":
         try:
             cutoff = cutoff_for_population(float(population), config.beta)
@@ -229,15 +247,23 @@ def _day_config(config: SamplerConfig, protocol: str, day_index: int,
                 f"day {day_index}: population {population} gives cutoff "
                 f"{cutoff:.6g} at or below the lower cutoff {config.lower_cutoff}"
             )
-        return replace(config, upper_cutoff=cutoff)
+        return cutoff
     if protocol == "fixed-truncation":
         if config.upper_cutoff is None:
             raise DomainError("fixed-truncation requires config.upper_cutoff")
-        return config
+        return config.upper_cutoff
     # Unbounded overrides any configured cutoff.
-    if config.upper_cutoff is None:
-        return config
-    return replace(config, upper_cutoff=None)
+    return None
+
+
+def _schedule_draws(schedule: Sequence[int], config: SamplerConfig, protocol: str):
+    """(day_index, population, draws) for each scheduled day, in order."""
+    if len(schedule) == 0:
+        raise DomainError("schedule must contain at least one day")
+    for day_index, population in enumerate(schedule):
+        upper = _day_cutoff(config, protocol, day_index, population)
+        population = int(population)
+        yield day_index, population, _draw(day_index, population, config, upper)
 
 
 def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
@@ -249,14 +275,12 @@ def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
     be regenerated in isolation with synthesize_day.
     """
     protocol = canonical_protocol(protocol)
-    if len(schedule) == 0:
-        raise DomainError("schedule must contain at least one day")
-    snapshots = []
-    for day_index, population in enumerate(schedule):
-        day_cfg = _day_config(config, protocol, day_index, population)
-        snapshots.append(synthesize_day(day_index, int(population), day_cfg))
+    snapshots = tuple(
+        _snapshot(day_index, population, x, config.integerize)
+        for day_index, population, x in _schedule_draws(schedule, config, protocol)
+    )
     return SyntheticSeries(
-        days=tuple(snapshots),
+        days=snapshots,
         generator_config=config,
         population_schedule=tuple(int(p) for p in schedule),
         protocol=protocol,
@@ -267,13 +291,10 @@ def series_totals(schedule: Sequence[int], config: SamplerConfig,
                   protocol: str = "coupled-truncation") -> list[tuple[int, float]]:
     """Per-day (P, F) pairs for a whole schedule via the lean totals path."""
     protocol = canonical_protocol(protocol)
-    if len(schedule) == 0:
-        raise DomainError("schedule must contain at least one day")
-    totals = []
-    for day_index, population in enumerate(schedule):
-        day_cfg = _day_config(config, protocol, day_index, population)
-        totals.append(day_totals(day_index, int(population), day_cfg))
-    return totals
+    return [
+        (population, _total(x, config.integerize))
+        for _, population, x in _schedule_draws(schedule, config, protocol)
+    ]
 
 
 def events_from_series(series: SyntheticSeries):

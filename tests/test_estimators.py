@@ -5,6 +5,7 @@ seeds with the observed values recorded next to the tolerances.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ class TestFitGammaTls:
             gl.fit_gamma_tls([(10.0, 20.0), (100.0, 300.0)])
         with pytest.raises(DomainError):
             gl.fit_gamma_tls([(0.5, 10.0), (10.0, 20.0), (100.0, 300.0)])
+
+    @pytest.mark.parametrize("bad", [
+        (100.0, math.nan), (math.nan, 300.0), (100.0, math.inf),
+        (math.inf, 300.0), (100.0, -math.inf), (100.0, 0.5),
+    ])
+    def test_non_finite_or_sub_unit_pairs_are_rejected(self, bad):
+        pairs = [(10.0, 10.0), bad, (1000.0, 3000.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError,
+                               match="must be finite and >= 1") as caught:
+                gl.fit_gamma_tls(pairs)
+        assert "bracket" not in str(caught.value)
 
 
 class TestFitGammaOls:

@@ -88,12 +88,6 @@ class TestRunSweep:
             assert cell.gamma_theory == pytest.approx(expected, rel=1e-12)
             assert cell.inverse_beta == pytest.approx(1.0 / cell.beta, rel=1e-12)
 
-    def test_worker_count_is_invisible_in_the_output(self):
-        kwargs = dict(
-            c_values=(1.0, 3.0), beta_values=(1.4, 2.5), days_per_cell=30, seed=5
-        )
-        assert run_sweep(max_workers=1, **kwargs) == run_sweep(max_workers=8, **kwargs)
-
     def test_medians_track_the_inverse_beta_curve(self):
         cells = run_sweep(
             c_values=(1.0, 2.0, 3.0),
@@ -145,27 +139,6 @@ class TestRunSweep:
             run_sweep(
                 c_values=(1.0,), beta_values=(1.5,), population_range=(5.0, 100.0)
             )
-
-    def test_thread_cap_env_variable(self, monkeypatch):
-        kwargs = dict(
-            c_values=(1.0,),
-            beta_values=(2.0,),
-            days_per_cell=10,
-            population_range=(100.0, 1000.0),
-            seed=0,
-        )
-        reference = run_sweep(max_workers=2, **kwargs)
-        monkeypatch.setenv("GROWTHLAB_THREADS", "4")
-        assert run_sweep(**kwargs) == reference
-        monkeypatch.setenv("GROWTHLAB_THREADS", "0")
-        assert run_sweep(**kwargs) == reference
-        monkeypatch.setenv("GROWTHLAB_THREADS", "abc")
-        with pytest.raises(DomainError, match="GROWTHLAB_THREADS"):
-            run_sweep(**kwargs)
-        assert run_sweep(max_workers=1, **kwargs) == reference
-        monkeypatch.setenv("GROWTHLAB_THREADS", "-3")
-        with pytest.raises(DomainError, match=">= 0"):
-            run_sweep(**kwargs)
 
     def test_cell_type_invariants(self):
         with pytest.raises(DomainError, match="inverse_beta"):

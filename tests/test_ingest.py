@@ -332,6 +332,17 @@ class TestBadRowsKeepTheirMessages:
             gl.parse_events(io.StringIO(text))
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("lines, lineno", [
+        ([HEADER.rstrip("\n"), "u1,0,1", "u" * 200_000 + ",0,1"], 3),
+        (["u" * 200_000 + ",day,count"], 1),
+    ], ids=["row", "header"])
+    def test_csv_cell_past_the_field_limit(self, lines, lineno):
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(DataError) as raised:
+            gl.parse_events(io.StringIO(text))
+        assert str(raised.value) == \
+            f"line {lineno}: field larger than field limit (131072)"
+
     @pytest.mark.parametrize("text, message", [
         ('{"user_id": "", "day": 0, "count": 1}\n', "line 1: user_id must be non-empty"),
         ('\n{"user_id": "u", "day": true, "count": 1}\n',

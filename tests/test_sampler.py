@@ -6,6 +6,8 @@ bands, both at frozen seeds recorded next to the observed statistics.
 """
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import growthlab as gl
-from growthlab import DomainError, SamplerConfig, seeding
+from growthlab import DailySnapshot, DomainError, SamplerConfig, seeding
+from growthlab.theory import cutoff_for_population
 
 
 def _uniforms(seed, n):
@@ -316,3 +319,167 @@ class TestEventsFromSeries:
         series = gl.synthesize_series([100], cfg)
         with pytest.raises(DomainError, match="integerize"):
             gl.events_from_series(series)
+
+
+# The per-day loop the sampler ran before its draws shared one path: a
+# config rebuilt per day with `replace`, the public sample_activity, and
+# separate snapshot and totals branches. Kept as the reference the folded
+# path must reproduce bit for bit.
+def _reference_day_config(config, protocol, day_index, population):
+    if protocol == "coupled-truncation":
+        try:
+            cutoff = cutoff_for_population(float(population), config.beta)
+        except DomainError as exc:
+            raise DomainError(f"day {day_index}: {exc}") from None
+        if cutoff <= config.lower_cutoff:
+            raise DomainError(
+                f"day {day_index}: population {population} gives cutoff "
+                f"{cutoff:.6g} at or below the lower cutoff {config.lower_cutoff}"
+            )
+        return replace(config, upper_cutoff=cutoff)
+    if protocol == "fixed-truncation":
+        if config.upper_cutoff is None:
+            raise DomainError("fixed-truncation requires config.upper_cutoff")
+        return config
+    if config.upper_cutoff is None:
+        return config
+    return replace(config, upper_cutoff=None)
+
+
+def _reference_draw_day(day_index, population, config):
+    rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
+    with np.errstate(over="ignore"):
+        x = gl.sample_activity(config, rng.random(population))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if config.integerize:
+        x = np.maximum(1.0, np.floor(x))
+    return x
+
+
+def _reference_snapshot(day_index, population, x, integerize):
+    if integerize:
+        levels, counts = np.unique(x.astype(np.int64), return_counts=True)
+        total = float(int(levels @ counts))
+    else:
+        levels, counts = np.unique(x, return_counts=True)
+        total = float(x.sum())
+    return DailySnapshot(
+        day=day_index, population=population, total_activity=total,
+        histogram=dict(zip(levels.tolist(), counts.tolist())),
+        f_max=float(levels[-1]),
+    )
+
+
+def _reference_series(schedule, config, protocol):
+    """(totals, snapshots), or the start of the error the series must raise.
+
+    A day with a non-finite draw, or an integerized draw past 2^63 - 1,
+    must stop the series with an error naming that day.
+    """
+    protocol = gl.canonical_protocol(protocol)
+    totals, snapshots = [], []
+    try:
+        for day_index, population in enumerate(schedule):
+            day_cfg = _reference_day_config(config, protocol, day_index, population)
+            x = _reference_draw_day(day_index, int(population), day_cfg)
+            top = float(x.max())
+            if top == math.inf or (config.integerize and top >= 2.0**63):
+                return f"day {day_index}: "
+            if config.integerize:
+                total = float(int(x.astype(np.int64).sum()))
+            else:
+                total = float(x.sum())
+            totals.append((int(population), total))
+            snapshots.append(_reference_snapshot(
+                day_index, int(population), x, config.integerize))
+    except DomainError as exc:
+        return str(exc)
+    return totals, snapshots
+
+
+class TestFoldedPathMatchesPerDayReference:
+    @given(
+        protocol=st.sampled_from(["coupled", "fixed", "unbounded"]),
+        integerize=st.booleans(),
+        beta=st.floats(min_value=1.1, max_value=6.0),
+        lower=st.floats(min_value=1.0, max_value=5.0),
+        upper_factor=st.one_of(st.none(), st.floats(min_value=1.5, max_value=1e4)),
+        schedule=st.lists(st.integers(min_value=1, max_value=3_000),
+                          min_size=1, max_size=6),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_series_and_totals_equal_the_reference(
+            self, protocol, integerize, beta, lower, upper_factor, schedule, seed):
+        upper = None if upper_factor is None else lower * upper_factor
+        cfg = SamplerConfig(beta=beta, lower_cutoff=lower, upper_cutoff=upper,
+                            integerize=integerize, seed=seed)
+        expected = _reference_series(schedule, cfg, protocol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if isinstance(expected, str):
+                for build in (gl.series_totals, gl.synthesize_series):
+                    with pytest.raises(DomainError) as caught:
+                        build(schedule, cfg, protocol)
+                    assert str(caught.value).startswith(expected)
+                return
+            totals, snapshots = expected
+            assert gl.series_totals(schedule, cfg, protocol) == totals
+            assert gl.synthesize_series(schedule, cfg, protocol).days == \
+                tuple(snapshots)
+
+    @pytest.mark.parametrize("protocol", ["coupled", "fixed", "unbounded"])
+    @pytest.mark.parametrize("integerize", [False, True])
+    def test_single_days_equal_the_reference(self, protocol, integerize):
+        cfg = SamplerConfig(beta=1.58, lower_cutoff=2.0, upper_cutoff=900.0,
+                            integerize=integerize, seed=12)
+        schedule = [40, 2_500, 700]
+        totals, snapshots = _reference_series(schedule, cfg, protocol)
+        day_cfg = _reference_day_config(
+            cfg, gl.canonical_protocol(protocol), 1, 2_500)
+        assert gl.day_totals(1, 2_500, day_cfg) == totals[1]
+        snapshot = gl.synthesize_day(1, 2_500, day_cfg)
+        assert snapshot == snapshots[1]
+        # 3 == 3.0 as dict keys, so equality alone cannot tell the level types
+        level_type = int if integerize else float
+        assert all(type(level) is level_type for level in snapshot.histogram)
+
+
+class TestOverflowingDraws:
+    """A draw that float64 or int64 cannot hold is a DomainError naming its
+    day, raised with no RuntimeWarning on the way."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    def test_integerized_draw_past_int64(self):
+        cfg = SamplerConfig(beta=1.2, integerize=True)
+        for build in (gl.series_totals, gl.synthesize_series):
+            with pytest.raises(DomainError,
+                               match=r"^day 0: .* exceeds 2\^63 - 1$"):
+                build([100_000], cfg, "unbounded")
+
+    def test_non_finite_continuous_draw(self):
+        cfg = SamplerConfig(beta=1.01, seed=0)
+        with pytest.raises(DomainError, match=r"^day 2: .* overflows to inf"):
+            gl.series_totals([10, 20, 100_000], cfg, "unbounded")
+        with pytest.raises(DomainError, match=r"^day 3: .* overflows to inf"):
+            gl.day_totals(3, 100_000, cfg)
+        with pytest.raises(DomainError, match=r"^day 3: .* overflows to inf"):
+            gl.synthesize_day(3, 100_000, cfg)
+
+    @pytest.mark.parametrize("upper, floor", [(1e15, 2**53), (9e18, 2**63)])
+    def test_integer_totals_are_exact_sums(self, upper, floor):
+        # Past 2^53 a float sum rounds (at seed 0 the float sum of these
+        # draws differs from the exact one); past 2^63 an int64 sum wraps,
+        # though every draw here fits in int64.
+        cfg = SamplerConfig(beta=1.01, upper_cutoff=upper, integerize=True, seed=0)
+        rng = seeding.generator(0, seeding.STREAM_DAY, 0)
+        draws = np.maximum(1.0, np.floor(gl.sample_activity(cfg, rng.random(1_000))))
+        exact = sum(int(v) for v in draws)
+        assert exact > floor
+        assert gl.day_totals(0, 1_000, cfg) == (1_000, float(exact))
+        assert gl.synthesize_day(0, 1_000, cfg).total_activity == float(exact)
