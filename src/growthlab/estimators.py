@@ -22,7 +22,9 @@ order. Both bootstraps draw their day indices from one helper. A resampled
 day set is a multiplicity vector over days, so the collapse bootstrap bins
 each day once into a day x bin matrix and forms every replicate's binned
 cloud as one row of a weight-matrix product (Efron & Tibshirani 1993, the
-resampling-vector form), then fits all replicates with one masked OLS.
+resampling-vector form), then fits all replicates with one masked OLS. The
+point estimate's cloud is the row that draws every day once, so one
+binning path serves both.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 
 from . import seeding
 from .errors import DomainError, EstimationError
+from .ingest import _Histogram
 
 __all__ = [
     "TlsFit",
@@ -89,25 +92,47 @@ class BetaFit:
             raise DomainError("ci95_beta must bracket beta")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RescaledHistogram:
-    """One day's histogram in master-curve coordinates (f/f_max, n)."""
+    """One day's histogram in master-curve coordinates (f/f_max, n).
 
-    points: tuple[tuple[float, float], ...]
+    Held as read-only arrays: rel, the relative activities f/f_max, and
+    counts, the user count at each. The constructor takes, and points
+    gives, the same data as (rel, count) pairs.
+    """
+
+    rel: np.ndarray
+    counts: np.ndarray
     source_day: Hashable
     f_max: float
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: Sequence[tuple[float, float]],
+                 source_day: Hashable, f_max: float) -> None:
+        pairs = np.array(points, dtype=float).reshape(-1, 2)
+        pairs.flags.writeable = False
+        rel, counts = pairs.T
+        if not len(rel):
             raise DomainError("a rescaled histogram needs at least one point")
-        top = max(rel for rel, _ in self.points)
-        if not math.isclose(top, 1.0, rel_tol=1e-12):
+        if not math.isclose(rel.max(), 1.0, rel_tol=1e-12):
             raise DomainError("the rescaled cutoff point must sit at 1.0")
-        for rel, count in self.points:
-            if not 0.0 < rel <= 1.0 + 1e-12:
-                raise DomainError(f"relative activity {rel} outside (0, 1]")
-            if not count > 0:
-                raise DomainError(f"count {count} must be positive")
+        bad = ~((rel > 0.0) & (rel <= 1.0 + 1e-12))
+        if bad.any():
+            raise DomainError(f"relative activity {rel[bad][0]} outside (0, 1]")
+        if not (counts > 0).all():
+            raise DomainError(f"count {counts[~(counts > 0)][0]} must be positive")
+        for name, value in zip(("rel", "counts", "source_day", "f_max"),
+                               (rel, counts, source_day, f_max)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.rel.tolist(), self.counts.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RescaledHistogram):
+            return NotImplemented
+        return (self.points, self.source_day, self.f_max) \
+            == (other.points, other.source_day, other.f_max)
 
 
 def _tls_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -245,21 +270,76 @@ def rescale_histogram(histogram: Mapping[float, float],
 
     Divides every activity level by the day's own maximum, which is the
     realized stand-in for the cutoff; by construction the rightmost point
-    lands at relative activity 1.0 with count >= 1.
+    lands at relative activity 1.0 with count >= 1. A snapshot's histogram
+    is read as its arrays.
     """
-    if not histogram:
-        raise DomainError("histogram must be non-empty")
-    levels = sorted(histogram)
-    if levels[0] <= 0:
-        raise DomainError(f"activity level must be positive, got {levels[0]}")
-    f_max = float(levels[-1])
-    points = tuple((float(level) / f_max, float(histogram[level])) for level in levels)
-    return RescaledHistogram(points=points, source_day=source_day, f_max=f_max)
+    histogram = _Histogram.of(histogram)
+    f_max = float(histogram.levels[-1])
+    return RescaledHistogram(
+        np.column_stack((histogram.levels / f_max, histogram.counts)),
+        source_day, f_max)
 
 
-def _bin_index(rel: float, bins_per_decade: int) -> int:
-    """Log bin j of a relative activity: rel in (10^-(j+1)/b, 10^-j/b]."""
-    return max(int(math.floor(-math.log10(rel) * bins_per_decade)), 0)
+def _bin_indices(rel: np.ndarray, bins_per_decade: int) -> np.ndarray:
+    """Log bin j of each relative activity: rel in (10^-(j+1)/b, 10^-j/b].
+
+    j = floor(-log10(rel) * b), with log10 as math.log10 rounds it: np.log10
+    can differ from it in the last bit, which moves a point that sits on a
+    bin edge, so points within rounding of an edge are redone with math.
+    """
+    scaled = -np.log10(rel) * bins_per_decade
+    edge = np.flatnonzero(np.abs(scaled - np.rint(scaled))
+                          <= 1e-9 * np.maximum(1.0, np.abs(scaled)))
+    scaled[edge] = [-math.log10(value) * bins_per_decade
+                    for value in rel[edge].tolist()]
+    return np.maximum(np.floor(scaled).astype(np.int64), 0)
+
+
+def _day_bin_matrices(rescaled: Sequence[RescaledHistogram],
+                      bins_per_decade: int, per_day_average: bool
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each day binned once: day x bin value and weight matrices (M, I), and
+    each day's smallest relative activity.
+
+    With per_day_average, M holds the day's mean count in the bin and I is
+    1 where the day has a point there; otherwise M holds the count sum and
+    I the number of points. For day multiplicities w, the binned cloud of
+    the resampled days averages (w @ M) / (w @ I) over the bins where
+    w @ I > 0; binned_cloud is the row w = 1.
+    """
+    if bins_per_decade < 1:
+        raise DomainError("bins_per_decade must be at least 1")
+    if len(rescaled) == 0:
+        raise DomainError("need at least one rescaled histogram")
+    sizes = [len(hist.rel) for hist in rescaled]
+    rel = np.concatenate([hist.rel for hist in rescaled])
+    day_min_rel = np.minimum.reduceat(rel, np.cumsum(sizes) - sizes)
+    if day_min_rel.min() > 0.1:
+        raise DomainError(
+            "pooled points span less than one decade of relative activity"
+        )
+    bins = _bin_indices(rel, bins_per_decade)
+    n_bins = 1 + int(bins.max())
+    cells = np.repeat(np.arange(len(rescaled)) * n_bins, sizes) + bins
+    shape = (len(rescaled), n_bins)
+    sums = np.bincount(cells, np.concatenate([hist.counts for hist in rescaled]),
+                       minlength=shape[0] * n_bins).reshape(shape)
+    points = np.bincount(cells, minlength=shape[0] * n_bins).reshape(shape)
+    if not per_day_average:
+        return sums, points.astype(float), day_min_rel
+    present = points > 0
+    means = np.divide(sums, points, out=np.zeros_like(sums), where=present)
+    return means, present.astype(float), day_min_rel
+
+
+def _cloud(sums: np.ndarray, totals: np.ndarray,
+           bins_per_decade: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log10 centers, log10 means) of the bins one weight row populates."""
+    populated = np.flatnonzero(totals > 0)
+    if len(populated) < 3:
+        raise DomainError("fewer than 3 populated bins; cannot fit a slope")
+    return (-(populated + 0.5) / bins_per_decade,
+            np.log10(sums[populated] / totals[populated]))
 
 
 def binned_cloud(rescaled: Sequence[RescaledHistogram], bins_per_decade: int = 5,
@@ -272,58 +352,9 @@ def binned_cloud(rescaled: Sequence[RescaledHistogram], bins_per_decade: int = 5
     every day carries equal weight; otherwise counts pool raw. Returns
     (log10 centers, log10 mean counts) for the populated bins.
     """
-    if bins_per_decade < 1:
-        raise DomainError("bins_per_decade must be at least 1")
-    if len(rescaled) == 0:
-        raise DomainError("need at least one rescaled histogram")
-    min_rel = min(rel for hist in rescaled for rel, _ in hist.points)
-    if min_rel > 0.1:
-        raise DomainError(
-            "pooled points span less than one decade of relative activity"
-        )
-    per_bin: dict[int, dict[int, list[float]]] = {}
-    for day_ordinal, hist in enumerate(rescaled):
-        for rel, count in hist.points:
-            j = _bin_index(rel, bins_per_decade)
-            per_bin.setdefault(j, {}).setdefault(day_ordinal, []).append(count)
-    centers: list[float] = []
-    values: list[float] = []
-    for j in sorted(per_bin):
-        day_lists = per_bin[j].values()
-        if per_day_average:
-            value = float(np.mean([np.mean(counts) for counts in day_lists]))
-        else:
-            value = float(np.mean([c for counts in day_lists for c in counts]))
-        centers.append(-(j + 0.5) / bins_per_decade)
-        values.append(math.log10(value))
-    if len(centers) < 3:
-        raise DomainError("fewer than 3 populated bins; cannot fit a slope")
-    return np.asarray(centers), np.asarray(values)
-
-
-def _day_bin_matrices(rescaled: Sequence[RescaledHistogram],
-                      bins_per_decade: int,
-                      per_day_average: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each day binned once: day x bin value and weight matrices (M, I).
-
-    With per_day_average, M holds the day's mean count in the bin and I is
-    1 where the day has a point there; otherwise M holds the count sum and
-    I the number of points. For day multiplicities w, binned_cloud of the
-    resampled days averages (w @ M) / (w @ I) over the bins where w @ I > 0.
-    """
-    day_bins = [[_bin_index(rel, bins_per_decade) for rel, _ in hist.points]
-                for hist in rescaled]
-    n_bins = 1 + max(max(bins) for bins in day_bins)
-    sums = np.zeros((len(rescaled), n_bins))
-    points = np.zeros((len(rescaled), n_bins))
-    for day, (hist, bins) in enumerate(zip(rescaled, day_bins)):
-        np.add.at(sums[day], bins, [count for _, count in hist.points])
-        np.add.at(points[day], bins, 1.0)
-    if not per_day_average:
-        return sums, points
-    present = points > 0
-    means = np.divide(sums, points, out=np.zeros_like(sums), where=present)
-    return means, present.astype(float)
+    values, weights, _ = _day_bin_matrices(rescaled, bins_per_decade,
+                                           per_day_average)
+    return _cloud(values.sum(axis=0), weights.sum(axis=0), bins_per_decade)
 
 
 def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
@@ -337,7 +368,8 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
     replicate is the vector w of day multiplicities, one row of the reps x
     days weight matrix W, so with each day binned once into the day x bin
     matrices (M, I) every replicate's cloud is a row of (W @ M) / (W @ I)
-    on its populated bins, and one masked OLS fits them all. A replicate is
+    on its populated bins, and one masked OLS fits them all; the point fit's
+    cloud is the row w = 1, binned_cloud's. A replicate is
     skipped, as binned_cloud would reject it, when its days span less than
     one decade or populate fewer than 3 bins; replicates with beta <= 1
     are dropped. bootstrap_reps=0 degrades the interval to the point
@@ -346,7 +378,10 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
     copies of one day weigh exactly as the day itself.
     """
     rescaled = list(rescaled)
-    centers, values = binned_cloud(rescaled, bins_per_decade, per_day_average)
+    day_values, day_weights, day_min_rel = _day_bin_matrices(
+        rescaled, bins_per_decade, per_day_average)
+    centers, values = _cloud(day_values.sum(axis=0), day_weights.sum(axis=0),
+                             bins_per_decade)
     slope, intercept = _ols_line(centers, values)
     beta = -slope
     if not beta > 1:
@@ -359,13 +394,9 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
     offsets = draws + n_days * np.arange(bootstrap_reps)[:, None]
     weights = np.bincount(offsets.ravel(), minlength=bootstrap_reps * n_days)
     weights = weights.reshape(bootstrap_reps, n_days).astype(float)
-    day_values, day_weights = _day_bin_matrices(rescaled, bins_per_decade,
-                                                per_day_average)
     sums = weights @ day_values
     totals = weights @ day_weights
     populated = totals > 0
-    day_min_rel = np.array([min(rel for rel, _ in hist.points)
-                            for hist in rescaled])
     kept = (day_min_rel[draws].min(axis=1) <= 0.1) \
         & (populated.sum(axis=1) >= 3)
     mask = populated[kept]
@@ -383,7 +414,7 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
         ci95_beta=_percentile_ci(rep_betas[rep_betas > 1], beta),
         adjusted_r2=_adjusted_r2(centers, values, slope, intercept),
         method="collapse-regression",
-        n_points_or_samples=sum(len(hist.points) for hist in rescaled),
+        n_points_or_samples=sum(len(hist.rel) for hist in rescaled),
     )
 
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -69,14 +70,72 @@ class ActivityEvent:
             raise DataError(f"day must be a date or integer index, got {self.day!r}")
 
 
+class _Histogram(Mapping):
+    """A read-only {level: user count} Mapping over two arrays sorted by level.
+
+    Levels come out as Python ints from an integer array and as floats
+    from a float array; they must be positive, and there must be one.
+    Equality with any Mapping compares arrays.
+    """
+
+    __slots__ = ("levels", "counts")
+
+    def __init__(self, levels: np.ndarray, counts: np.ndarray) -> None:
+        if not len(levels):
+            raise DomainError("histogram must be non-empty")
+        bad = ~(levels > 0)  # also true for nan
+        if bad.any():
+            raise DomainError(f"activity level must be positive, got {levels[bad][0]}")
+        levels.flags.writeable = False
+        counts.flags.writeable = False
+        self.levels, self.counts = levels, counts
+
+    @classmethod
+    def of(cls, histogram: Mapping) -> "_Histogram":
+        """A view as it is, or any other mapping's items sorted by level."""
+        if isinstance(histogram, cls):
+            return histogram
+        levels = np.array(list(histogram))
+        counts = np.array(list(histogram.values()))
+        order = np.argsort(levels, kind="stable")
+        return cls(levels[order], counts[order])
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.levels.tolist())
+
+    def __getitem__(self, level):
+        try:
+            index = int(np.searchsorted(self.levels, level))
+        except TypeError:  # a key no level compares with
+            raise KeyError(level) from None
+        if index == len(self.levels) or self.levels[index] != level:
+            raise KeyError(level)
+        return self.counts[index].item()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        try:
+            other = _Histogram.of(other)
+        except (TypeError, ValueError):  # not a histogram at all
+            return False
+        return (np.array_equal(self.levels, other.levels)
+                and np.array_equal(self.counts, other.counts))
+
+
 @dataclass(frozen=True)
 class DailySnapshot:
     """One day's aggregate state: population, total activity and histogram.
 
-    histogram maps an activity level f (tags per user that day) to n(f),
-    the number of users that produced exactly f tags. Consistency is
-    enforced on construction: sum n(f) == population,
-    sum f*n(f) == total_activity, f_max == max level.
+    The histogram is held as read-only arrays sorted by level: ``levels``,
+    the activity levels f (tags per user that day), and ``counts``, n(f),
+    the number of users that produced exactly f tags. ``histogram`` is a
+    read-only {f: n(f)} Mapping over them; any Mapping is accepted on
+    construction. Consistency is enforced on construction: sum n(f) ==
+    population, sum f*n(f) == total_activity, f_max == max level.
     """
 
     day: Day
@@ -86,29 +145,27 @@ class DailySnapshot:
     f_max: float
 
     def __post_init__(self) -> None:
-        if not self.histogram:
-            raise DomainError("histogram must be non-empty")
-        users = 0
-        total = 0.0
-        top = -math.inf
-        for level, count in self.histogram.items():
-            if not level > 0:
-                raise DomainError(f"activity level must be positive, got {level}")
-            if count < 1:
-                raise DomainError(f"user count must be >= 1, got {count}")
-            users += count
-            total += level * count
-            top = max(top, level)
+        histogram = _Histogram.of(self.histogram)
+        object.__setattr__(self, "histogram", histogram)
+        levels, counts = histogram.levels, histogram.counts
+        if counts.min() < 1:
+            raise DomainError(f"user count must be >= 1, got {counts.min()}")
+        users = counts.sum()
         if users != self.population:
             raise DomainError(
                 f"population {self.population} != histogram user total {users}"
             )
+        # In floats: an int64 product could wrap.
+        total = float(levels @ counts.astype(float))
         if not math.isclose(total, self.total_activity, rel_tol=1e-9, abs_tol=1e-6):
             raise DomainError(
                 f"total_activity {self.total_activity} != histogram sum {total}"
             )
-        if not math.isclose(top, self.f_max, rel_tol=1e-12):
-            raise DomainError(f"f_max {self.f_max} != max activity level {top}")
+        if not math.isclose(float(levels[-1]), self.f_max, rel_tol=1e-12):
+            raise DomainError(f"f_max {self.f_max} != max activity level {levels[-1]}")
+
+    levels = property(lambda self: self.histogram.levels)
+    counts = property(lambda self: self.histogram.counts)
 
 
 class EventTable(Sequence):
@@ -363,12 +420,22 @@ def _format_day(day: Day) -> str:
 
 
 def _as_table(events: Iterable[ActivityEvent]) -> EventTable:
+    if isinstance(events, EventTable):
+        return events
     builder = _TableBuilder()
     for event in events:
         builder.day_codes.append(builder.day_code(event.day))
         builder.user_codes.append(builder.user_code(event.user_id))
         builder.counts.append(_parse_count(event.count))
     return builder.table()
+
+
+def _ranking(values: Sequence) -> tuple[list[int], np.ndarray]:
+    """The indices of values in ascending order, and each index's rank."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return order, rank
 
 
 def aggregate(events: Iterable[ActivityEvent]) -> list[DailySnapshot]:
@@ -380,13 +447,10 @@ def aggregate(events: Iterable[ActivityEvent]) -> list[DailySnapshot]:
     no events simply do not appear. The result is invariant under
     permutation of the input.
     """
-    table = events if isinstance(events, EventTable) else _as_table(events)
+    table = _as_table(events)
     if not len(table):
         return []
-    day_order = sorted(range(len(table.days)),
-                       key=lambda code: _day_sort_key(table.days[code]))
-    day_rank = np.empty(len(day_order), dtype=np.int64)
-    day_rank[day_order] = np.arange(len(day_order))
+    day_order, day_rank = _ranking(list(map(_day_sort_key, table.days)))
     n_users = len(table.users)
     user_days, inverse = np.unique(day_rank[table.day_codes] * n_users
                                    + table.user_codes, return_inverse=True)
@@ -418,33 +482,60 @@ def aggregate(events: Iterable[ActivityEvent]) -> list[DailySnapshot]:
                 day=table.days[code],
                 population=len(user_totals),
                 total_activity=float(user_totals.sum()),
-                histogram=dict(zip(levels.tolist(), users.tolist())),
+                # Every total fits in int64 now, exact sums or not.
+                histogram=_Histogram(levels.astype(np.int64, copy=False), users),
                 f_max=float(levels[-1]),
             )
         )
     return snapshots
 
 
+def _csv_cells(users: Sequence[str]) -> list[str]:
+    """Each user id as csv.writer writes it, quoted where it needs quotes."""
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    lengths = [writer.writerow((user,)) for user in users]  # chars written
+    text = sink.getvalue()
+    return [text[end - length:end - 1]
+            for end, length in zip(itertools.accumulate(lengths), lengths)]
+
+
+def _write_csv(table: EventTable, sink: IO[str]) -> None:
+    """Write a table as CSV, a day at a time, in (day, user_id) order. The
+    sort is stable: rows of one user on one day keep their input order."""
+    sink.write(",".join(_CSV_HEADER) + "\n")
+    day_order, day_rank = _ranking(list(map(_day_sort_key, table.days)))
+    row_days = day_rank[table.day_codes]
+    by_day = np.argsort(row_days, kind="stable")
+    bounds = np.cumsum(np.bincount(row_days, minlength=len(day_order)))
+    _, user_rank = _ranking(table.users)
+    cells = _csv_cells(table.users)
+    for code, day_rows in zip(day_order, np.split(by_day, bounds[:-1])):
+        day_rows = day_rows[np.argsort(user_rank[table.user_codes[day_rows]],
+                                       kind="stable")]
+        middle = f",{_format_day(table.days[code])},"
+        sink.write("".join(f"{cells[user]}{middle}{count}\n" for user, count in zip(
+            table.user_codes[day_rows].tolist(), table.counts[day_rows].tolist())))
+
+
 def export_events_csv(events: Iterable[ActivityEvent]) -> str:
     """Serialize events as the canonical CSV interchange text.
 
-    Rows are ordered by (day, user_id lexicographic), so the output is a
-    pure function of the event multiset: equal inputs give byte-identical
-    text, and parse_events(export_events_csv(events)) returns the same
+    events is an EventTable or any iterable of ActivityEvent. Rows are
+    ordered by (day, user_id lexicographic); rows of one user on one day
+    keep their input order. So equal inputs give byte-identical text, the
+    text is a function of the event multiset when no (user, day) pair
+    repeats, and parse_events(export_events_csv(events)) returns the same
     events up to ordering.
     """
-    ordered = sorted(events, key=lambda e: (_day_sort_key(e.day), e.user_id))
     sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for event in ordered:
-        if isinstance(event.count, bool) or not isinstance(event.count, int):
-            raise DataError(f"cannot export non-integer count {event.count!r}")
-        writer.writerow([event.user_id, _format_day(event.day), event.count])
+    _write_csv(_as_table(events), sink)
     return sink.getvalue()
 
 
 def write_events_csv(events: Iterable[ActivityEvent], path: str) -> None:
-    """export_events_csv straight to a file (UTF-8, \\n line endings)."""
+    """export_events_csv streamed to a file, a day at a time (UTF-8, \\n
+    line endings)."""
+    table = _as_table(events)
     with open(path, "w", encoding="utf-8", newline="\n") as sink:
-        sink.write(export_events_csv(events))
+        _write_csv(table, sink)

@@ -18,8 +18,8 @@ The essential modelling choice lives in synthesize_series' protocol:
   divergence the protocol switch exists to expose.
 
 Continuous activities are the default (estimators see no binning
-artifacts); integerize=True floors draws to integers (minimum 1) for
-event-log round trips and histogram work.
+artifacts); integerize=True floors draws to int64 (draws are at least
+C >= 1) for event-log round trips and histogram work.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import seeding
 from .errors import DomainError
-from .ingest import DailySnapshot
+from .ingest import DailySnapshot, EventTable, _Histogram
 from .theory import cutoff_for_population
 
 __all__ = [
@@ -125,6 +125,13 @@ def sample_activity(config: SamplerConfig, u):
     return x
 
 
+def _check_population(population, prefix: str = "") -> None:
+    if not isinstance(population, (int, np.integer)) or isinstance(population, bool):
+        raise DomainError(f"{prefix}population must be an integer, got {population!r}")
+    if population < 1:
+        raise DomainError(f"{prefix}population must be >= 1, got {population}")
+
+
 def _draw(day_index: int, population: int, config: SamplerConfig,
           upper: float | None, rng: np.random.Generator | None = None) -> np.ndarray:
     """The one draw pipeline: day `day_index`'s activities below cutoff `upper`.
@@ -132,11 +139,10 @@ def _draw(day_index: int, population: int, config: SamplerConfig,
     Snapshots and totals, single days and whole series all run through
     here, so they consume the identical derived stream and agree to the
     last bit. rng.random() lies in [0, 1), so u needs no range check.
+    Integerized draws come back as int64: draws are at least C >= 1, so the
+    truncating cast is the floor.
     """
-    if not isinstance(population, (int, np.integer)) or isinstance(population, bool):
-        raise DomainError(f"population must be an integer, got {population!r}")
-    if population < 1:
-        raise DomainError(f"population must be >= 1, got {population}")
+    _check_population(population)
     if rng is None:
         rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
     with np.errstate(over="ignore"):
@@ -154,7 +160,7 @@ def _draw(day_index: int, population: int, config: SamplerConfig,
                 f"day {day_index}: an integerized activity draw {top:.6g} "
                 f"exceeds 2^63 - 1"
             )
-        x = np.maximum(1.0, np.floor(x))
+        return x.astype(np.int64)
     return x
 
 
@@ -162,21 +168,19 @@ def _total(x: np.ndarray, integerize: bool) -> float:
     """F of one day's draws; integerized draws are summed exactly."""
     if not integerize:
         return float(x.sum())
-    levels = x.astype(np.int64)
     if float(x.max()) * x.size < 2.0**63:  # no partial sum can wrap
-        return float(int(levels.sum()))
-    return float(sum(levels.tolist()))
+        return float(int(x.sum()))
+    return float(sum(x.tolist()))
 
 
 def _snapshot(day_index: int, population: int, x: np.ndarray,
               integerize: bool) -> DailySnapshot:
-    levels, counts = np.unique(x.astype(np.int64) if integerize else x,
-                               return_counts=True)
+    levels, counts = np.unique(x, return_counts=True)
     return DailySnapshot(
         day=day_index,
         population=int(population),
         total_activity=_total(x, integerize),
-        histogram=dict(zip(levels.tolist(), counts.tolist())),
+        histogram=_Histogram(levels, counts),
         f_max=float(levels[-1]),
     )
 
@@ -261,6 +265,7 @@ def _schedule_draws(schedule: Sequence[int], config: SamplerConfig, protocol: st
     if len(schedule) == 0:
         raise DomainError("schedule must contain at least one day")
     for day_index, population in enumerate(schedule):
+        _check_population(population, f"day {day_index}: ")
         upper = _day_cutoff(config, protocol, day_index, population)
         population = int(population)
         yield day_index, population, _draw(day_index, population, config, upper)
@@ -297,28 +302,26 @@ def series_totals(schedule: Sequence[int], config: SamplerConfig,
     ]
 
 
-def events_from_series(series: SyntheticSeries):
-    """Flatten a generated (integerized) series into ingest events.
+def events_from_series(series: SyntheticSeries) -> EventTable:
+    """Flatten a generated (integerized) series into an event table.
 
-    User ids are u000000, u000001, ... per day; ids repeat across days by
-    design (each day is a fresh population draw). Raises unless the series
-    was generated with integerize=True, because event counts are integers.
+    Each day's users are u000000, u000001, ... in ascending order of
+    activity; ids repeat across days by design (each day is a fresh
+    population draw). Raises unless the series was generated with
+    integerize=True, because event counts are integers.
     """
-    from .ingest import ActivityEvent
-
     if not series.generator_config.integerize:
         raise DomainError("events require an integerized series")
-    events = []
-    for snapshot in series.days:
-        index = 0
-        for level in sorted(snapshot.histogram):
-            for _ in range(snapshot.histogram[level]):
-                events.append(
-                    ActivityEvent(
-                        user_id=f"u{index:06d}",
-                        day=snapshot.day,
-                        count=int(level),
-                    )
-                )
-                index += 1
-    return events
+    if not series.days:
+        return EventTable((), (), (), (), ())
+    days: dict = {}
+    codes = [days.setdefault(snapshot.day, len(days)) for snapshot in series.days]
+    sizes = [snapshot.population for snapshot in series.days]
+    user_codes = np.arange(sum(sizes))
+    user_codes -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return EventTable(
+        days, [f"u{index:06d}" for index in range(max(sizes))],
+        day_codes=np.repeat(codes, sizes), user_codes=user_codes,
+        counts=np.repeat(np.concatenate([s.levels for s in series.days]),
+                         np.concatenate([s.counts for s in series.days])),
+    )

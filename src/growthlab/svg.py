@@ -194,14 +194,14 @@ def collapse_svg(snapshots, cloud: tuple, beta: float,
     stride = max(1, len(snapshots) // max_raw_days)
     chosen = list(snapshots)[::stride][:max_raw_days]
     half = _WIDTH / 2
-    levels = [lv for s in chosen for lv in s.histogram]
-    counts = [ct for s in chosen for ct in s.histogram.values()]
+    levels = [lv for s in chosen for lv in s.levels.tolist()]
+    counts = [ct for s in chosen for ct in s.counts.tolist()]
     left = _Frame(_padded_log_range(levels), _padded_log_range(counts),
                   x_log=True, y_log=True, right=18.0, width=half)
     elements = _axes(left, "activity f", "users n(f)", title)
     for i, snapshot in enumerate(chosen):
         color = _PALETTE[i % len(_PALETTE)]
-        for level, count in sorted(snapshot.histogram.items()):
+        for level, count in zip(snapshot.levels.tolist(), snapshot.counts.tolist()):
             elements.append(_dot(left.px(level), left.py(count), color, radius=2.0))
 
     log_centers, log_values = cloud

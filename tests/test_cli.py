@@ -86,6 +86,22 @@ class TestSimulate:
         for name in ("snapshots.tsv", "events.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        # Digests of the files these flags wrote when events were written
+        # one object per row; any change to the bytes is a format change.
+        out = tmp_path / "run"
+        assert _run(capsys, "simulate", "--beta", "1.6", "--days", "6",
+                    "--pmin", "1000", "--pmax", "10000", "--seed", "11",
+                    "--integerize", "--out", str(out))[0] == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("events.csv", "snapshots.tsv")}
+        assert digests == {
+            "events.csv": "22cf1fd73bed75577ec0408d2619bc21"
+                          "0f1c61cab542daaf361dfeb018afe02f",
+            "snapshots.tsv": "94c4a6f9dcd863c0f61f36aebf6251f2"
+                             "b6c354e52a0a47ea745aea7e5b84e024",
+        }
+
     def test_integerized_events_reproduce_the_snapshots(self, tmp_path, capsys):
         out = tmp_path / "run"
         code, _, _ = _run(

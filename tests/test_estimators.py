@@ -5,6 +5,7 @@ seeds with the observed values recorded next to the tolerances.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -158,6 +159,104 @@ class TestRescaleHistogram:
             gl.rescale_histogram({})
 
 
+def _reference_bin_index(rel, bins_per_decade):
+    return max(int(math.floor(-math.log10(rel) * bins_per_decade)), 0)
+
+
+def reference_binned_cloud(rescaled, bins_per_decade=5, per_day_average=True):
+    """The per-point binned_cloud, kept as the reference for the array path.
+
+    Bins every (rel, count) pair with math.log10, one point at a time, and
+    averages per day and then over days with np.mean.
+    """
+    if bins_per_decade < 1:
+        raise DomainError("bins_per_decade must be at least 1")
+    if len(rescaled) == 0:
+        raise DomainError("need at least one rescaled histogram")
+    if min(rel for hist in rescaled for rel, _ in hist.points) > 0.1:
+        raise DomainError(
+            "pooled points span less than one decade of relative activity")
+    per_bin = {}
+    for day_ordinal, hist in enumerate(rescaled):
+        for rel, count in hist.points:
+            j = _reference_bin_index(rel, bins_per_decade)
+            per_bin.setdefault(j, {}).setdefault(day_ordinal, []).append(count)
+    centers, values = [], []
+    for j in sorted(per_bin):
+        day_lists = per_bin[j].values()
+        if per_day_average:
+            value = float(np.mean([np.mean(counts) for counts in day_lists]))
+        else:
+            value = float(np.mean([c for counts in day_lists for c in counts]))
+        centers.append(-(j + 0.5) / bins_per_decade)
+        values.append(math.log10(value))
+    if len(centers) < 3:
+        raise DomainError("fewer than 3 populated bins; cannot fit a slope")
+    return np.asarray(centers), np.asarray(values)
+
+
+@st.composite
+def _integer_day(draw):
+    """An integer histogram whose f_max has decades, so that some levels
+    sit at exact decade ratios level/f_max = 1/10, 1/100, ..."""
+    exponent = draw(st.integers(min_value=1, max_value=6))
+    f_max = draw(st.integers(min_value=1, max_value=10**4)) * 10**exponent
+    levels = {f_max, *draw(st.lists(st.integers(min_value=1, max_value=f_max),
+                                    max_size=40))}
+    levels |= {f_max // 10**k for k in range(1, exponent + 1)
+               if draw(st.booleans())}
+    return {level: draw(st.integers(min_value=1, max_value=10**6))
+            for level in levels}
+
+
+_continuous_day = st.dictionaries(
+    st.floats(min_value=1.0, max_value=1e12), st.integers(min_value=1, max_value=50),
+    min_size=1, max_size=40)
+
+
+class TestBinnedCloudMatchesPointReference:
+    @given(days=st.lists(st.one_of(_integer_day(), _continuous_day),
+                         min_size=1, max_size=5),
+           bins_per_decade=st.integers(min_value=1, max_value=12),
+           per_day_average=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_same_bins_and_values(self, days, bins_per_decade, per_day_average):
+        rescaled = [gl.rescale_histogram(day) for day in days]
+        rel = np.concatenate([hist.rel for hist in rescaled])
+        assert estimators._bin_indices(rel, bins_per_decade).tolist() == [
+            _reference_bin_index(value, bins_per_decade) for value in rel.tolist()]
+        try:
+            expected = reference_binned_cloud(rescaled, bins_per_decade,
+                                              per_day_average)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                gl.binned_cloud(rescaled, bins_per_decade, per_day_average)
+            return
+        centers, values = gl.binned_cloud(rescaled, bins_per_decade,
+                                          per_day_average)
+        assert centers.tolist() == expected[0].tolist()
+        np.testing.assert_allclose(values, expected[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bins_per_decade", [1, 2, 5, 10])
+    def test_exact_decade_ratios(self, bins_per_decade):
+        day = gl.rescale_histogram({10**k: 7 - k for k in range(7)})
+        assert day.rel.tolist() == [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]
+        assert estimators._bin_indices(day.rel, bins_per_decade).tolist() == [
+            _reference_bin_index(rel, bins_per_decade) for rel in day.rel.tolist()]
+        assert estimators._bin_indices(day.rel, bins_per_decade).tolist() == [
+            k * bins_per_decade for k in range(6, -1, -1)]
+
+    @pytest.mark.parametrize("bins_per_decade, rel", [
+        (1, 1.0000000000000021e-09), (1, 1.000000000000002e-11),
+        (2, 3.162277660168386e-11), (2, 1.000000000000002e-11),
+    ])
+    def test_points_a_few_ulps_from_an_edge(self, bins_per_decade, rel):
+        # np.log10 and math.log10 differ in the last bit here, and that
+        # bit decides the bin.
+        assert estimators._bin_indices(np.array([rel]), bins_per_decade).tolist() \
+            == [_reference_bin_index(rel, bins_per_decade)]
+
+
 class TestBinnedCloud:
     def test_points_land_at_geometric_bin_centers(self):
         # rel = 10^-0.3 is dead center of bin 1 at 5 bins per decade
@@ -256,11 +355,11 @@ def _loop_pool_and_fit_beta_ci(rescaled, bins_per_decade=5, bootstrap_reps=1000,
                                seed=0, per_day_average=True):
     """The per-replicate collapse bootstrap, kept as the reference.
 
-    Re-bins the resampled days with binned_cloud once per replicate.
-    Returns the 95% CI and the number of replicates that entered it.
+    Re-bins the resampled days with reference_binned_cloud once per
+    replicate. Returns the 95% CI and the number of replicates that entered it.
     """
-    centers, values = gl.binned_cloud(rescaled, bins_per_decade,
-                                      per_day_average)
+    centers, values = reference_binned_cloud(rescaled, bins_per_decade,
+                                             per_day_average)
     beta = -estimators._ols_line(centers, values)[0]
     betas = []
     n_days = len(rescaled)
@@ -268,7 +367,7 @@ def _loop_pool_and_fit_beta_ci(rescaled, bins_per_decade=5, bootstrap_reps=1000,
         rng = seeding.generator(seed, seeding.STREAM_BOOTSTRAP, rep)
         idx = rng.integers(0, n_days, size=n_days)
         try:
-            rep_centers, rep_values = gl.binned_cloud(
+            rep_centers, rep_values = reference_binned_cloud(
                 [rescaled[i] for i in idx], bins_per_decade, per_day_average
             )
             rep_slope, _ = estimators._ols_line(rep_centers, rep_values)

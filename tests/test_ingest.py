@@ -1,5 +1,6 @@
 """Event-log parsing, aggregation and the CSV interchange round trip."""
 
+import csv
 import datetime as dt
 import io
 import tracemalloc
@@ -212,6 +213,84 @@ class TestSamplerRoundTrip:
         for recovered, original in zip(snapshots, series.days):
             assert recovered.histogram == {
                 int(k): v for k, v in original.histogram.items()}
+
+
+def reference_export(events):
+    """Events sorted by (day, user_id), stably, and written row by row with
+    csv.writer: the earlier implementation of export_events_csv, kept as
+    the reference the columnar writer must match byte for byte."""
+    ordered = sorted(events, key=lambda e: ((isinstance(e.day, dt.date), e.day),
+                                            e.user_id))
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["user_id", "day", "count"])
+    for event in ordered:
+        day = event.day.isoformat() if isinstance(event.day, dt.date) else event.day
+        writer.writerow([event.user_id, day, event.count])
+    return sink.getvalue()
+
+
+awkward_events = st.lists(
+    st.builds(
+        ActivityEvent,
+        user_id=st.text(alphabet='ab,"\n\r \'é', min_size=1, max_size=4),
+        day=st.one_of(st.integers(min_value=-2, max_value=3),
+                      st.dates(min_value=dt.date(2024, 1, 1),
+                               max_value=dt.date(2024, 1, 4))),
+        count=st.integers(min_value=1, max_value=2**63 - 1),
+    ),
+    max_size=30,
+)
+
+
+class TestCsvWriterMatchesRowReference:
+    @given(events=awkward_events)
+    @settings(max_examples=200)
+    def test_bytes_equal_the_reference(self, events, tmp_path_factory):
+        expected = reference_export(events)
+        assert gl.export_events_csv(events) == expected
+        path = tmp_path_factory.mktemp("w") / "events.csv"
+        gl.write_events_csv(events, str(path))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_user_ids_needing_quotes(self):
+        events = _events(("a,b", 0, 1), ('say "hi"', 0, 2), ("two\nlines", 0, 3),
+                         ("plain", 0, 4))
+        text = gl.export_events_csv(events)
+        assert text == reference_export(events)
+        assert text == ('user_id,day,count\n"a,b",0,1\nplain,0,4\n'
+                        '"say ""hi""",0,2\n"two\nlines",0,3\n')
+
+    def test_mixed_integer_and_iso_days_keep_their_order(self):
+        events = _events(("u", dt.date(2024, 1, 2), 1), ("u", 10, 2),
+                         ("u", dt.date(2023, 12, 31), 3), ("u", -1, 4))
+        assert gl.export_events_csv(events).splitlines()[1:] == [
+            "u,-1,4", "u,10,2", "u,2023-12-31,3", "u,2024-01-02,1"]
+
+    def test_duplicate_user_days_keep_their_input_order(self):
+        events = _events(("u1", 0, 5), ("u0", 0, 1), ("u1", 0, 2))
+        assert gl.export_events_csv(events).splitlines()[1:] == [
+            "u0,0,1", "u1,0,5", "u1,0,2"]
+        assert gl.export_events_csv(events[::-1]).splitlines()[1:] == [
+            "u0,0,1", "u1,0,2", "u1,0,5"]
+        # Enough equal keys that an unstable sort would reorder them.
+        counts = [int(c) for c in np.random.default_rng(2).permutation(200) + 1]
+        events = [ActivityEvent(user, day, count) for count in counts
+                  for user, day in (("u1", 1), ("u0", 1), ("u1", 0))]
+        rows = gl.export_events_csv(events).splitlines()[1:]
+        for key in ("u1,0,", "u0,1,", "u1,1,"):
+            assert [int(row.rsplit(",", 1)[1]) for row in rows
+                    if row.startswith(key)] == counts
+
+    def test_a_million_users_sort_as_strings(self):
+        # Past 10^6 users in a day ids grow a digit: u1000000 < u100001.
+        cfg = gl.SamplerConfig(beta=2.5, integerize=True, seed=1)
+        series = gl.synthesize_series([1_000_002], cfg)
+        text = gl.export_events_csv(gl.events_from_series(series))
+        users = [line.split(",", 1)[0] for line in text.splitlines()[1:]]
+        assert len(users) == 1_000_002
+        assert users == sorted(users)
+        assert users.index("u1000000") < users.index("u100001")
 
 
 def reference_aggregate(events):

@@ -6,6 +6,7 @@ bands, both at frozen seeds recorded next to the observed statistics.
 """
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -292,6 +293,16 @@ class TestSynthesizeSeries:
         cfg = SamplerConfig(beta=1.5)
         with pytest.raises(DomainError):
             gl.synthesize_series([], cfg)
+
+    @pytest.mark.parametrize("build", [gl.synthesize_series, gl.series_totals])
+    @pytest.mark.parametrize("schedule, message", [
+        ([1000.9, 2000], "day 0: population must be an integer, got 1000.9"),
+        ([1000, 2000.0], "day 1: population must be an integer, got 2000.0"),
+    ])
+    def test_non_integer_schedule_entries_rejected(self, build, schedule, message):
+        # Truncating 1000.9 would draw 1000 users below 1000.9's cutoff.
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build(schedule, SamplerConfig(beta=1.5))
 
     def test_schedule_recorded_on_the_series(self):
         cfg = SamplerConfig(beta=1.5, seed=1)
