@@ -24,12 +24,14 @@ import json
 import math
 import os
 import sys
+from typing import IO
 
 from . import __version__, seeding
 from .errors import DataError, GrowthlabError
 from .estimators import binned_cloud, fit_gamma_tls, rescale_histogram
 from .experiment import collapse_check, compare_prediction, run_sweep
-from .ingest import DailySnapshot, aggregate, load_events, write_events_csv
+from .ingest import (_format_day, _sniff_format, aggregate, parse_events,
+                     write_events_csv)
 from .sampler import (
     _PROTOCOL_ALIASES,
     SamplerConfig,
@@ -59,32 +61,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(text: str, floor: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < floor:
-        raise argparse.ArgumentTypeError(f"{text!r} must be >= {floor}")
-    return value
+def _bounded_int(low: int, high: float = math.inf, message: str = ""):
+    """An argparse type for integers in [low, high)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(message or f"{text!r} must be >= {low}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
-
-
-def _seed_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
+_positive_int = _bounded_int(1)
+_nonnegative_int = _bounded_int(0)
+_seed_int = _bounded_int(0, 2**64, "seed must fit in 64 bits")
 
 
 def _beta_value(text: str) -> float:
@@ -126,8 +118,11 @@ def _emit_manifest(args: argparse.Namespace, subcommand: str,
     }
     digests = {}
     for path in inputs:
+        digest = hashlib.sha256()
         with open(path, "rb") as source:
-            digests[str(path)] = hashlib.sha256(source.read()).hexdigest()
+            for block in iter(lambda: source.read(1 << 20), b""):
+                digest.update(block)
+        digests[str(path)] = digest.hexdigest()
     manifest = {
         "subcommand": subcommand,
         "parameters": parameters,
@@ -136,27 +131,21 @@ def _emit_manifest(args: argparse.Namespace, subcommand: str,
         "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
     text = json.dumps(manifest, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out:
-        _write_text(os.path.join(out, "manifest.json"), text + "\n")
+    if getattr(args, "out", None):
+        _write_text(os.path.join(args.out, "manifest.json"), text + "\n")
     print(f"# manifest {text}")
 
 
 def _snapshots_tsv(snapshots) -> str:
     lines = ["\t".join(_SNAPSHOT_HEADER)]
     for snapshot in snapshots:
-        day = snapshot.day.isoformat() if hasattr(snapshot.day, "isoformat") \
-            else str(snapshot.day)
-        lines.append(
-            f"{day}\t{snapshot.population}\t{_fmt(snapshot.total_activity)}"
-            f"\t{_fmt(snapshot.f_max)}"
-        )
+        lines.append(f"{_format_day(snapshot.day)}\t{snapshot.population}"
+                     f"\t{_fmt(snapshot.total_activity)}\t{_fmt(snapshot.f_max)}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_snapshot_tsv(path: str) -> list[tuple[float, float]]:
-    with open(path, "r", encoding="utf-8") as source:
-        lines = source.read().splitlines()
+def _parse_snapshot_tsv(stream: IO[bytes]) -> list[tuple[float, float]]:
+    lines = stream.read().decode("utf-8").splitlines()
     if not lines:
         return []
     if [cell.strip() for cell in lines[0].split("\t")] != _SNAPSHOT_HEADER:
@@ -183,34 +172,21 @@ def _parse_snapshot_tsv(path: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def _sniff_format(path: str) -> str:
-    suffix = os.path.splitext(path)[1].lower()
-    if suffix == ".tsv":
-        return "snapshot"
-    if suffix == ".csv":
-        return "csv"
-    if suffix in (".jsonl", ".ndjson"):
-        return "jsonl"
-    with open(path, "r", encoding="utf-8", errors="replace") as source:
-        head = source.readline().strip()
-    if head.startswith("day\t"):
-        return "snapshot"
-    if head.startswith("user_id,"):
-        return "csv"
-    if head.startswith("{"):
-        return "jsonl"
-    raise DataError(f"cannot determine format of {path!r}; pass --format")
-
-
-def _load_snapshots(path: str, format: str) -> list[DailySnapshot]:
-    if format == "auto":
-        format = _sniff_format(path)
-    if format == "snapshot":
-        raise DataError(
-            "this subcommand needs per-user histograms; pass an event log "
-            "(csv or jsonl), not a snapshot TSV"
-        )
-    return aggregate(load_events(path, format=format))
+def _load_input(args: argparse.Namespace, pairs: bool = False) -> list:
+    """The --input file as (P, F) pairs if `pairs`, else as snapshots,
+    which only an event log holds. The file is opened once."""
+    with open(args.input, "rb") as stream:
+        format = args.format if args.format != "auto" \
+            else _sniff_format(args.input, stream)
+        if format == "snapshot":
+            if pairs:
+                return _parse_snapshot_tsv(stream)
+            raise DataError(
+                "this subcommand needs per-user histograms; pass an event log "
+                "(csv or jsonl), not a snapshot TSV"
+            )
+        snapshots = aggregate(parse_events(stream, format=format))
+    return [(s.population, s.total_activity) for s in snapshots] if pairs else snapshots
 
 
 def _print_table(header: list[str], row: list[str]) -> None:
@@ -233,7 +209,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         args.days, (args.pmin, args.pmax),
     )
     series = synthesize_series(schedule, config, protocol)
-    os.makedirs(args.out, exist_ok=True)
     snapshot_path = os.path.join(args.out, "snapshots.tsv")
     _write_text(snapshot_path, _snapshots_tsv(series.days))
     written = [snapshot_path]
@@ -250,14 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    format = args.format
-    if format == "auto":
-        format = _sniff_format(args.input)
-    if format == "snapshot":
-        pairs = _parse_snapshot_tsv(args.input)
-    else:
-        pairs = [(s.population, s.total_activity)
-                 for s in aggregate(load_events(args.input, format=format))]
+    pairs = _load_input(args, pairs=True)
     fit = fit_gamma_tls(pairs, bootstrap_reps=args.bootstrap_reps, seed=args.seed)
     low, high = fit.ci95_slope
     _print_table(
@@ -265,8 +233,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         [_fmt(fit.slope), _fmt(fit.slope - 1.0), _fmt(low), _fmt(high),
          _fmt(fit.adjusted_r2), str(fit.n_points)],
     )
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
     if args.svg:
         _write_text(args.svg, growth_scatter_svg(pairs, fit.slope, fit.intercept))
         print(f"# wrote {args.svg}")
@@ -275,7 +241,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    snapshots = _load_snapshots(args.input, args.format)
+    snapshots = _load_input(args)
     prediction = compare_prediction(
         snapshots, bins_per_decade=args.bins_per_decade,
         bootstrap_reps=args.bootstrap_reps, seed=args.seed,
@@ -290,8 +256,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
          _fmt(gamma_low), _fmt(gamma_high),
          "true" if prediction.consistent else "false"],
     )
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
     _emit_manifest(args, "predict", [args.input])
     return EXIT_OK
 
@@ -299,7 +263,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.pmax < args.pmin:
         raise _UsageError("--pmax must be >= --pmin")
-    betas = args.beta_grid if args.beta_grid is not None else None
+    betas = args.beta_grid
     if betas is not None and not betas:
         raise _UsageError("--beta-grid must name at least one beta")
     if betas is not None and any(b <= 1 for b in betas):
@@ -313,7 +277,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         population_range=(args.pmin, args.pmax), protocol=protocol,
         seed=args.seed, bootstrap_reps=args.bootstrap_reps,
     )
-    os.makedirs(args.out, exist_ok=True)
     lines = ["C\tbeta\tinv_beta\tgamma_fit\tgamma_theory\tr2\tstatus"]
     for cell in cells:
         status = cell.status if cell.status == "ok" else (
@@ -346,7 +309,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
-    snapshots = _load_snapshots(args.input, args.format)
+    snapshots = _load_input(args)
     quality, fit = collapse_check(
         snapshots, beta_hypothesis=args.beta,
         bins_per_decade=args.bins_per_decade,
@@ -360,8 +323,6 @@ def cmd_collapse(args: argparse.Namespace) -> int:
     )
     if args.beta is not None:
         print(f"# hypothesis beta {_fmt(args.beta)}: adj_r2 {_fmt(quality)}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
     if args.svg:
         rescaled = [rescale_histogram(s.histogram, s.day) for s in snapshots]
         cloud = binned_cloud(rescaled, args.bins_per_decade)
@@ -465,6 +426,10 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
     try:
+        if getattr(args, "out", None):
+            # Before any work, so an unusable --out fails first and every
+            # output (an --svg inside it too) has its directory.
+            os.makedirs(args.out, exist_ok=True)
         code = args.func(args)
         # Flush here, not at interpreter exit, so a closed pipe lands below.
         sys.stdout.flush()

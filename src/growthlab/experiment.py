@@ -110,8 +110,7 @@ def run_sweep(c_values: Sequence[float] | None = None,
               population_range: tuple[float, float] = (100.0, 10_000.0),
               protocol: str = "coupled-truncation",
               seed: int = 0,
-              bootstrap_reps: int = 0,
-              integerize: bool = False) -> list[SweepCell]:
+              bootstrap_reps: int = 0) -> list[SweepCell]:
     """Fit the growth exponent over a (C, beta) grid of synthetic series.
 
     Each cell draws its own log-uniform population schedule, synthesizes
@@ -139,9 +138,7 @@ def run_sweep(c_values: Sequence[float] | None = None,
                 seeding.generator(cell_seed, seeding.STREAM_SCHEDULE),
                 days_per_cell, (low, high),
             )
-            config = SamplerConfig(
-                beta=beta, lower_cutoff=c, integerize=integerize, seed=cell_seed
-            )
+            config = SamplerConfig(beta=beta, lower_cutoff=c, seed=cell_seed)
             totals = series_totals(schedule, config, protocol)
             fit = fit_gamma_tls(totals, bootstrap_reps=bootstrap_reps, seed=cell_seed)
         except GrowthlabError as exc:

@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import operator
+import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
@@ -47,6 +48,9 @@ __all__ = [
 Day = Union[int, dt.date]
 
 _CSV_HEADER = ["user_id", "day", "count"]
+
+_FORMAT_BY_SUFFIX = {".tsv": "snapshot", ".csv": "csv", ".jsonl": "jsonl",
+                     ".ndjson": "jsonl"}
 
 _INT64_MAX = 2**63 - 1
 
@@ -401,11 +405,28 @@ def parse_events(stream: IO, format: str = "csv") -> EventTable:
             text.detach()
 
 
+def _sniff_format(path: str, stream: io.BufferedReader) -> str:
+    """"snapshot", "csv" or "jsonl" by the suffix of path in any case, else
+    by the first non-blank line, peeked from the open stream so that a pipe
+    is read once; else CSV, whose parser names a bad header precisely."""
+    suffix = os.path.splitext(path)[1].lower()
+    if suffix in _FORMAT_BY_SUFFIX:
+        return _FORMAT_BY_SUFFIX[suffix]
+    head = stream.peek().decode("utf-8", errors="replace").lstrip()
+    if head.startswith("day\t"):
+        return "snapshot"
+    return "jsonl" if head.startswith("{") else "csv"
+
+
 def load_events(path: str, format: str | None = None) -> EventTable:
-    """parse_events on a file path, sniffing the format from the suffix."""
-    if format is None:
-        format = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
+    """parse_events on a file path. Without a format, the suffix (any case)
+    decides, then the first non-blank line, else CSV; a snapshot table
+    raises DataError."""
     with open(path, "rb") as stream:
+        if format is None:
+            format = _sniff_format(path, stream)
+            if format == "snapshot":
+                raise DataError(f"{str(path)!r} is a snapshot table, not an event log")
         return parse_events(stream, format=format)
 
 
@@ -491,31 +512,42 @@ def aggregate(events: Iterable[ActivityEvent]) -> list[DailySnapshot]:
 
 
 def _csv_cells(users: Sequence[str]) -> list[str]:
-    """Each user id as csv.writer writes it, quoted where it needs quotes."""
+    """Each user id as csv.writer writes it, quoted where it holds , " \\r
+    or \\n. An id with surrounding whitespace raises DataError: reading
+    the CSV back would strip it."""
+    for user in users:
+        if user.strip() != user:
+            raise DataError(f"user id {user!r} has surrounding whitespace, "
+                            "which reading the CSV back would strip")
     sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
+    # No row ends in "\r\n"; that terminator makes the writer quote "\r".
+    writer = csv.writer(sink, lineterminator="\r\n")
     lengths = [writer.writerow((user,)) for user in users]  # chars written
     text = sink.getvalue()
-    return [text[end - length:end - 1]
+    return [text[end - length:end - 2]
             for end, length in zip(itertools.accumulate(lengths), lengths)]
 
 
-def _write_csv(table: EventTable, sink: IO[str]) -> None:
-    """Write a table as CSV, a day at a time, in (day, user_id) order. The
-    sort is stable: rows of one user on one day keep their input order."""
-    sink.write(",".join(_CSV_HEADER) + "\n")
+def _write_csv(table: EventTable) -> Iterator[str]:
+    """A table's CSV text, a day at a time, in (day, user_id) order. The
+    sort is stable: rows of one user on one day keep their input order.
+    Every user id is checked before this returns."""
+    cells = _csv_cells(table.users)
     day_order, day_rank = _ranking(list(map(_day_sort_key, table.days)))
     row_days = day_rank[table.day_codes]
     by_day = np.argsort(row_days, kind="stable")
     bounds = np.cumsum(np.bincount(row_days, minlength=len(day_order)))
     _, user_rank = _ranking(table.users)
-    cells = _csv_cells(table.users)
-    for code, day_rows in zip(day_order, np.split(by_day, bounds[:-1])):
-        day_rows = day_rows[np.argsort(user_rank[table.user_codes[day_rows]],
-                                       kind="stable")]
-        middle = f",{_format_day(table.days[code])},"
-        sink.write("".join(f"{cells[user]}{middle}{count}\n" for user, count in zip(
-            table.user_codes[day_rows].tolist(), table.counts[day_rows].tolist())))
+
+    def chunks() -> Iterator[str]:
+        yield ",".join(_CSV_HEADER) + "\n"
+        for code, day_rows in zip(day_order, np.split(by_day, bounds[:-1])):
+            day_rows = day_rows[np.argsort(user_rank[table.user_codes[day_rows]],
+                                           kind="stable")]
+            middle = f",{_format_day(table.days[code])},"
+            yield "".join(f"{cells[user]}{middle}{count}\n" for user, count in zip(
+                table.user_codes[day_rows].tolist(), table.counts[day_rows].tolist()))
+    return chunks()
 
 
 def export_events_csv(events: Iterable[ActivityEvent]) -> str:
@@ -526,16 +558,15 @@ def export_events_csv(events: Iterable[ActivityEvent]) -> str:
     keep their input order. So equal inputs give byte-identical text, the
     text is a function of the event multiset when no (user, day) pair
     repeats, and parse_events(export_events_csv(events)) returns the same
-    events up to ordering.
+    events up to ordering; so a user id with surrounding whitespace, which
+    that parse would strip, raises DataError.
     """
-    sink = io.StringIO()
-    _write_csv(_as_table(events), sink)
-    return sink.getvalue()
+    return "".join(_write_csv(_as_table(events)))
 
 
 def write_events_csv(events: Iterable[ActivityEvent], path: str) -> None:
     """export_events_csv streamed to a file, a day at a time (UTF-8, \\n
-    line endings)."""
-    table = _as_table(events)
+    line endings). A DataError is raised before the file is created."""
+    chunks = _write_csv(_as_table(events))
     with open(path, "w", encoding="utf-8", newline="\n") as sink:
-        _write_csv(table, sink)
+        sink.writelines(chunks)

@@ -133,18 +133,16 @@ def _check_population(population, prefix: str = "") -> None:
 
 
 def _draw(day_index: int, population: int, config: SamplerConfig,
-          upper: float | None, rng: np.random.Generator | None = None) -> np.ndarray:
+          upper: float | None) -> np.ndarray:
     """The one draw pipeline: day `day_index`'s activities below cutoff `upper`.
 
     Snapshots and totals, single days and whole series all run through
     here, so they consume the identical derived stream and agree to the
-    last bit. rng.random() lies in [0, 1), so u needs no range check.
-    Integerized draws come back as int64: draws are at least C >= 1, so the
-    truncating cast is the floor.
+    last bit. The caller has checked the population. rng.random() lies in
+    [0, 1), so u needs no range check. Integerized draws come back as
+    int64: draws are at least C >= 1, so the truncating cast is the floor.
     """
-    _check_population(population)
-    if rng is None:
-        rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
+    rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
     with np.errstate(over="ignore"):
         x = _inverse_cdf(config.beta, config.lower_cutoff, upper,
                          rng.random(int(population)))
@@ -185,27 +183,29 @@ def _snapshot(day_index: int, population: int, x: np.ndarray,
     )
 
 
-def synthesize_day(day_index: int, population: int, config: SamplerConfig,
-                   rng: np.random.Generator | None = None) -> DailySnapshot:
+def synthesize_day(day_index: int, population: int,
+                   config: SamplerConfig) -> DailySnapshot:
     """Generate one day's snapshot: P draws, summed and histogrammed.
 
-    The RNG stream is derived from (config.seed, day_index) unless an
-    explicit generator is passed, so equal (day_index, population, config)
-    always reproduce the same snapshot regardless of call order.
+    The RNG stream is derived from (config.seed, day_index), so equal
+    (day_index, population, config) always reproduce the same snapshot
+    regardless of call order.
     """
-    x = _draw(day_index, population, config, config.upper_cutoff, rng)
+    _check_population(population)
+    x = _draw(day_index, population, config, config.upper_cutoff)
     return _snapshot(day_index, population, x, config.integerize)
 
 
-def day_totals(day_index: int, population: int, config: SamplerConfig,
-               rng: np.random.Generator | None = None) -> tuple[int, float]:
+def day_totals(day_index: int, population: int,
+               config: SamplerConfig) -> tuple[int, float]:
     """(P, F) for one day without materializing the histogram.
 
     Consumes the same stream as synthesize_day, so the pair equals the
     snapshot's (population, total_activity) exactly. This is the cheap path
     for exponent sweeps, which never read histograms.
     """
-    x = _draw(day_index, population, config, config.upper_cutoff, rng)
+    _check_population(population)
+    x = _draw(day_index, population, config, config.upper_cutoff)
     return int(population), _total(x, config.integerize)
 
 

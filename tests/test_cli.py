@@ -249,6 +249,104 @@ class TestFit:
         assert stdout == ""
 
 
+# Day d has 2**(d+1) users; user u logs u + d + 1 tags.
+_AGREEMENT_ROWS = [(f"u{user}", day, user + day + 1)
+                   for day in range(4) for user in range(2 ** (day + 1))]
+_AGREEMENT_BODY = "".join(f"{u},{d},{c}\n" for u, d, c in _AGREEMENT_ROWS)
+_AGREEMENT_TEXTS = {
+    "csv": "user_id,day,count\n" + _AGREEMENT_BODY,
+    "jsonl": "".join(json.dumps({"user_id": u, "day": d, "count": c}) + "\n"
+                     for u, d, c in _AGREEMENT_ROWS),
+    "padded-header": " user_id , day , count \n" + _AGREEMENT_BODY,
+}
+_AGREEMENT_TEXTS["blank-first-jsonl"] = "\n" + _AGREEMENT_TEXTS["jsonl"]
+
+
+def _pipe(text):
+    """The read end of a pipe that holds text and whose writer has closed."""
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(write_fd, "w") as sink:
+        sink.write(text)
+    return read_fd
+
+
+class TestLibraryAndCliAgreeOnFormat:
+    """load_events and `fit --input` decide every file's format alike."""
+
+    @pytest.mark.parametrize("name, kind", [
+        ("log.csv", "csv"), ("log.CSV", "csv"), ("log", "csv"),
+        ("log.jsonl", "jsonl"), ("log.JSONL", "jsonl"), ("log.ndjson", "jsonl"),
+        ("log.NDJSON", "jsonl"), ("log", "jsonl"), ("log.txt", "padded-header"),
+        ("log", "blank-first-jsonl"),
+    ])
+    def test_same_events(self, tmp_path, capsys, name, kind):
+        path = tmp_path / name
+        path.write_text(_AGREEMENT_TEXTS[kind])
+        assert [(e.user_id, e.day, e.count) for e in load_events(str(path))] \
+            == _AGREEMENT_ROWS
+        reference = tmp_path / "reference.csv"
+        reference.write_text(_AGREEMENT_TEXTS["csv"])
+        tables = []
+        for source in (path, reference):
+            code, stdout, stderr = _run(capsys, "fit", "--input", str(source),
+                                        "--bootstrap-reps", "0")
+            assert (code, stderr) == (0, "")
+            tables.append([line for line in stdout.splitlines()
+                           if not line.startswith("#")])
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("header", ["usr_id,day,count", "user_id;day;count"])
+    def test_same_line_one_error(self, tmp_path, capsys, header):
+        path = tmp_path / "log.txt"
+        path.write_text(header + "\nu1,0,1\n")
+        with pytest.raises(growthlab.DataError) as raised:
+            load_events(str(path))
+        assert str(raised.value).startswith("line 1: expected header")
+        code, stdout, stderr = _run(capsys, "fit", "--input", str(path),
+                                    "--bootstrap-reps", "0")
+        assert (code, stdout, stderr) == (2, "", f"growthlab: {raised.value}\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("kind", ["csv", "jsonl"])
+    def test_a_pipe_is_sniffed_without_losing_rows(self, capsys, kind):
+        # A pipe cannot be reopened at its start, so sniffing must not use
+        # up the rows that parsing then reads.
+        read_fd = _pipe(_AGREEMENT_TEXTS[kind])
+        try:
+            events = load_events(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+        assert [(e.user_id, e.day, e.count) for e in events] == _AGREEMENT_ROWS
+        tables = []
+        for kind in (kind, "csv"):
+            read_fd = _pipe(_AGREEMENT_TEXTS[kind])
+            try:
+                code, stdout, stderr = _run(capsys, "fit", "--input",
+                                            f"/dev/fd/{read_fd}",
+                                            "--bootstrap-reps", "0")
+            finally:
+                os.close(read_fd)
+            assert (code, stderr) == (0, "")
+            tables.append(_table_row(stdout))
+        assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("subcommand", ["fit", "collapse"])
+def test_svg_inside_a_fresh_out_directory(tmp_path, capsys, subcommand):
+    path = tmp_path / "events.csv"
+    if subcommand == "fit":
+        path.write_text(_AGREEMENT_TEXTS["csv"])
+    else:
+        _write_model_events(path, f_max=100)
+    out = tmp_path / "res"
+    code, stdout, stderr = _run(capsys, subcommand, "--input", str(path),
+                                "--bootstrap-reps", "0", "--out", str(out),
+                                "--svg", str(out / "figure.svg"))
+    assert (code, stderr) == (0, "")
+    assert (out / "figure.svg").read_text().startswith("<svg")
+    assert json.loads((out / "manifest.json").read_text())["subcommand"] == subcommand
+
+
 class TestPredict:
     def test_consistent_series_reports_true(self, tmp_path, capsys):
         out = tmp_path / "sim"

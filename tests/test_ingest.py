@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,14 @@ class TestLoadEvents:
         path = tmp_path / "log.data"
         path.write_text(JSONL_SAMPLE)
         assert len(gl.load_events(str(path), format="jsonl")) == 2
+
+    @pytest.mark.parametrize("name", ["snapshots.tsv", "snapshots.TSV", "snapshots"])
+    def test_snapshot_table_is_named_in_the_error(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("day\tP\tF\tf_max\n0\t10\t20\t5\n")
+        with pytest.raises(DataError, match="snapshot table") as raised:
+            gl.load_events(str(path))
+        assert repr(str(path)) in str(raised.value)
 
 
 class TestActivityEvent:
@@ -216,18 +225,25 @@ class TestSamplerRoundTrip:
 
 
 def reference_export(events):
-    """Events sorted by (day, user_id), stably, and written row by row with
-    csv.writer: the earlier implementation of export_events_csv, kept as
-    the reference the columnar writer must match byte for byte."""
+    """Events sorted by (day, user_id), stably, and written row by row: the
+    earlier implementation of export_events_csv, kept as the reference the
+    columnar writer must match byte for byte. A user id holding any of
+    , " \\r or \\n is quoted, with its quotes doubled."""
     ordered = sorted(events, key=lambda e: ((isinstance(e.day, dt.date), e.day),
                                             e.user_id))
-    sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["user_id", "day", "count"])
+    rows = ["user_id,day,count\n"]
     for event in ordered:
+        user = event.user_id
+        if any(char in user for char in ',"\r\n'):
+            user = '"' + user.replace('"', '""') + '"'
         day = event.day.isoformat() if isinstance(event.day, dt.date) else event.day
-        writer.writerow([event.user_id, day, event.count])
-    return sink.getvalue()
+        rows.append(f"{user},{day},{event.count}\n")
+    return "".join(rows)
+
+
+def _by_key(events):
+    return sorted(events, key=lambda e: ((isinstance(e.day, dt.date), e.day),
+                                         e.user_id, e.count))
 
 
 awkward_events = st.lists(
@@ -247,11 +263,20 @@ class TestCsvWriterMatchesRowReference:
     @given(events=awkward_events)
     @settings(max_examples=200)
     def test_bytes_equal_the_reference(self, events, tmp_path_factory):
-        expected = reference_export(events)
-        assert gl.export_events_csv(events) == expected
         path = tmp_path_factory.mktemp("w") / "events.csv"
-        gl.write_events_csv(events, str(path))
+        clean = [event for event in events if event.user_id == event.user_id.strip()]
+        if clean != events:
+            # Reading the CSV back would strip such an id: both writers refuse.
+            with pytest.raises(DataError, match="surrounding whitespace"):
+                gl.export_events_csv(events)
+            with pytest.raises(DataError, match="surrounding whitespace"):
+                gl.write_events_csv(events, str(path))
+            assert not path.exists()
+        expected = reference_export(clean)
+        assert gl.export_events_csv(clean) == expected
+        gl.write_events_csv(clean, str(path))
         assert path.read_bytes() == expected.encode("utf-8")
+        assert _by_key(gl.load_events(str(path))) == _by_key(clean)
 
     def test_user_ids_needing_quotes(self):
         events = _events(("a,b", 0, 1), ('say "hi"', 0, 2), ("two\nlines", 0, 3),
@@ -260,6 +285,26 @@ class TestCsvWriterMatchesRowReference:
         assert text == reference_export(events)
         assert text == ('user_id,day,count\n"a,b",0,1\nplain,0,4\n'
                         '"say ""hi""",0,2\n"two\nlines",0,3\n')
+
+    def test_carriage_return_in_an_id_round_trips(self, tmp_path):
+        events = _events(("a\rb", 0, 1), ("c\r\nd", 0, 2), ("e", 0, 3))
+        text = gl.export_events_csv(events)
+        assert text == 'user_id,day,count\n"a\rb",0,1\n"c\r\nd",0,2\ne,0,3\n'
+        assert gl.parse_events(io.StringIO(text)) == events
+        path = tmp_path / "events.csv"
+        gl.write_events_csv(events, str(path))
+        assert gl.load_events(str(path)) == events
+
+    @pytest.mark.parametrize("user", [" a", "a ", "a\n", "\ra", "\t"])
+    def test_ids_the_reader_would_strip_are_refused(self, tmp_path, user):
+        # " a" and "a" would read back as one user with summed counts.
+        events = _events((user, 0, 1), ("a", 0, 2))
+        path = tmp_path / "events.csv"
+        with pytest.raises(DataError, match=re.escape(repr(user))):
+            gl.export_events_csv(events)
+        with pytest.raises(DataError, match=re.escape(repr(user))):
+            gl.write_events_csv(events, str(path))
+        assert not path.exists()
 
     def test_mixed_integer_and_iso_days_keep_their_order(self):
         events = _events(("u", dt.date(2024, 1, 2), 1), ("u", 10, 2),
