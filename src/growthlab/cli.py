@@ -10,9 +10,10 @@ Five subcommands mirror the library's workflow:
 
 Exit codes: 0 success, 1 usage error, 2 data or domain error, 3 internal
 error. Every run emits a manifest (subcommand, full parameters, input
-digests, version, timestamp); re-running with identical flags reproduces
-the data outputs byte for byte, the manifest's timestamp being the single
-provenance exception. Numeric report tables use 6 significant digits.
+digests, null for a pipe, version, timestamp); re-running with identical
+flags reproduces the data outputs byte for byte, the manifest's timestamp
+being the single provenance exception. Numeric report tables use 6
+significant digits.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ import json
 import math
 import os
 import sys
-from typing import IO
 
 from . import __version__, seeding
-from .errors import DataError, GrowthlabError
+from .errors import GrowthlabError
 from .estimators import binned_cloud, fit_gamma_tls, rescale_histogram
 from .experiment import collapse_check, compare_prediction, run_sweep
-from .ingest import (_format_day, _sniff_format, aggregate, parse_events,
-                     write_events_csv)
+from .ingest import (_fmt, _sniff_format, _snapshots_tsv, aggregate,
+                     parse_events, parse_pairs, write_events_csv)
 from .sampler import (
     _PROTOCOL_ALIASES,
     SamplerConfig,
@@ -47,8 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-_SNAPSHOT_HEADER = ["day", "P", "F", "f_max"]
 
 
 class _UsageError(Exception):
@@ -97,36 +95,21 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list")
 
 
-def _fmt(value) -> str:
-    """6 significant digits; integral values print as plain integers."""
-    number = float(value)
-    if math.isfinite(number) and number == int(number) and abs(number) < 1e15:
-        return str(int(number))
-    return f"{number:.6g}"
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as sink:
         sink.write(text)
 
 
 def _emit_manifest(args: argparse.Namespace, subcommand: str,
-                   inputs: list[str]) -> None:
+                   inputs: dict[str, str | None]) -> None:
     parameters = {
         key: value for key, value in sorted(vars(args).items())
         if key not in ("func", "subcommand")
     }
-    digests = {}
-    for path in inputs:
-        digest = hashlib.sha256()
-        with open(path, "rb") as source:
-            for block in iter(lambda: source.read(1 << 20), b""):
-                digest.update(block)
-        digests[str(path)] = digest.hexdigest()
     manifest = {
         "subcommand": subcommand,
         "parameters": parameters,
-        "inputs": digests,
+        "inputs": inputs,
         "version": __version__,
         "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
@@ -136,57 +119,21 @@ def _emit_manifest(args: argparse.Namespace, subcommand: str,
     print(f"# manifest {text}")
 
 
-def _snapshots_tsv(snapshots) -> str:
-    lines = ["\t".join(_SNAPSHOT_HEADER)]
-    for snapshot in snapshots:
-        lines.append(f"{_format_day(snapshot.day)}\t{snapshot.population}"
-                     f"\t{_fmt(snapshot.total_activity)}\t{_fmt(snapshot.f_max)}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_snapshot_tsv(stream: IO[bytes]) -> list[tuple[float, float]]:
-    lines = stream.read().decode("utf-8").splitlines()
-    if not lines:
-        return []
-    if [cell.strip() for cell in lines[0].split("\t")] != _SNAPSHOT_HEADER:
-        expected = "\t".join(_SNAPSHOT_HEADER)
-        raise DataError(f"line 1: expected header {expected!r}")
-    pairs = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) != 4:
-            raise DataError(f"line {lineno}: expected 4 fields, got {len(cells)}")
-        try:
-            population, activity = float(cells[1]), float(cells[2])
-        except ValueError:
-            raise DataError(f"line {lineno}: P and F must be numeric") from None
-        # Also false for nan, which no comparison admits.
-        if not (1.0 <= population < math.inf and 1.0 <= activity < math.inf):
-            raise DataError(
-                f"line {lineno}: P and F must be finite and >= 1, "
-                f"got {cells[1].strip()!r} and {cells[2].strip()!r}"
-            )
-        pairs.append((population, activity))
-    return pairs
-
-
-def _load_input(args: argparse.Namespace, pairs: bool = False) -> list:
-    """The --input file as (P, F) pairs if `pairs`, else as snapshots,
-    which only an event log holds. The file is opened once."""
+def _read_input(args: argparse.Namespace, parse) -> tuple:
+    """parse(stream, format) of --input, opened once, and {path: SHA-256},
+    hashed from byte 0 of the same file after the parse; None for a pipe
+    or any other stream that cannot seek."""
     with open(args.input, "rb") as stream:
         format = args.format if args.format != "auto" \
             else _sniff_format(args.input, stream)
-        if format == "snapshot":
-            if pairs:
-                return _parse_snapshot_tsv(stream)
-            raise DataError(
-                "this subcommand needs per-user histograms; pass an event log "
-                "(csv or jsonl), not a snapshot TSV"
-            )
-        snapshots = aggregate(parse_events(stream, format=format))
-    return [(s.population, s.total_activity) for s in snapshots] if pairs else snapshots
+        parsed = parse(stream, format)
+        if not stream.seekable():
+            return parsed, {args.input: None}
+        stream.seek(0)
+        sha = hashlib.sha256()
+        for block in iter(lambda: stream.read(1 << 20), b""):
+            sha.update(block)
+    return parsed, {args.input: sha.hexdigest()}
 
 
 def _print_table(header: list[str], row: list[str]) -> None:
@@ -220,12 +167,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("# continuous activities: events.csv skipped "
               "(event counts are integers; use --integerize)")
     print(f"# wrote {', '.join(written)} ({len(series.days)} days)")
-    _emit_manifest(args, "simulate", [])
+    _emit_manifest(args, "simulate", {})
     return EXIT_OK
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    pairs = _load_input(args, pairs=True)
+    pairs, inputs = _read_input(args, parse_pairs)
     fit = fit_gamma_tls(pairs, bootstrap_reps=args.bootstrap_reps, seed=args.seed)
     low, high = fit.ci95_slope
     _print_table(
@@ -236,12 +183,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.svg:
         _write_text(args.svg, growth_scatter_svg(pairs, fit.slope, fit.intercept))
         print(f"# wrote {args.svg}")
-    _emit_manifest(args, "fit", [args.input])
+    _emit_manifest(args, "fit", inputs)
     return EXIT_OK
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    snapshots = _load_input(args)
+    events, inputs = _read_input(args, parse_events)
+    snapshots = aggregate(events)
     prediction = compare_prediction(
         snapshots, bins_per_decade=args.bins_per_decade,
         bootstrap_reps=args.bootstrap_reps, seed=args.seed,
@@ -256,7 +204,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
          _fmt(gamma_low), _fmt(gamma_high),
          "true" if prediction.consistent else "false"],
     )
-    _emit_manifest(args, "predict", [args.input])
+    _emit_manifest(args, "predict", inputs)
     return EXIT_OK
 
 
@@ -304,12 +252,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.svg:
         _write_text(args.svg, sweep_svg(cells))
         print(f"# wrote {args.svg}")
-    _emit_manifest(args, "sweep", [])
+    _emit_manifest(args, "sweep", {})
     return EXIT_OK
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
-    snapshots = _load_input(args)
+    events, inputs = _read_input(args, parse_events)
+    snapshots = aggregate(events)
     quality, fit = collapse_check(
         snapshots, beta_hypothesis=args.beta,
         bins_per_decade=args.bins_per_decade,
@@ -328,7 +277,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         cloud = binned_cloud(rescaled, args.bins_per_decade)
         _write_text(args.svg, collapse_svg(snapshots, cloud, fit.beta))
         print(f"# wrote {args.svg}")
-    _emit_manifest(args, "collapse", [args.input])
+    _emit_manifest(args, "collapse", inputs)
     return EXIT_OK
 
 

@@ -295,16 +295,14 @@ def _bin_indices(rel: np.ndarray, bins_per_decade: int) -> np.ndarray:
     return np.maximum(np.floor(scaled).astype(np.int64), 0)
 
 
-def _day_bin_matrices(rescaled: Sequence[RescaledHistogram],
-                      bins_per_decade: int, per_day_average: bool
+def _day_bin_matrices(rescaled: Sequence[RescaledHistogram], bins_per_decade: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each day binned once: day x bin value and weight matrices (M, I), and
     each day's smallest relative activity.
 
-    With per_day_average, M holds the day's mean count in the bin and I is
-    1 where the day has a point there; otherwise M holds the count sum and
-    I the number of points. For day multiplicities w, the binned cloud of
-    the resampled days averages (w @ M) / (w @ I) over the bins where
+    M holds the day's mean count in the bin and I is 1 where the day has a
+    point there. For day multiplicities w, the binned cloud of the
+    resampled days averages (w @ M) / (w @ I) over the bins where
     w @ I > 0; binned_cloud is the row w = 1.
     """
     if bins_per_decade < 1:
@@ -325,8 +323,6 @@ def _day_bin_matrices(rescaled: Sequence[RescaledHistogram],
     sums = np.bincount(cells, np.concatenate([hist.counts for hist in rescaled]),
                        minlength=shape[0] * n_bins).reshape(shape)
     points = np.bincount(cells, minlength=shape[0] * n_bins).reshape(shape)
-    if not per_day_average:
-        return sums, points.astype(float), day_min_rel
     present = points > 0
     means = np.divide(sums, points, out=np.zeros_like(sums), where=present)
     return means, present.astype(float), day_min_rel
@@ -342,24 +338,22 @@ def _cloud(sums: np.ndarray, totals: np.ndarray,
             np.log10(sums[populated] / totals[populated]))
 
 
-def binned_cloud(rescaled: Sequence[RescaledHistogram], bins_per_decade: int = 5,
-                 per_day_average: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def binned_cloud(rescaled: Sequence[RescaledHistogram], bins_per_decade: int = 5
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Pool rescaled days and average counts in logarithmic bins.
 
     Bin j spans relative activity (10^-(j+1)/b, 10^-j/b] with geometric
-    center 10^-(j+0.5)/b. With per_day_average (the default) each bin value
-    is the mean over contributing days of that day's own mean count, so
-    every day carries equal weight; otherwise counts pool raw. Returns
-    (log10 centers, log10 mean counts) for the populated bins.
+    center 10^-(j+0.5)/b. Each bin value is the mean over contributing days
+    of that day's own mean count, so every day carries equal weight.
+    Returns (log10 centers, log10 mean counts) for the populated bins.
     """
-    values, weights, _ = _day_bin_matrices(rescaled, bins_per_decade,
-                                           per_day_average)
+    values, weights, _ = _day_bin_matrices(rescaled, bins_per_decade)
     return _cloud(values.sum(axis=0), weights.sum(axis=0), bins_per_decade)
 
 
 def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
                       bins_per_decade: int = 5, bootstrap_reps: int = 1000,
-                      seed: int = 0, per_day_average: bool = True) -> BetaFit:
+                      seed: int = 0) -> BetaFit:
     """Activity exponent from the pooled, log-binned master curve.
 
     beta is minus the ordinary log-log slope of the binned cloud. The CI
@@ -379,7 +373,7 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
     """
     rescaled = list(rescaled)
     day_values, day_weights, day_min_rel = _day_bin_matrices(
-        rescaled, bins_per_decade, per_day_average)
+        rescaled, bins_per_decade)
     centers, values = _cloud(day_values.sum(axis=0), day_weights.sum(axis=0),
                              bins_per_decade)
     slope, intercept = _ols_line(centers, values)
@@ -419,8 +413,7 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
 
 
 def score_against_beta(rescaled: Sequence[RescaledHistogram], beta: float,
-                       bins_per_decade: int = 5,
-                       per_day_average: bool = True) -> float:
+                       bins_per_decade: int = 5) -> float:
     """Adjusted R^2 of the pooled cloud against a FIXED slope -beta.
 
     The intercept is fitted through the centroid (the hypothesis pins the
@@ -428,7 +421,7 @@ def score_against_beta(rescaled: Sequence[RescaledHistogram], beta: float,
     """
     if not beta > 1:
         raise DomainError(f"beta must exceed 1, got {beta}")
-    centers, values = binned_cloud(rescaled, bins_per_decade, per_day_average)
+    centers, values = binned_cloud(rescaled, bins_per_decade)
     slope = -beta
     intercept = float(values.mean() - slope * centers.mean())
     return _adjusted_r2(centers, values, slope, intercept)

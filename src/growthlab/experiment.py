@@ -164,8 +164,7 @@ def _snapshots(series) -> list[DailySnapshot]:
 
 
 def compare_prediction(series, bins_per_decade: int = 5,
-                       bootstrap_reps: int = 1000, seed: int = 0,
-                       per_day_average: bool = True) -> GrowthPrediction:
+                       bootstrap_reps: int = 1000, seed: int = 0) -> GrowthPrediction:
     """Does the heterogeneity-measured exponent predict the observed growth?
 
     Fits beta from the pooled rescaled histograms, maps it through
@@ -179,7 +178,6 @@ def compare_prediction(series, bins_per_decade: int = 5,
     beta_fit = pool_and_fit_beta(
         rescaled, bins_per_decade=bins_per_decade,
         bootstrap_reps=bootstrap_reps, seed=seed,
-        per_day_average=per_day_average,
     )
     gamma_theory = gamma_of_beta(beta_fit.beta)
     gamma_fit = fit_gamma_tls(
@@ -197,8 +195,7 @@ def compare_prediction(series, bins_per_decade: int = 5,
 
 def collapse_check(series, beta_hypothesis: float | None = None,
                    bins_per_decade: int = 5, bootstrap_reps: int = 1000,
-                   seed: int = 0,
-                   per_day_average: bool = True) -> tuple[float, BetaFit]:
+                   seed: int = 0) -> tuple[float, BetaFit]:
     """How well do the rescaled days collapse onto one master curve?
 
     Returns (quality, fit). Without a hypothesis, quality is the adjusted
@@ -213,12 +210,8 @@ def collapse_check(series, beta_hypothesis: float | None = None,
     fit = pool_and_fit_beta(
         rescaled, bins_per_decade=bins_per_decade,
         bootstrap_reps=bootstrap_reps, seed=seed,
-        per_day_average=per_day_average,
     )
     if beta_hypothesis is None:
         return fit.adjusted_r2, fit
-    score = score_against_beta(
-        rescaled, beta_hypothesis, bins_per_decade=bins_per_decade,
-        per_day_average=per_day_average,
-    )
-    return score, fit
+    return score_against_beta(rescaled, beta_hypothesis,
+                              bins_per_decade=bins_per_decade), fit

@@ -1,9 +1,11 @@
-"""Reading, aggregating and writing per-user activity event logs.
+"""Reading, aggregating and writing activity event logs and snapshot tables.
 
-The on-disk interchange format is deliberately tiny. CSV files carry a
+The on-disk interchange formats are deliberately tiny. CSV files carry a
 header ``user_id,day,count``; JSONL files carry one object per line with
 the same three keys. ``day`` is either an ISO-8601 calendar date or an
-integer day index, ``count`` a positive integer that fits in 64 bits.
+integer day index, ``count`` a positive integer that fits in 64 bits. A
+snapshot table is tab-separated with the header ``day P F f_max``, one
+row per day; it holds each day's (P, F) pair but no per-user histogram.
 Parsing is strict and error messages name the offending line, because
 silent coercion of a malformed activity log poisons every estimate
 downstream.
@@ -39,6 +41,7 @@ __all__ = [
     "DailySnapshot",
     "EventTable",
     "parse_events",
+    "parse_pairs",
     "load_events",
     "aggregate",
     "export_events_csv",
@@ -48,6 +51,8 @@ __all__ = [
 Day = Union[int, dt.date]
 
 _CSV_HEADER = ["user_id", "day", "count"]
+
+_SNAPSHOT_HEADER = ["day", "P", "F", "f_max"]
 
 _FORMAT_BY_SUFFIX = {".tsv": "snapshot", ".csv": "csv", ".jsonl": "jsonl",
                      ".ndjson": "jsonl"}
@@ -380,20 +385,34 @@ def _parse_jsonl(text: IO[str]) -> EventTable:
     return builder.table()
 
 
-def parse_events(stream: IO, format: str = "csv") -> EventTable:
-    """Parse an event log from a byte or text stream.
+def _parse_snapshots(text: IO[str]) -> list[tuple[float, float]]:
+    lines = text.read().splitlines()
+    if lines and [cell.strip() for cell in lines[0].split("\t")] != _SNAPSHOT_HEADER:
+        expected = "\t".join(_SNAPSHOT_HEADER)
+        raise DataError(f"line 1: expected header {expected!r}")
+    pairs = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split("\t")
+        if len(cells) != 4:
+            raise DataError(f"line {lineno}: expected 4 fields, got {len(cells)}")
+        try:
+            population, activity = float(cells[1]), float(cells[2])
+        except ValueError:
+            raise DataError(f"line {lineno}: P and F must be numeric") from None
+        # Also false for nan, which no comparison admits.
+        if not (1.0 <= population < math.inf and 1.0 <= activity < math.inf):
+            raise DataError(
+                f"line {lineno}: P and F must be finite and >= 1, "
+                f"got {cells[1].strip()!r} and {cells[2].strip()!r}"
+            )
+        pairs.append((population, activity))
+    return pairs
 
-    format is "csv" or "jsonl". Bytes are decoded as UTF-8 while rows are
-    read, so the log is never held whole as text. Events are returned in
-    input order; empty input yields an empty table. Malformed rows raise
-    DataError naming the line number. A byte stream is left open.
-    """
-    if format == "csv":
-        parse, newline = _parse_csv, ""
-    elif format == "jsonl":
-        parse, newline = _parse_jsonl, "\n"
-    else:
-        raise DataError(f"unknown format {format!r} (expected 'csv' or 'jsonl')")
+
+def _decoded(stream: IO, parse, newline: str):
+    """parse(text), with bytes decoded as UTF-8 while they are read."""
     text = stream if isinstance(stream.read(0), str) \
         else io.TextIOWrapper(stream, encoding="utf-8", newline=newline)
     try:
@@ -403,6 +422,35 @@ def parse_events(stream: IO, format: str = "csv") -> EventTable:
     finally:
         if text is not stream:
             text.detach()
+
+
+def parse_events(stream: IO, format: str = "csv") -> EventTable:
+    """Parse an event log from a byte or text stream.
+
+    format is "csv" or "jsonl". Bytes are decoded as UTF-8 while rows are
+    read, so the log is never held whole as text. Events are returned in
+    input order; empty input yields an empty table. Malformed rows raise
+    DataError naming the line number. A byte stream is left open.
+    """
+    if format == "csv":
+        return _decoded(stream, _parse_csv, "")
+    if format == "jsonl":
+        return _decoded(stream, _parse_jsonl, "\n")
+    if format == "snapshot":
+        raise DataError("per-user histograms need an event log (csv or jsonl), "
+                        "not a snapshot TSV")
+    raise DataError(f"unknown format {format!r} (expected 'csv' or 'jsonl')")
+
+
+def parse_pairs(stream: IO, format: str) -> list[tuple[float, float]]:
+    """The daily (P, F) pairs of a byte or text stream: a snapshot table's
+    rows, whose P and F must be finite and at least 1, for format
+    "snapshot"; an event log's aggregated days for "csv" or "jsonl". Errors
+    are as parse_events raises them; a byte stream is left open."""
+    if format == "snapshot":
+        return _decoded(stream, _parse_snapshots, "")
+    return [(s.population, s.total_activity)
+            for s in aggregate(parse_events(stream, format))]
 
 
 def _sniff_format(path: str, stream: io.BufferedReader) -> str:
@@ -438,6 +486,22 @@ def _day_sort_key(day: Day) -> tuple:
 
 def _format_day(day: Day) -> str:
     return day.isoformat() if isinstance(day, dt.date) else str(day)
+
+
+def _fmt(value) -> str:
+    """6 significant digits; integral values print as plain integers."""
+    number = float(value)
+    if math.isfinite(number) and number == int(number) and abs(number) < 1e15:
+        return str(int(number))
+    return f"{number:.6g}"
+
+
+def _snapshots_tsv(snapshots: Iterable[DailySnapshot]) -> str:
+    lines = ["\t".join(_SNAPSHOT_HEADER)]
+    for snapshot in snapshots:
+        lines.append(f"{_format_day(snapshot.day)}\t{snapshot.population}"
+                     f"\t{_fmt(snapshot.total_activity)}\t{_fmt(snapshot.f_max)}")
+    return "\n".join(lines) + "\n"
 
 
 def _as_table(events: Iterable[ActivityEvent]) -> EventTable:

@@ -201,8 +201,8 @@ def day_totals(day_index: int, population: int,
     """(P, F) for one day without materializing the histogram.
 
     Consumes the same stream as synthesize_day, so the pair equals the
-    snapshot's (population, total_activity) exactly. This is the cheap path
-    for exponent sweeps, which never read histograms.
+    snapshot's (population, total_activity) exactly. Sweeps draw whole
+    schedules through series_totals instead.
     """
     _check_population(population)
     x = _draw(day_index, population, config, config.upper_cutoff)

@@ -214,6 +214,22 @@ class TestFit:
         assert code == 0
         assert _table_row(stdout)[5] == "6"
 
+    def test_crlf_table_fits_as_lf(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        _run(capsys, "simulate", "--beta", "1.5", "--days", "12",
+             "--pmin", "300", "--pmax", "30000", "--seed", "3", "--out", str(out))
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes((out / "snapshots.tsv").read_bytes().replace(b"\n", b"\r\n"))
+        tables = []
+        for source in (out / "snapshots.tsv", crlf):
+            code, stdout, stderr = _run(capsys, "fit", "--input", str(source),
+                                        "--bootstrap-reps", "200")
+            assert (code, stderr) == (0, "")
+            tables.append([line for line in stdout.splitlines()
+                           if not line.startswith("#")])
+        assert tables[0] == tables[1]
+        assert tables[0][1].split("\t")[5] == "12"
+
     def test_missing_input_exits_two(self, capsys, tmp_path):
         code, _, stderr = _run(
             capsys, "fit", "--input", str(tmp_path / "absent.tsv")
@@ -320,14 +336,17 @@ class TestLibraryAndCliAgreeOnFormat:
         tables = []
         for kind in (kind, "csv"):
             read_fd = _pipe(_AGREEMENT_TEXTS[kind])
+            path = f"/dev/fd/{read_fd}"
             try:
-                code, stdout, stderr = _run(capsys, "fit", "--input",
-                                            f"/dev/fd/{read_fd}",
+                code, stdout, stderr = _run(capsys, "fit", "--input", path,
                                             "--bootstrap-reps", "0")
             finally:
                 os.close(read_fd)
             assert (code, stderr) == (0, "")
             tables.append(_table_row(stdout))
+            # A pipe cannot be read again for its digest.
+            manifest = json.loads(stdout.split("# manifest ", 1)[1])
+            assert manifest["inputs"] == {path: None}
         assert tables[0] == tables[1]
 
 
@@ -373,11 +392,14 @@ class TestPredict:
         ("bad.csv", b"user_id,day,count\nu1,0,1\nu\xff2,0,1\n"),
         ("bad.jsonl", b'{"user_id": "u1", "day": 0, "count": 1}\n'
                       b'{"user_id": "u\xff2", "day": 0, "count": 1}\n'),
+        ("bad.tsv", b"day\tP\tF\tf_max\n0\t1000\t2000\t9\n1\t1\xff00\t2000\t9\n"),
     ])
     def test_non_utf8_log_exits_two(self, tmp_path, capsys, name, data):
         path = tmp_path / name
         path.write_bytes(data)
-        code, stdout, stderr = _run(capsys, "predict", "--input", str(path))
+        # A snapshot table holds (P, F) pairs only, which fit reads.
+        subcommand = "fit" if name.endswith(".tsv") else "predict"
+        code, stdout, stderr = _run(capsys, subcommand, "--input", str(path))
         assert code == 2
         assert stderr.startswith("growthlab: input is not valid UTF-8")
         assert stdout == ""

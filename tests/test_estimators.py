@@ -163,7 +163,7 @@ def _reference_bin_index(rel, bins_per_decade):
     return max(int(math.floor(-math.log10(rel) * bins_per_decade)), 0)
 
 
-def reference_binned_cloud(rescaled, bins_per_decade=5, per_day_average=True):
+def reference_binned_cloud(rescaled, bins_per_decade=5):
     """The per-point binned_cloud, kept as the reference for the array path.
 
     Bins every (rel, count) pair with math.log10, one point at a time, and
@@ -183,11 +183,7 @@ def reference_binned_cloud(rescaled, bins_per_decade=5, per_day_average=True):
             per_bin.setdefault(j, {}).setdefault(day_ordinal, []).append(count)
     centers, values = [], []
     for j in sorted(per_bin):
-        day_lists = per_bin[j].values()
-        if per_day_average:
-            value = float(np.mean([np.mean(counts) for counts in day_lists]))
-        else:
-            value = float(np.mean([c for counts in day_lists for c in counts]))
+        value = float(np.mean([np.mean(counts) for counts in per_bin[j].values()]))
         centers.append(-(j + 0.5) / bins_per_decade)
         values.append(math.log10(value))
     if len(centers) < 3:
@@ -217,23 +213,20 @@ _continuous_day = st.dictionaries(
 class TestBinnedCloudMatchesPointReference:
     @given(days=st.lists(st.one_of(_integer_day(), _continuous_day),
                          min_size=1, max_size=5),
-           bins_per_decade=st.integers(min_value=1, max_value=12),
-           per_day_average=st.booleans())
+           bins_per_decade=st.integers(min_value=1, max_value=12))
     @settings(max_examples=400, deadline=None)
-    def test_same_bins_and_values(self, days, bins_per_decade, per_day_average):
+    def test_same_bins_and_values(self, days, bins_per_decade):
         rescaled = [gl.rescale_histogram(day) for day in days]
         rel = np.concatenate([hist.rel for hist in rescaled])
         assert estimators._bin_indices(rel, bins_per_decade).tolist() == [
             _reference_bin_index(value, bins_per_decade) for value in rel.tolist()]
         try:
-            expected = reference_binned_cloud(rescaled, bins_per_decade,
-                                              per_day_average)
+            expected = reference_binned_cloud(rescaled, bins_per_decade)
         except DomainError as exc:
             with pytest.raises(DomainError, match=re.escape(str(exc))):
-                gl.binned_cloud(rescaled, bins_per_decade, per_day_average)
+                gl.binned_cloud(rescaled, bins_per_decade)
             return
-        centers, values = gl.binned_cloud(rescaled, bins_per_decade,
-                                          per_day_average)
+        centers, values = gl.binned_cloud(rescaled, bins_per_decade)
         assert centers.tolist() == expected[0].tolist()
         np.testing.assert_allclose(values, expected[1], rtol=0, atol=1e-12)
 
@@ -274,13 +267,10 @@ class TestBinnedCloud:
                                       10**-1.1 * 100: 5.0, 100.0: 1.0})
         day_b = gl.rescale_histogram({10**-2.1 * 100: 9.0,
                                       10**-1.1 * 100: 5.0, 100.0: 1.0})
-        centers, values = gl.binned_cloud([day_a, day_b],
-                                          per_day_average=True)
-        _, pooled = gl.binned_cloud([day_a, day_b], per_day_average=False)
+        centers, values = gl.binned_cloud([day_a, day_b])
         # the bottom bin holds counts {2, 4} from day a and {9} from day b
         assert centers[-1] == pytest.approx(-2.1, abs=1e-12)
         assert 10 ** values[-1] == pytest.approx((3.0 + 9.0) / 2, rel=1e-12)
-        assert 10 ** pooled[-1] == pytest.approx((2 + 4 + 9) / 3, rel=1e-12)
 
     def test_rejects_span_below_one_decade(self):
         day = gl.rescale_histogram({900: 5, 1000: 1})
@@ -352,14 +342,13 @@ class TestPoolAndFitBeta:
 
 
 def _loop_pool_and_fit_beta_ci(rescaled, bins_per_decade=5, bootstrap_reps=1000,
-                               seed=0, per_day_average=True):
+                               seed=0):
     """The per-replicate collapse bootstrap, kept as the reference.
 
     Re-bins the resampled days with reference_binned_cloud once per
     replicate. Returns the 95% CI and the number of replicates that entered it.
     """
-    centers, values = reference_binned_cloud(rescaled, bins_per_decade,
-                                             per_day_average)
+    centers, values = reference_binned_cloud(rescaled, bins_per_decade)
     beta = -estimators._ols_line(centers, values)[0]
     betas = []
     n_days = len(rescaled)
@@ -368,8 +357,7 @@ def _loop_pool_and_fit_beta_ci(rescaled, bins_per_decade=5, bootstrap_reps=1000,
         idx = rng.integers(0, n_days, size=n_days)
         try:
             rep_centers, rep_values = reference_binned_cloud(
-                [rescaled[i] for i in idx], bins_per_decade, per_day_average
-            )
+                [rescaled[i] for i in idx], bins_per_decade)
             rep_slope, _ = estimators._ols_line(rep_centers, rep_values)
         except (DomainError, EstimationError):
             continue
@@ -405,15 +393,12 @@ class TestCollapseBootstrapMatchesReplicateLoop:
             "duplicated": [a, b, a, a, c],
         }
 
-    @pytest.mark.parametrize("per_day_average", [True, False])
     @pytest.mark.parametrize("day_set", ["sampled", "skipped", "duplicated"])
-    def test_ci_endpoints_agree(self, day_set, per_day_average):
+    def test_ci_endpoints_agree(self, day_set):
         rescaled = self._day_sets()[day_set]
-        fit = gl.pool_and_fit_beta(rescaled, bootstrap_reps=300, seed=11,
-                                   per_day_average=per_day_average)
+        fit = gl.pool_and_fit_beta(rescaled, bootstrap_reps=300, seed=11)
         (low, high), used = _loop_pool_and_fit_beta_ci(
-            rescaled, bootstrap_reps=300, seed=11,
-            per_day_average=per_day_average)
+            rescaled, bootstrap_reps=300, seed=11)
         assert fit.ci95_beta[0] == pytest.approx(low, abs=1e-12)
         assert fit.ci95_beta[1] == pytest.approx(high, abs=1e-12)
         assert low < high

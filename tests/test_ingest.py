@@ -93,6 +93,31 @@ class TestParseEvents:
         with pytest.raises(DataError):
             gl.parse_events(io.StringIO(CSV_SAMPLE), format="tsv")
 
+    def test_snapshot_table_has_no_events(self):
+        with pytest.raises(DataError, match="event log"):
+            gl.parse_events(io.BytesIO(b"day\tP\tF\tf_max\n0\t10\t20\t5\n"),
+                            format="snapshot")
+
+
+class TestParsePairs:
+    def test_snapshot_rows_in_input_order(self):
+        text = b"day\tP\tF\tf_max\r\n3\t10\t20\t5\r\n\r\n1\t1e3\t4.5e3\t9\r\n"
+        assert gl.parse_pairs(io.BytesIO(text), "snapshot") == [(10.0, 20.0),
+                                                                  (1e3, 4.5e3)]
+        assert gl.parse_pairs(io.BytesIO(b""), "snapshot") == []
+
+    @pytest.mark.parametrize("format, text", [("csv", CSV_SAMPLE),
+                                              ("jsonl", JSONL_SAMPLE)])
+    def test_event_log_days(self, format, text):
+        snapshots = gl.aggregate(gl.parse_events(io.StringIO(text), format))
+        assert gl.parse_pairs(io.BytesIO(text.encode()), format) == [
+            (s.population, s.total_activity) for s in snapshots]
+
+    def test_non_utf8_table_is_a_data_error(self):
+        with pytest.raises(DataError, match="not valid UTF-8"):
+            gl.parse_pairs(io.BytesIO(b"day\tP\tF\tf_max\n0\t1\xff\t2\t2\n"),
+                           "snapshot")
+
 
 class TestLoadEvents:
     def test_suffix_sniffing(self, tmp_path):
