@@ -120,13 +120,12 @@ def _emit_manifest(args: argparse.Namespace, subcommand: str,
 
 
 def _read_input(args: argparse.Namespace, parse) -> tuple:
-    """parse(stream, format) of --input, opened once, and {path: SHA-256},
-    hashed from byte 0 of the same file after the parse; None for a pipe
-    or any other stream that cannot seek."""
+    """parse(stream, format) of --input, opened once and read in the format
+    _sniff_format decides, and {path: SHA-256}, hashed from byte 0 of the
+    same file after the parse; None for a pipe or any other stream that
+    cannot seek."""
     with open(args.input, "rb") as stream:
-        format = args.format if args.format != "auto" \
-            else _sniff_format(args.input, stream)
-        parsed = parse(stream, format)
+        parsed = parse(stream, _sniff_format(args.input, stream))
         if not stream.seekable():
             return parsed, {args.input: None}
         stream.seek(0)
@@ -142,8 +141,8 @@ def _print_table(header: list[str], row: list[str]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.pmax < args.pmin:
-        raise _UsageError("--pmax must be >= --pmin")
+    if args.pmax <= args.pmin:
+        raise _UsageError("--pmax must exceed --pmin")
     protocol = canonical_protocol(args.protocol)
     if protocol == "fixed-truncation" and args.upper_cutoff is None:
         raise _UsageError("--protocol fixed requires --upper-cutoff")
@@ -209,8 +208,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.pmax < args.pmin:
-        raise _UsageError("--pmax must be >= --pmin")
+    if args.pmax <= args.pmin:
+        raise _UsageError("--pmax must exceed --pmin")
     betas = args.beta_grid
     if betas is not None and not betas:
         raise _UsageError("--beta-grid must name at least one beta")
@@ -308,8 +307,6 @@ def build_parser() -> _Parser:
     fit = sub.add_parser("fit", help="fit the growth exponent gamma")
     fit.add_argument("--input", required=True,
                      help="snapshot TSV or event log (csv/jsonl)")
-    fit.add_argument("--format", choices=["auto", "snapshot", "csv", "jsonl"],
-                     default="auto")
     fit.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
     fit.add_argument("--seed", type=_seed_int, default=0)
     fit.add_argument("--svg", default=None, help="write a scatter+fit figure here")
@@ -320,8 +317,6 @@ def build_parser() -> _Parser:
         "predict", help="predict gamma from measured heterogeneity"
     )
     predict.add_argument("--input", required=True, help="event log (csv/jsonl)")
-    predict.add_argument("--format", choices=["auto", "csv", "jsonl"],
-                         default="auto")
     predict.add_argument("--bins-per-decade", type=_positive_int, default=5)
     predict.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
     predict.add_argument("--seed", type=_seed_int, default=0)
@@ -333,8 +328,8 @@ def build_parser() -> _Parser:
                        help="comma-separated cutoffs (default 1..10)")
     sweep.add_argument("--beta-grid", type=_float_list, default=None,
                        help="comma-separated betas (default 40 values in (1,10])")
-    sweep.add_argument("--days", type=_positive_int, default=100)
-    sweep.add_argument("--pmin", type=_positive_int, default=100)
+    sweep.add_argument("--days", type=_bounded_int(10), default=100)
+    sweep.add_argument("--pmin", type=_bounded_int(10), default=100)
     sweep.add_argument("--pmax", type=_positive_int, default=10000)
     sweep.add_argument("--protocol", choices=sorted(_PROTOCOL_ALIASES),
                        default="coupled")
@@ -348,8 +343,6 @@ def build_parser() -> _Parser:
         "collapse", help="fit beta from rescaled daily distributions"
     )
     collapse.add_argument("--input", required=True, help="event log (csv/jsonl)")
-    collapse.add_argument("--format", choices=["auto", "csv", "jsonl"],
-                          default="auto")
     collapse.add_argument("--bins-per-decade", type=_positive_int, default=5)
     collapse.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
     collapse.add_argument("--beta", type=_beta_value, default=None,

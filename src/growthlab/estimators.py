@@ -233,13 +233,17 @@ def fit_gamma_tls(series: Iterable[tuple[float, float]],
     cancels) and symmetric: swapping the axes inverts it. The 95% CI is a
     percentile bootstrap over days; bootstrap_reps=0 degrades the interval
     to the point estimate, and a negative count raises DomainError.
-    Degenerate resamples (all one day) are skipped.
+    Resamples that draw one day n times are skipped, as the draw shows:
+    the mean of n copies of one log P can miss it in the last bit, so
+    _tls_line would not see a zero x variance. Resamples whose principal
+    axis is vertical are skipped too.
     """
     x, y = _as_log_pairs(series)
     slope, intercept = _tls_line(x, y)
     n = len(x)
+    draws = _bootstrap_indices(n, bootstrap_reps, seed)
     slopes: list[float] = []
-    for idx in _bootstrap_indices(n, bootstrap_reps, seed):
+    for idx in draws[(draws != draws[:, :1]).any(axis=1)]:
         try:
             rep_slope, _ = _tls_line(x[idx], y[idx])
         except DomainError:

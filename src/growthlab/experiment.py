@@ -58,33 +58,36 @@ class SweepCell:
 
     c: float
     beta: float
-    inverse_beta: float
     gamma_fit: float
-    gamma_theory: float
     fit_quality: float
     status: str
     message: str = ""
 
     def __post_init__(self) -> None:
-        if not math.isclose(self.inverse_beta, 1.0 / self.beta, rel_tol=1e-12):
-            raise DomainError("inverse_beta must equal 1/beta")
         if self.status == "ok" and not math.isfinite(self.gamma_fit):
             raise DomainError("an ok cell must carry a finite gamma_fit")
+
+    inverse_beta = property(lambda self: 1.0 / self.beta)
+    gamma_theory = property(lambda self: gamma_of_beta(self.beta))
 
 
 @dataclass(frozen=True)
 class GrowthPrediction:
-    """Collapse-measured beta mapped through the law, vs the direct fit."""
+    """Collapse-measured beta mapped through the law, vs the direct fit.
+
+    gamma_theory is gamma(beta_fit.beta); consistent says whether it lies
+    inside the direct fit's 95% CI.
+    """
 
     beta_fit: BetaFit
-    gamma_theory: float
     gamma_fit: TlsFit
-    consistent: bool
 
-    def __post_init__(self) -> None:
+    gamma_theory = property(lambda self: gamma_of_beta(self.beta_fit.beta))
+
+    @property
+    def consistent(self) -> bool:
         low, high = self.gamma_fit.ci95_slope
-        if self.consistent != (low <= self.gamma_theory <= high):
-            raise DomainError("consistent flag contradicts the interval")
+        return low <= self.gamma_theory <= high
 
 
 def default_c_values() -> list[float]:
@@ -92,15 +95,13 @@ def default_c_values() -> list[float]:
     return [float(c) for c in range(1, 11)]
 
 
-def default_beta_grid(count: int = 40) -> list[float]:
-    """beta grid uniform in 1/beta on [0.1, 1), i.e. beta in (1, 10].
+def default_beta_grid() -> list[float]:
+    """40 betas uniform in 1/beta on [0.1, 1), i.e. beta in (1, 10].
 
     Uniform spacing in 1/beta matches the natural axis of the gamma curve,
     concentrating resolution where gamma varies.
     """
-    if count < 1:
-        raise DomainError("grid needs at least one beta")
-    inverse = np.linspace(0.1, 1.0, num=count, endpoint=False)
+    inverse = np.linspace(0.1, 1.0, num=40, endpoint=False)
     return [float(1.0 / v) for v in inverse]
 
 
@@ -124,6 +125,9 @@ def run_sweep(c_values: Sequence[float] | None = None,
     betas = list(default_beta_grid() if beta_values is None else beta_values)
     if not cs or not betas:
         raise DomainError("sweep grid must contain at least one C and one beta")
+    for beta in betas:
+        if not beta > 1:
+            raise DomainError(f"beta must exceed 1, got {beta}")
     if days_per_cell < 10:
         raise DomainError("need at least 10 days per cell")
     low, high = population_range
@@ -131,7 +135,6 @@ def run_sweep(c_values: Sequence[float] | None = None,
         raise DomainError("population range must satisfy 10 <= low < high")
 
     def one_cell(index: int, c: float, beta: float) -> SweepCell:
-        gamma_theory = gamma_of_beta(beta)
         cell_seed = seeding.derive_seed(seed, seeding.STREAM_CELL, index)
         try:
             schedule = log_uniform_schedule(
@@ -142,16 +145,11 @@ def run_sweep(c_values: Sequence[float] | None = None,
             totals = series_totals(schedule, config, protocol)
             fit = fit_gamma_tls(totals, bootstrap_reps=bootstrap_reps, seed=cell_seed)
         except GrowthlabError as exc:
-            return SweepCell(
-                c=c, beta=beta, inverse_beta=1.0 / beta,
-                gamma_fit=math.nan, gamma_theory=gamma_theory,
-                fit_quality=math.nan, status="failed", message=str(exc),
-            )
-        return SweepCell(
-            c=c, beta=beta, inverse_beta=1.0 / beta,
-            gamma_fit=fit.slope, gamma_theory=gamma_theory,
-            fit_quality=fit.adjusted_r2, status="ok",
-        )
+            return SweepCell(c=c, beta=beta, gamma_fit=math.nan,
+                             fit_quality=math.nan, status="failed",
+                             message=str(exc))
+        return SweepCell(c=c, beta=beta, gamma_fit=fit.slope,
+                         fit_quality=fit.adjusted_r2, status="ok")
 
     grid = [(c, beta) for c in cs for beta in betas]
     return [one_cell(index, c, beta) for index, (c, beta) in enumerate(grid)]
@@ -179,18 +177,11 @@ def compare_prediction(series, bins_per_decade: int = 5,
         rescaled, bins_per_decade=bins_per_decade,
         bootstrap_reps=bootstrap_reps, seed=seed,
     )
-    gamma_theory = gamma_of_beta(beta_fit.beta)
     gamma_fit = fit_gamma_tls(
         [(s.population, s.total_activity) for s in snapshots],
         bootstrap_reps=bootstrap_reps, seed=seed,
     )
-    low, high = gamma_fit.ci95_slope
-    return GrowthPrediction(
-        beta_fit=beta_fit,
-        gamma_theory=gamma_theory,
-        gamma_fit=gamma_fit,
-        consistent=bool(low <= gamma_theory <= high),
-    )
+    return GrowthPrediction(beta_fit=beta_fit, gamma_fit=gamma_fit)
 
 
 def collapse_check(series, beta_hypothesis: float | None = None,

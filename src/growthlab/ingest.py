@@ -23,11 +23,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-import itertools
 import json
 import math
 import operator
 import os
+import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
@@ -51,6 +51,9 @@ __all__ = [
 Day = Union[int, dt.date]
 
 _CSV_HEADER = ["user_id", "day", "count"]
+
+# A CSV cell is quoted when it holds any of these.
+_CSV_QUOTED = re.compile('[,"\r\n]')
 
 _SNAPSHOT_HEADER = ["day", "P", "F", "f_max"]
 
@@ -391,6 +394,7 @@ def _parse_snapshots(text: IO[str]) -> list[tuple[float, float]]:
         expected = "\t".join(_SNAPSHOT_HEADER)
         raise DataError(f"line 1: expected header {expected!r}")
     pairs = []
+    days = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -398,15 +402,25 @@ def _parse_snapshots(text: IO[str]) -> list[tuple[float, float]]:
         if len(cells) != 4:
             raise DataError(f"line {lineno}: expected 4 fields, got {len(cells)}")
         try:
-            population, activity = float(cells[1]), float(cells[2])
+            day = _parse_day(cells[0])
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
+        if day in days:
+            raise DataError(f"line {lineno}: day {_format_day(day)} repeats")
+        days.add(day)
+        try:
+            population, activity, f_max = map(float, cells[1:])
         except ValueError:
-            raise DataError(f"line {lineno}: P and F must be numeric") from None
+            raise DataError(f"line {lineno}: P, F and f_max must be numeric") from None
         # Also false for nan, which no comparison admits.
         if not (1.0 <= population < math.inf and 1.0 <= activity < math.inf):
             raise DataError(
                 f"line {lineno}: P and F must be finite and >= 1, "
                 f"got {cells[1].strip()!r} and {cells[2].strip()!r}"
             )
+        if not 1.0 <= f_max < math.inf:
+            raise DataError(f"line {lineno}: f_max must be finite and >= 1, "
+                            f"got {cells[3].strip()!r}")
         pairs.append((population, activity))
     return pairs
 
@@ -466,16 +480,15 @@ def _sniff_format(path: str, stream: io.BufferedReader) -> str:
     return "jsonl" if head.startswith("{") else "csv"
 
 
-def load_events(path: str, format: str | None = None) -> EventTable:
-    """parse_events on a file path. Without a format, the suffix (any case)
-    decides, then the first non-blank line, else CSV; a snapshot table
+def load_events(path: str) -> EventTable:
+    """parse_events on a file path, in the format its suffix (any case)
+    names, else its first non-blank line's, else CSV; a snapshot table
     raises DataError."""
     with open(path, "rb") as stream:
-        if format is None:
-            format = _sniff_format(path, stream)
-            if format == "snapshot":
-                raise DataError(f"{str(path)!r} is a snapshot table, not an event log")
-        return parse_events(stream, format=format)
+        format = _sniff_format(path, stream)
+        if format == "snapshot":
+            raise DataError(f"{str(path)!r} is a snapshot table, not an event log")
+        return parse_events(stream, format)
 
 
 def _day_sort_key(day: Day) -> tuple:
@@ -576,20 +589,19 @@ def aggregate(events: Iterable[ActivityEvent]) -> list[DailySnapshot]:
 
 
 def _csv_cells(users: Sequence[str]) -> list[str]:
-    """Each user id as csv.writer writes it, quoted where it holds , " \\r
-    or \\n. An id with surrounding whitespace raises DataError: reading
-    the CSV back would strip it."""
+    """Each user id as a CSV cell: an id that holds , " \\r or \\n is
+    quoted, with each " doubled, as csv.writer writes it. An id with
+    surrounding whitespace raises DataError: reading the CSV back would
+    strip it."""
+    cells = []
     for user in users:
         if user.strip() != user:
             raise DataError(f"user id {user!r} has surrounding whitespace, "
                             "which reading the CSV back would strip")
-    sink = io.StringIO()
-    # No row ends in "\r\n"; that terminator makes the writer quote "\r".
-    writer = csv.writer(sink, lineterminator="\r\n")
-    lengths = [writer.writerow((user,)) for user in users]  # chars written
-    text = sink.getvalue()
-    return [text[end - length:end - 2]
-            for end, length in zip(itertools.accumulate(lengths), lengths)]
+        if _CSV_QUOTED.search(user):
+            user = '"' + user.replace('"', '""') + '"'
+        cells.append(user)
+    return cells
 
 
 def _write_csv(table: EventTable) -> Iterator[str]:

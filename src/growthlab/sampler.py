@@ -49,11 +49,11 @@ __all__ = [
     "canonical_protocol",
 ]
 
-PROTOCOLS = ("coupled-truncation", "fixed-truncation", "unbounded")
-
 # Short protocol names; the CLI's --protocol takes exactly these.
 _PROTOCOL_ALIASES = {"coupled": "coupled-truncation", "fixed": "fixed-truncation",
                      "unbounded": "unbounded"}
+
+PROTOCOLS = tuple(_PROTOCOL_ALIASES.values())
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,10 @@ class SyntheticSeries:
 
     days: tuple[DailySnapshot, ...]
     generator_config: SamplerConfig
-    population_schedule: tuple[int, ...]
     protocol: str = "coupled-truncation"
 
-    def __post_init__(self) -> None:
-        if len(self.days) != len(self.population_schedule):
-            raise DomainError("one snapshot per scheduled day required")
+    population_schedule = property(
+        lambda self: tuple(day.population for day in self.days))
 
 
 def _inverse_cdf(beta: float, c: float, upper: float | None, u: np.ndarray):
@@ -284,12 +282,8 @@ def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
         _snapshot(day_index, population, x, config.integerize)
         for day_index, population, x in _schedule_draws(schedule, config, protocol)
     )
-    return SyntheticSeries(
-        days=snapshots,
-        generator_config=config,
-        population_schedule=tuple(int(p) for p in schedule),
-        protocol=protocol,
-    )
+    return SyntheticSeries(days=snapshots, generator_config=config,
+                           protocol=protocol)
 
 
 def series_totals(schedule: Sequence[int], config: SamplerConfig,

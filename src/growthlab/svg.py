@@ -135,14 +135,14 @@ def _padded_log_range(values: Sequence[float]) -> tuple[float, float]:
 
 
 def growth_scatter_svg(pairs: Sequence[tuple[float, float]], slope: float,
-                       intercept: float, title: str = "Daily growth") -> str:
+                       intercept: float) -> str:
     """Log-log scatter of (P, F) days with the orthogonal-fit line."""
     if len(pairs) < 2:
         raise DomainError("need at least 2 points to draw a scatter")
     frame = _Frame(_padded_log_range([p for p, _ in pairs]),
                    _padded_log_range([f for _, f in pairs]),
                    x_log=True, y_log=True)
-    elements = _axes(frame, "population P", "total activity F", title)
+    elements = _axes(frame, "population P", "total activity F", "Daily growth")
     line = []
     for t in range(51):
         lx = frame.x0 + (frame.x1 - frame.x0) * t / 50
@@ -153,7 +153,7 @@ def growth_scatter_svg(pairs: Sequence[tuple[float, float]], slope: float,
     return _document(elements)
 
 
-def sweep_svg(cells, title: str = "Growth exponent vs 1/beta") -> str:
+def sweep_svg(cells) -> str:
     """gamma against 1/beta for every ok cell, with the theoretical curve.
 
     Exactly one polyline of class "theory" is emitted; failed cells are
@@ -164,7 +164,8 @@ def sweep_svg(cells, title: str = "Growth exponent vs 1/beta") -> str:
     y_lo = min(0.9, min(gammas) - 0.05)
     y_hi = max(2.1, max(gammas) + 0.05)
     frame = _Frame((0.05, 1.02), (y_lo, y_hi))
-    elements = _axes(frame, "1/beta", "growth exponent gamma", title)
+    elements = _axes(frame, "1/beta", "growth exponent gamma",
+                     "Growth exponent vs 1/beta")
     curve = []
     for i in range(101):
         inv = 0.05 + (1.0 - 0.05) * i / 100
@@ -179,26 +180,24 @@ def sweep_svg(cells, title: str = "Growth exponent vs 1/beta") -> str:
     return _document(elements)
 
 
-def collapse_svg(snapshots, cloud: tuple, beta: float,
-                 title: str = "Distribution collapse",
-                 max_raw_days: int = 8) -> str:
+def collapse_svg(snapshots, cloud: tuple, beta: float) -> str:
     """Raw daily histograms beside the rescaled pooled cloud and its fit.
 
-    Left panel: n(f) vs f for up to max_raw_days evenly chosen days (raw
+    Left panel: n(f) vs f for up to 8 evenly chosen days (raw
     curves fan out with the daily cutoff). Right panel: the log-binned
     pooled cloud in (f/f_max, n) coordinates with the fitted power law,
     onto which all days collapse.
     """
     if len(snapshots) == 0:
         raise DomainError("need at least one day")
-    stride = max(1, len(snapshots) // max_raw_days)
-    chosen = list(snapshots)[::stride][:max_raw_days]
+    stride = max(1, len(snapshots) // 8)
+    chosen = list(snapshots)[::stride][:8]
     half = _WIDTH / 2
     levels = [lv for s in chosen for lv in s.levels.tolist()]
     counts = [ct for s in chosen for ct in s.counts.tolist()]
     left = _Frame(_padded_log_range(levels), _padded_log_range(counts),
                   x_log=True, y_log=True, right=18.0, width=half)
-    elements = _axes(left, "activity f", "users n(f)", title)
+    elements = _axes(left, "activity f", "users n(f)", "Distribution collapse")
     for i, snapshot in enumerate(chosen):
         color = _PALETTE[i % len(_PALETTE)]
         for level, count in zip(snapshot.levels.tolist(), snapshot.counts.tolist()):

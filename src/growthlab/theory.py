@@ -49,27 +49,17 @@ class Exponents:
 
     beta is the daily activity-distribution exponent, gamma the growth
     exponent of F ~ P^gamma, theta = gamma - 1 the exponent of the average
-    activity per user.
+    activity per user. gamma and theta are derived from beta.
     """
 
     beta: float
-    gamma: float
-    theta: float
 
     def __post_init__(self) -> None:
         if not self.beta > 1:
             raise DomainError(f"beta must exceed 1, got {self.beta}")
-        if not math.isclose(self.gamma, gamma_of_beta(self.beta), rel_tol=1e-12):
-            raise DomainError(
-                f"gamma {self.gamma} inconsistent with beta {self.beta}"
-            )
-        if not math.isclose(self.theta, self.gamma - 1.0, rel_tol=0.0, abs_tol=1e-12):
-            raise DomainError(f"theta {self.theta} != gamma - 1 = {self.gamma - 1.0}")
 
-    @classmethod
-    def from_beta(cls, beta: float) -> "Exponents":
-        gamma = gamma_of_beta(beta)
-        return cls(beta=beta, gamma=gamma, theta=gamma - 1.0)
+    gamma = property(lambda self: gamma_of_beta(self.beta))
+    theta = property(lambda self: self.gamma - 1.0)
 
 
 @dataclass(frozen=True)

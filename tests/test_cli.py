@@ -126,6 +126,8 @@ class TestSimulate:
             ["simulate", "--beta", "1.5", "--days", "0", "--out", out],
             ["simulate", "--beta", "1.5", "--pmin", "5000", "--pmax", "100",
              "--out", out],
+            ["simulate", "--beta", "1.5", "--pmin", "5000", "--pmax", "5000",
+             "--out", out],
             ["simulate", "--beta", "0.8", "--out", out],
             ["simulate", "--beta", "1.5", "--protocol", "fixed", "--out", out],
         ]
@@ -230,6 +232,16 @@ class TestFit:
         assert tables[0] == tables[1]
         assert tables[0][1].split("\t")[5] == "12"
 
+    def test_one_day_resamples_stay_out_of_the_interval(self, tmp_path, capsys):
+        # With 3 days, 3 of the 27 resamples draw one day three times.
+        path = tmp_path / "three.tsv"
+        path.write_text("day\tP\tF\tf_max\n0\t1007\t16004\t100\n"
+                        "1\t10000\t418012\t500\n2\t100000\t9699999\t3000\n")
+        code, stdout, _ = _run(capsys, "fit", "--input", str(path))
+        assert code == 0
+        gamma, _, low, high = map(float, _table_row(stdout)[:4])
+        assert 1.0 < low <= gamma <= high
+
     def test_missing_input_exits_two(self, capsys, tmp_path):
         code, _, stderr = _run(
             capsys, "fit", "--input", str(tmp_path / "absent.tsv")
@@ -240,8 +252,7 @@ class TestFit:
     def test_malformed_header_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
         path.write_text("population\tactivity\n1000\t2000\n")
-        code, _, stderr = _run(capsys, "fit", "--input", str(path),
-                               "--format", "snapshot")
+        code, _, stderr = _run(capsys, "fit", "--input", str(path))
         assert code == 2
         assert "line 1" in stderr
 
@@ -263,6 +274,27 @@ class TestFit:
         assert stderr.startswith("growthlab: line 4: P and F must be finite")
         assert "RuntimeWarning" not in stderr and "bracket" not in stderr
         assert stdout == ""
+
+    @pytest.mark.parametrize("row, message", [
+        ("foo\t1000\t15000\tbar", "day 'foo' is neither an ISO date nor an integer"),
+        ("2\t1000\t15000\tbar", "P, F and f_max must be numeric"),
+        ("2\t1000\t15000\t-5", "f_max must be finite and >= 1, got '-5'"),
+        ("2\t1000\t15000\tnan", "f_max must be finite and >= 1, got 'nan'"),
+        ("2\t1000\t15000\tinf", "f_max must be finite and >= 1, got 'inf'"),
+        ("2\t1000\t15000\t0.5", "f_max must be finite and >= 1, got '0.5'"),
+        ("1\t1000\t15000\t100", "day 1 repeats"),
+        (" 01\t1000\t15000\t100", "day 1 repeats"),
+    ], ids=["day-foo", "f_max-bar", "f_max-negative", "f_max-nan", "f_max-inf",
+            "f_max-below-one", "repeated-day", "repeated-padded-day"])
+    def test_bad_day_or_f_max_names_its_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.tsv"
+        _write_noiseless_snapshots(path, n_days=5)
+        lines = path.read_text().splitlines()
+        lines[3] = row
+        path.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = _run(capsys, "fit", "--input", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"growthlab: line 4: {message}\n"
 
 
 # Day d has 2**(d+1) users; user u logs u + d + 1 tags.
@@ -420,7 +452,6 @@ class TestPredict:
              "--out", str(out))
         code, _, stderr = _run(
             capsys, "predict", "--input", str(out / "snapshots.tsv"),
-            "--format", "auto",
         )
         assert code == 2
         assert "event log" in stderr
@@ -516,6 +547,19 @@ class TestSweep:
         code, _, stderr = _run(capsys, "sweep", "--beta-grid", "0.8", "--out", out)
         assert code == 1
         assert "exceed 1" in stderr
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--pmin", "5"], "argument --pmin: '5' must be >= 10"),
+        (["--days", "5"], "argument --days: '5' must be >= 10"),
+        (["--pmin", "5000", "--pmax", "5000"], "--pmax must exceed --pmin"),
+    ], ids=["pmin", "days", "pmax-equals-pmin"])
+    def test_population_and_day_flags_name_the_flag(self, tmp_path, capsys,
+                                                    flags, message):
+        code, stdout, stderr = _run(capsys, "sweep", "--beta-grid", "1.5",
+                                    "--c-values", "1", *flags,
+                                    "--out", str(tmp_path / "sweep"))
+        assert (code, stdout) == (1, "")
+        assert stderr == f"growthlab: error: {message}\n"
 
     def test_internal_failures_exit_three(self, tmp_path, capsys, monkeypatch):
         import growthlab.cli as cli_module

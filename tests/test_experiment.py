@@ -141,23 +141,11 @@ class TestRunSweep:
             )
 
     def test_cell_type_invariants(self):
-        with pytest.raises(DomainError, match="inverse_beta"):
-            SweepCell(
-                c=1.0,
-                beta=2.0,
-                inverse_beta=0.4,
-                gamma_fit=1.0,
-                gamma_theory=1.0,
-                fit_quality=0.99,
-                status="ok",
-            )
         with pytest.raises(DomainError, match="finite"):
             SweepCell(
                 c=1.0,
                 beta=2.0,
-                inverse_beta=0.5,
                 gamma_fit=math.nan,
-                gamma_theory=1.0,
                 fit_quality=0.99,
                 status="ok",
             )
@@ -237,7 +225,7 @@ class TestComparePrediction:
         with pytest.raises(DomainError, match="3 days"):
             compare_prediction(list(series.days)[:2], bootstrap_reps=0)
 
-    def test_contradictory_flag_is_rejected(self):
+    def test_flag_and_prediction_are_derived(self):
         beta_fit = BetaFit(
             beta=1.5,
             ci95_beta=(1.4, 1.6),
@@ -252,13 +240,9 @@ class TestComparePrediction:
             adjusted_r2=0.99,
             n_points=10,
         )
-        with pytest.raises(DomainError, match="consistent"):
-            GrowthPrediction(
-                beta_fit=beta_fit,
-                gamma_theory=2.0 / 1.5,
-                gamma_fit=gamma_fit,
-                consistent=False,
-            )
+        prediction = GrowthPrediction(beta_fit=beta_fit, gamma_fit=gamma_fit)
+        assert prediction.gamma_theory == 2.0 / 1.5
+        assert prediction.consistent
 
 
 class TestCollapseCheck:

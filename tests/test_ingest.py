@@ -131,7 +131,8 @@ class TestLoadEvents:
     def test_explicit_format_wins(self, tmp_path):
         path = tmp_path / "log.data"
         path.write_text(JSONL_SAMPLE)
-        assert len(gl.load_events(str(path), format="jsonl")) == 2
+        with open(path, "rb") as stream:
+            assert len(gl.parse_events(stream, "jsonl")) == 2
 
     @pytest.mark.parametrize("name", ["snapshots.tsv", "snapshots.TSV", "snapshots"])
     def test_snapshot_table_is_named_in_the_error(self, tmp_path, name):

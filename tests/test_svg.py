@@ -34,16 +34,15 @@ def _cells(n_ok, n_failed=0):
     for i in range(n_ok):
         beta = 1.1 + 8.0 * i / max(1, n_ok - 1)
         cells.append(SweepCell(
-            c=float(1 + i % 10), beta=beta, inverse_beta=1.0 / beta,
+            c=float(1 + i % 10), beta=beta,
             gamma_fit=2.0 / beta if beta < 2 else 1.0,
-            gamma_theory=2.0 / beta if beta < 2 else 1.0,
             fit_quality=0.99, status="ok",
         ))
     for i in range(n_failed):
         beta = 9.0 + i
         cells.append(SweepCell(
-            c=10.0, beta=beta, inverse_beta=1.0 / beta,
-            gamma_fit=math.nan, gamma_theory=1.0, fit_quality=math.nan,
+            c=10.0, beta=beta,
+            gamma_fit=math.nan, fit_quality=math.nan,
             status="failed", message="cutoff collapsed",
         ))
     return cells

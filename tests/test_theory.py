@@ -69,18 +69,15 @@ class TestThetaOfGamma:
 
 
 class TestExponents:
-    def test_from_beta_builds_consistent_triple(self):
-        e = Exponents.from_beta(1.41)
+    def test_beta_gives_a_consistent_triple(self):
+        e = Exponents(1.41)
         assert e.gamma == pytest.approx(2.0 / 1.41, rel=1e-15)
         assert e.theta == pytest.approx(e.gamma - 1.0, abs=1e-15)
 
-    def test_rejects_gamma_off_the_curve(self):
+    @pytest.mark.parametrize("beta", [1.0, 0.5, math.nan])
+    def test_rejects_beta_at_or_below_one(self, beta):
         with pytest.raises(DomainError):
-            Exponents(beta=1.5, gamma=1.2, theta=0.2)
-
-    def test_rejects_theta_mismatch(self):
-        with pytest.raises(DomainError):
-            Exponents(beta=1.5, gamma=2.0 / 1.5, theta=0.4)
+            Exponents(beta)
 
 
 class TestMomentPair:
