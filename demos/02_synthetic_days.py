@@ -66,7 +66,7 @@ print(f"collapse quality (adjusted R^2): {quality:.4f}")
 # Scoring against a hypothesis pins the slope instead of fitting it:
 # the true exponent scores essentially as well as the free fit, a wrong
 # one visibly worse.
-rescaled = [rescale_histogram(s.histogram, s.day) for s in series.days]
+rescaled = [rescale_histogram(s) for s in series.days]
 for hypothesis in (BETA, BETA + 0.4):
     score = score_against_beta(rescaled, hypothesis)
     print(f"score against fixed beta {hypothesis:.2f}: {score:.4f}")

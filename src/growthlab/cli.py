@@ -77,22 +77,33 @@ _nonnegative_int = _bounded_int(0)
 _seed_int = _bounded_int(0, 2**64, "seed must fit in 64 bits")
 
 
-def _beta_value(text: str) -> float:
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 1:
-        raise argparse.ArgumentTypeError("beta must exceed 1")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+
+
+def _beta_value(text: str) -> float:
+    value = _number(text)
+    if not 1 < value < math.inf:  # also true for nan
+        raise argparse.ArgumentTypeError("beta must be finite and exceed 1")
     return value
 
 
-def _float_list(text: str) -> list[float]:
-    items = [piece for piece in text.split(",") if piece.strip()]
-    try:
-        return [float(piece) for piece in items]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list")
+def _cutoff_value(text: str) -> float:
+    value = _number(text)
+    if not 1 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"cutoff must be finite and >= 1, got {text.strip()!r}")
+    return value
+
+
+def _list_of(parse):
+    """An argparse type for comma-separated values, each read by parse."""
+    def parse_list(text: str) -> list:
+        return [parse(piece) for piece in text.split(",") if piece.strip()]
+    return parse_list
 
 
 def _write_text(path: str, text: str) -> None:
@@ -146,6 +157,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     protocol = canonical_protocol(args.protocol)
     if protocol == "fixed-truncation" and args.upper_cutoff is None:
         raise _UsageError("--protocol fixed requires --upper-cutoff")
+    if args.upper_cutoff is not None and not args.upper_cutoff > args.c:
+        raise _UsageError("--upper-cutoff must exceed --c")
     config = SamplerConfig(
         beta=args.beta, lower_cutoff=args.c, upper_cutoff=args.upper_cutoff,
         integerize=args.integerize, seed=args.seed,
@@ -213,8 +226,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     betas = args.beta_grid
     if betas is not None and not betas:
         raise _UsageError("--beta-grid must name at least one beta")
-    if betas is not None and any(b <= 1 for b in betas):
-        raise _UsageError("every beta in --beta-grid must exceed 1")
     c_values = args.c_values
     if c_values is not None and not c_values:
         raise _UsageError("--c-values must name at least one cutoff")
@@ -272,7 +283,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
     if args.beta is not None:
         print(f"# hypothesis beta {_fmt(args.beta)}: adj_r2 {_fmt(quality)}")
     if args.svg:
-        rescaled = [rescale_histogram(s.histogram, s.day) for s in snapshots]
+        rescaled = [rescale_histogram(s) for s in snapshots]
         cloud = binned_cloud(rescaled, args.bins_per_decade)
         _write_text(args.svg, collapse_svg(snapshots, cloud, fit.beta))
         print(f"# wrote {args.svg}")
@@ -289,11 +300,11 @@ def build_parser() -> _Parser:
 
     simulate = sub.add_parser("simulate", help="synthesize an activity series")
     simulate.add_argument("--beta", type=_beta_value, required=True)
-    simulate.add_argument("--c", type=float, default=1.0,
+    simulate.add_argument("--c", type=_cutoff_value, default=1.0,
                           help="lower activity cutoff (default 1)")
     simulate.add_argument("--protocol", choices=sorted(_PROTOCOL_ALIASES),
                           default="coupled")
-    simulate.add_argument("--upper-cutoff", type=float, default=None,
+    simulate.add_argument("--upper-cutoff", type=_cutoff_value, default=None,
                           help="cutoff for --protocol fixed")
     simulate.add_argument("--days", type=_positive_int, default=100)
     simulate.add_argument("--pmin", type=_positive_int, default=1000)
@@ -324,9 +335,9 @@ def build_parser() -> _Parser:
     predict.set_defaults(func=cmd_predict)
 
     sweep = sub.add_parser("sweep", help="Monte Carlo sweep over (C, beta)")
-    sweep.add_argument("--c-values", type=_float_list, default=None,
+    sweep.add_argument("--c-values", type=_list_of(_cutoff_value), default=None,
                        help="comma-separated cutoffs (default 1..10)")
-    sweep.add_argument("--beta-grid", type=_float_list, default=None,
+    sweep.add_argument("--beta-grid", type=_list_of(_beta_value), default=None,
                        help="comma-separated betas (default 40 values in (1,10])")
     sweep.add_argument("--days", type=_bounded_int(10), default=100)
     sweep.add_argument("--pmin", type=_bounded_int(10), default=100)

@@ -32,13 +32,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from . import seeding
 from .errors import DomainError, EstimationError
-from .ingest import _Histogram
+from .ingest import DailySnapshot
 
 __all__ = [
     "TlsFit",
@@ -92,13 +92,13 @@ class BetaFit:
             raise DomainError("ci95_beta must bracket beta")
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class RescaledHistogram:
     """One day's histogram in master-curve coordinates (f/f_max, n).
 
-    Held as read-only arrays: rel, the relative activities f/f_max, and
-    counts, the user count at each. The constructor takes, and points
-    gives, the same data as (rel, count) pairs.
+    Held as read-only float arrays of one length, copied on construction:
+    rel, the relative activities f/f_max, and counts, the user count at
+    each.
     """
 
     rel: np.ndarray
@@ -106,11 +106,11 @@ class RescaledHistogram:
     source_day: Hashable
     f_max: float
 
-    def __init__(self, points: Sequence[tuple[float, float]],
-                 source_day: Hashable, f_max: float) -> None:
-        pairs = np.array(points, dtype=float).reshape(-1, 2)
-        pairs.flags.writeable = False
-        rel, counts = pairs.T
+    def __post_init__(self) -> None:
+        rel = np.array(self.rel, dtype=float)
+        counts = np.array(self.counts, dtype=float)
+        if rel.ndim != 1 or rel.shape != counts.shape:
+            raise DomainError("rel and counts must be 1-D and of one length")
         if not len(rel):
             raise DomainError("a rescaled histogram needs at least one point")
         if not math.isclose(rel.max(), 1.0, rel_tol=1e-12):
@@ -120,19 +120,9 @@ class RescaledHistogram:
             raise DomainError(f"relative activity {rel[bad][0]} outside (0, 1]")
         if not (counts > 0).all():
             raise DomainError(f"count {counts[~(counts > 0)][0]} must be positive")
-        for name, value in zip(("rel", "counts", "source_day", "f_max"),
-                               (rel, counts, source_day, f_max)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.rel.tolist(), self.counts.tolist()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RescaledHistogram):
-            return NotImplemented
-        return (self.points, self.source_day, self.f_max) \
-            == (other.points, other.source_day, other.f_max)
+        for name, array in (("rel", rel), ("counts", counts)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def _tls_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -268,20 +258,16 @@ def fit_gamma_ols(series: Iterable[tuple[float, float]]) -> tuple[float, float]:
     return _ols_line(x, y)
 
 
-def rescale_histogram(histogram: Mapping[float, float],
-                      source_day: Hashable = None) -> RescaledHistogram:
-    """Map a day's histogram {f: n(f)} onto master-curve coordinates.
+def rescale_histogram(snapshot: DailySnapshot) -> RescaledHistogram:
+    """Map a day's histogram n(f) onto master-curve coordinates.
 
     Divides every activity level by the day's own maximum, which is the
     realized stand-in for the cutoff; by construction the rightmost point
-    lands at relative activity 1.0 with count >= 1. A snapshot's histogram
-    is read as its arrays.
+    lands at relative activity 1.0 with count >= 1.
     """
-    histogram = _Histogram.of(histogram)
-    f_max = float(histogram.levels[-1])
-    return RescaledHistogram(
-        np.column_stack((histogram.levels / f_max, histogram.counts)),
-        source_day, f_max)
+    f_max = snapshot.f_max
+    return RescaledHistogram(snapshot.levels / f_max, snapshot.counts,
+                             snapshot.day, f_max)
 
 
 def _bin_indices(rel: np.ndarray, bins_per_decade: int) -> np.ndarray:

@@ -128,6 +128,9 @@ def run_sweep(c_values: Sequence[float] | None = None,
     for beta in betas:
         if not beta > 1:
             raise DomainError(f"beta must exceed 1, got {beta}")
+    for c in cs:
+        if not c >= 1:  # also true for nan
+            raise DomainError(f"lower cutoff must be >= 1, got {c}")
     if days_per_cell < 10:
         raise DomainError("need at least 10 days per cell")
     low, high = population_range
@@ -172,7 +175,7 @@ def compare_prediction(series, bins_per_decade: int = 5,
     snapshots = _snapshots(series)
     if len(snapshots) < 3:
         raise DomainError("need at least 3 days to compare growth against theory")
-    rescaled = [rescale_histogram(s.histogram, s.day) for s in snapshots]
+    rescaled = [rescale_histogram(s) for s in snapshots]
     beta_fit = pool_and_fit_beta(
         rescaled, bins_per_decade=bins_per_decade,
         bootstrap_reps=bootstrap_reps, seed=seed,
@@ -197,7 +200,7 @@ def collapse_check(series, beta_hypothesis: float | None = None,
     snapshots = _snapshots(series)
     if len(snapshots) < 2:
         raise DomainError("need at least 2 days for a collapse check")
-    rescaled = [rescale_histogram(s.histogram, s.day) for s in snapshots]
+    rescaled = [rescale_histogram(s) for s in snapshots]
     fit = pool_and_fit_beta(
         rescaled, bins_per_decade=bins_per_decade,
         bootstrap_reps=bootstrap_reps, seed=seed,

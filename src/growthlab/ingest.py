@@ -14,8 +14,10 @@ A log is read as a stream, one row at a time, into an ``EventTable``: the
 distinct day values, the distinct user ids, and per-row int64 arrays of
 day code, user code and count. Each distinct day text is parsed once, and
 day texts naming the same day (``5``, `` 5``, ``05``) share a code.
-``aggregate`` sums and histograms those arrays with numpy. The table is
-still a sequence of ``ActivityEvent`` for code that wants rows.
+``aggregate`` sums and histograms those arrays with numpy into one
+``DailySnapshot`` per day, whose histogram is two arrays, ``levels`` and
+``counts``. ``EventTable.from_rows`` builds a table from hand-written
+``(user_id, day, count)`` rows.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ import datetime as dt
 import io
 import json
 import math
-import operator
 import os
 import re
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
@@ -37,7 +38,6 @@ import numpy as np
 from .errors import DataError, DomainError
 
 __all__ = [
-    "ActivityEvent",
     "DailySnapshot",
     "EventTable",
     "parse_events",
@@ -63,139 +63,73 @@ _FORMAT_BY_SUFFIX = {".tsv": "snapshot", ".csv": "csv", ".jsonl": "jsonl",
 _INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class ActivityEvent:
-    """One user's tag count on one day."""
+@dataclass(frozen=True, eq=False)
+class DailySnapshot:
+    """One day's aggregate state: total activity and histogram.
 
-    user_id: str
-    day: Day
-    count: int
-
-    def __post_init__(self) -> None:
-        if not self.user_id:
-            raise DataError("user_id must be non-empty")
-        if isinstance(self.count, bool) or not isinstance(self.count, int):
-            raise DataError(f"count must be an integer, got {self.count!r}")
-        if self.count < 1:
-            raise DataError(f"count must be >= 1, got {self.count}")
-        if isinstance(self.day, bool) or not isinstance(self.day, (int, dt.date)):
-            raise DataError(f"day must be a date or integer index, got {self.day!r}")
-
-
-class _Histogram(Mapping):
-    """A read-only {level: user count} Mapping over two arrays sorted by level.
-
-    Levels come out as Python ints from an integer array and as floats
-    from a float array; they must be positive, and there must be one.
-    Equality with any Mapping compares arrays.
+    The histogram is held as read-only 1-D arrays sorted by level:
+    ``levels``, the activity levels f (tags per user that day), positive
+    and strictly increasing, and ``counts``, n(f) >= 1, the number of
+    users that produced exactly f tags. The constructor copies both, and
+    checks that sum f*n(f) == total_activity. ``population`` (sum n(f))
+    and ``f_max`` (the largest level) are read from the arrays. Snapshots
+    compare equal by value, arrays included.
     """
 
-    __slots__ = ("levels", "counts")
+    day: Day
+    total_activity: float
+    levels: np.ndarray
+    counts: np.ndarray
 
-    def __init__(self, levels: np.ndarray, counts: np.ndarray) -> None:
+    def __post_init__(self) -> None:
+        levels, counts = np.array(self.levels), np.array(self.counts)
+        if levels.ndim != 1 or levels.shape != counts.shape:
+            raise DomainError("levels and counts must be 1-D and of one length")
         if not len(levels):
             raise DomainError("histogram must be non-empty")
+        if levels.dtype.kind not in "iuf" or counts.dtype.kind not in "iu":
+            raise DomainError("levels must be numbers and counts integers")
         bad = ~(levels > 0)  # also true for nan
         if bad.any():
             raise DomainError(f"activity level must be positive, got {levels[bad][0]}")
-        levels.flags.writeable = False
-        counts.flags.writeable = False
-        self.levels, self.counts = levels, counts
-
-    @classmethod
-    def of(cls, histogram: Mapping) -> "_Histogram":
-        """A view as it is, or any other mapping's items sorted by level."""
-        if isinstance(histogram, cls):
-            return histogram
-        levels = np.array(list(histogram))
-        counts = np.array(list(histogram.values()))
-        order = np.argsort(levels, kind="stable")
-        return cls(levels[order], counts[order])
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.levels.tolist())
-
-    def __getitem__(self, level):
-        try:
-            index = int(np.searchsorted(self.levels, level))
-        except TypeError:  # a key no level compares with
-            raise KeyError(level) from None
-        if index == len(self.levels) or self.levels[index] != level:
-            raise KeyError(level)
-        return self.counts[index].item()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        try:
-            other = _Histogram.of(other)
-        except (TypeError, ValueError):  # not a histogram at all
-            return False
-        return (np.array_equal(self.levels, other.levels)
-                and np.array_equal(self.counts, other.counts))
-
-
-@dataclass(frozen=True)
-class DailySnapshot:
-    """One day's aggregate state: population, total activity and histogram.
-
-    The histogram is held as read-only arrays sorted by level: ``levels``,
-    the activity levels f (tags per user that day), and ``counts``, n(f),
-    the number of users that produced exactly f tags. ``histogram`` is a
-    read-only {f: n(f)} Mapping over them; any Mapping is accepted on
-    construction. Consistency is enforced on construction: sum n(f) ==
-    population, sum f*n(f) == total_activity, f_max == max level.
-    """
-
-    day: Day
-    population: int
-    total_activity: float
-    histogram: Mapping[float, int] = field(repr=False)
-    f_max: float
-
-    def __post_init__(self) -> None:
-        histogram = _Histogram.of(self.histogram)
-        object.__setattr__(self, "histogram", histogram)
-        levels, counts = histogram.levels, histogram.counts
+        if not (np.diff(levels) > 0).all():
+            raise DomainError("activity levels must be strictly increasing")
         if counts.min() < 1:
             raise DomainError(f"user count must be >= 1, got {counts.min()}")
-        users = counts.sum()
-        if users != self.population:
-            raise DomainError(
-                f"population {self.population} != histogram user total {users}"
-            )
         # In floats: an int64 product could wrap.
         total = float(levels @ counts.astype(float))
         if not math.isclose(total, self.total_activity, rel_tol=1e-9, abs_tol=1e-6):
             raise DomainError(
                 f"total_activity {self.total_activity} != histogram sum {total}"
             )
-        if not math.isclose(float(levels[-1]), self.f_max, rel_tol=1e-12):
-            raise DomainError(f"f_max {self.f_max} != max activity level {levels[-1]}")
+        for name, array in (("levels", levels), ("counts", counts)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    levels = property(lambda self: self.histogram.levels)
-    counts = property(lambda self: self.histogram.counts)
+    population = property(lambda self: int(self.counts.sum()))
+    f_max = property(lambda self: float(self.levels[-1]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DailySnapshot):
+            return NotImplemented
+        return ((self.day, self.total_activity) == (other.day, other.total_activity)
+                and np.array_equal(self.levels, other.levels)
+                and np.array_equal(self.counts, other.counts))
 
 
-class EventTable(Sequence):
+class EventTable:
     """An event log in columns.
 
     Row i is user ``users[user_codes[i]]`` with ``counts[i]`` tags on day
     ``days[day_codes[i]]``. ``days`` and ``users`` hold distinct values;
-    the three columns are read-only int64 arrays of one length. The table
-    is a Sequence of ActivityEvent (len, indexing, iteration) and compares
-    equal to any sequence of the same events in the same order.
+    the three columns are read-only int64 arrays of one length.
     """
 
     __slots__ = ("days", "users", "day_codes", "user_codes", "counts")
-    __hash__ = None  # mutable-sequence equality, like list
 
     def __init__(self, days: Iterable[Day], users: Iterable[str],
                  day_codes, user_codes, counts) -> None:
-        self.days = tuple(days)
+        self.days = tuple(map(_check_day, days))
         self.users = tuple(users)
         try:
             columns = [np.asarray(column, dtype=np.int64)
@@ -206,9 +140,6 @@ class EventTable(Sequence):
                for column in columns):
             raise DataError("day_codes, user_codes and counts must be "
                             "1-D and of one length")
-        for day in self.days:
-            if isinstance(day, bool) or not isinstance(day, (int, dt.date)):
-                raise DataError(f"day must be a date or integer index, got {day!r}")
         if len(set(self.days)) != len(self.days):
             raise DataError("days must be distinct")
         # Dict keys are distinct already; skip the set that would prove it.
@@ -225,29 +156,18 @@ class EventTable(Sequence):
             column.flags.writeable = False
         self.day_codes, self.user_codes, self.counts = columns
 
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, Day, int]]) -> "EventTable":
+        """A table of (user_id, day, count) rows in their order. A user id
+        must be non-empty, a day an int or a date, and a count an int in
+        [1, 2^63 - 1]; anything else raises DataError."""
+        builder = _TableBuilder()
+        for user_id, day, count in rows:
+            builder.add(_check_day(day), user_id, _check_count(count))
+        return builder.table()
+
     def __len__(self) -> int:
         return len(self.counts)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = operator.index(index)
-        return ActivityEvent(self.users[self.user_codes[index]],
-                             self.days[self.day_codes[index]],
-                             int(self.counts[index]))
-
-    def __iter__(self) -> Iterator[ActivityEvent]:
-        users, days = self.users, self.days
-        for user, day, count in zip(self.user_codes.tolist(),
-                                    self.day_codes.tolist(),
-                                    self.counts.tolist()):
-            yield ActivityEvent(users[user], days[day], count)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            mine == theirs for mine, theirs in zip(self, other))
 
     def __repr__(self) -> str:
         return (f"EventTable({len(self)} events, {len(self.days)} days, "
@@ -272,6 +192,11 @@ class _TableBuilder:
             raise DataError("user_id must be non-empty")
         return self.users.setdefault(user_id, len(self.users))
 
+    def add(self, day: Day, user_id: str, count: int) -> None:
+        self.day_codes.append(self.day_code(day))
+        self.user_codes.append(self.user_code(user_id))
+        self.counts.append(count)
+
     def table(self) -> EventTable:
         return EventTable(self.days, self.users, self.day_codes,
                           self.user_codes, self.counts)
@@ -290,21 +215,29 @@ def _parse_day(text: str) -> Day:
         raise DataError(f"day {text!r} is neither an ISO date nor an integer") from None
 
 
-def _parse_count(raw: object) -> int:
-    if isinstance(raw, str):
-        try:
-            count = int(raw)  # int() itself ignores surrounding whitespace
-        except ValueError:
-            raise DataError(f"count {raw!r} is not an integer") from None
-    elif isinstance(raw, int) and not isinstance(raw, bool):
-        count = raw
-    else:
-        raise DataError(f"count must be an integer, got {raw!r}")
+def _check_day(day: object) -> Day:
+    if isinstance(day, bool) or not isinstance(day, (int, dt.date)):
+        raise DataError(f"day must be a date or integer index, got {day!r}")
+    return day
+
+
+def _check_count(count: object) -> int:
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise DataError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise DataError(f"count must be >= 1, got {count}")
     if count > _INT64_MAX:
         raise DataError(f"count {count} does not fit in 64 bits")
     return count
+
+
+def _parse_count(raw: object) -> int:
+    if isinstance(raw, str):
+        try:
+            raw = int(raw)  # int() itself ignores surrounding whitespace
+        except ValueError:
+            raise DataError(f"count {raw!r} is not an integer") from None
+    return _check_count(raw)
 
 
 def _parse_csv(text: IO[str]) -> EventTable:
@@ -377,19 +310,18 @@ def _parse_jsonl(text: IO[str]) -> EventTable:
             if isinstance(day_raw, bool):
                 raise DataError(f"day {day_raw!r} is neither an ISO date nor an integer")
             day = day_raw if isinstance(day_raw, int) else _parse_day(str(day_raw))
-            day_code = builder.day_code(day)
-            count = _parse_count(record["count"])
-            user_code = builder.user_code(str(record["user_id"]))
+            builder.add(day, str(record["user_id"]), _parse_count(record["count"]))
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
-        builder.day_codes.append(day_code)
-        builder.user_codes.append(user_code)
-        builder.counts.append(count)
     return builder.table()
 
 
 def _parse_snapshots(text: IO[str]) -> list[tuple[float, float]]:
-    lines = text.read().splitlines()
+    # Only \n and \r\n end a line; str.splitlines would also break at \f,
+    # \x85, \u2028 and more, and misnumber every line after them.
+    lines = [line.removesuffix("\r") for line in text.read().split("\n")]
+    if lines[-1] == "":
+        lines.pop()
     if lines and [cell.strip() for cell in lines[0].split("\t")] != _SNAPSHOT_HEADER:
         expected = "\t".join(_SNAPSHOT_HEADER)
         raise DataError(f"line 1: expected header {expected!r}")
@@ -517,17 +449,6 @@ def _snapshots_tsv(snapshots: Iterable[DailySnapshot]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _as_table(events: Iterable[ActivityEvent]) -> EventTable:
-    if isinstance(events, EventTable):
-        return events
-    builder = _TableBuilder()
-    for event in events:
-        builder.day_codes.append(builder.day_code(event.day))
-        builder.user_codes.append(builder.user_code(event.user_id))
-        builder.counts.append(_parse_count(event.count))
-    return builder.table()
-
-
 def _ranking(values: Sequence) -> tuple[list[int], np.ndarray]:
     """The indices of values in ascending order, and each index's rank."""
     order = sorted(range(len(values)), key=values.__getitem__)
@@ -536,16 +457,14 @@ def _ranking(values: Sequence) -> tuple[list[int], np.ndarray]:
     return order, rank
 
 
-def aggregate(events: Iterable[ActivityEvent]) -> list[DailySnapshot]:
+def aggregate(table: EventTable) -> list[DailySnapshot]:
     """Collapse an event log into per-day snapshots.
 
-    events is an EventTable or any iterable of ActivityEvent. Multiple
-    events for the same (user, day) pair sum their counts; a sum above
-    2^63 - 1 raises DataError. Days come back sorted ascending; days with
-    no events simply do not appear. The result is invariant under
-    permutation of the input.
+    Multiple events for the same (user, day) pair sum their counts; a sum
+    above 2^63 - 1 raises DataError. Days come back sorted ascending; days
+    with no events simply do not appear. The result is invariant under
+    permutation of the rows.
     """
-    table = _as_table(events)
     if not len(table):
         return []
     day_order, day_rank = _ranking(list(map(_day_sort_key, table.days)))
@@ -578,11 +497,10 @@ def aggregate(events: Iterable[ActivityEvent]) -> list[DailySnapshot]:
         snapshots.append(
             DailySnapshot(
                 day=table.days[code],
-                population=len(user_totals),
                 total_activity=float(user_totals.sum()),
                 # Every total fits in int64 now, exact sums or not.
-                histogram=_Histogram(levels.astype(np.int64, copy=False), users),
-                f_max=float(levels[-1]),
+                levels=levels.astype(np.int64, copy=False),
+                counts=users,
             )
         )
     return snapshots
@@ -626,23 +544,22 @@ def _write_csv(table: EventTable) -> Iterator[str]:
     return chunks()
 
 
-def export_events_csv(events: Iterable[ActivityEvent]) -> str:
-    """Serialize events as the canonical CSV interchange text.
+def export_events_csv(table: EventTable) -> str:
+    """Serialize an event table as the canonical CSV interchange text.
 
-    events is an EventTable or any iterable of ActivityEvent. Rows are
-    ordered by (day, user_id lexicographic); rows of one user on one day
-    keep their input order. So equal inputs give byte-identical text, the
-    text is a function of the event multiset when no (user, day) pair
-    repeats, and parse_events(export_events_csv(events)) returns the same
-    events up to ordering; so a user id with surrounding whitespace, which
-    that parse would strip, raises DataError.
+    Rows are ordered by (day, user_id lexicographic); rows of one user on
+    one day keep their input order. So equal inputs give byte-identical
+    text, the text is a function of the event multiset when no (user, day)
+    pair repeats, and parse_events(export_events_csv(table)) returns the
+    same events up to ordering; so a user id with surrounding whitespace,
+    which that parse would strip, raises DataError.
     """
-    return "".join(_write_csv(_as_table(events)))
+    return "".join(_write_csv(table))
 
 
-def write_events_csv(events: Iterable[ActivityEvent], path: str) -> None:
+def write_events_csv(table: EventTable, path: str) -> None:
     """export_events_csv streamed to a file, a day at a time (UTF-8, \\n
     line endings). A DataError is raised before the file is created."""
-    chunks = _write_csv(_as_table(events))
+    chunks = _write_csv(table)
     with open(path, "w", encoding="utf-8", newline="\n") as sink:
         sink.writelines(chunks)

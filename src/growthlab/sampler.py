@@ -32,7 +32,7 @@ import numpy as np
 
 from . import seeding
 from .errors import DomainError
-from .ingest import DailySnapshot, EventTable, _Histogram
+from .ingest import DailySnapshot, EventTable
 from .theory import cutoff_for_population
 
 __all__ = [
@@ -169,16 +169,10 @@ def _total(x: np.ndarray, integerize: bool) -> float:
     return float(sum(x.tolist()))
 
 
-def _snapshot(day_index: int, population: int, x: np.ndarray,
-              integerize: bool) -> DailySnapshot:
+def _snapshot(day_index: int, x: np.ndarray, integerize: bool) -> DailySnapshot:
     levels, counts = np.unique(x, return_counts=True)
-    return DailySnapshot(
-        day=day_index,
-        population=int(population),
-        total_activity=_total(x, integerize),
-        histogram=_Histogram(levels, counts),
-        f_max=float(levels[-1]),
-    )
+    return DailySnapshot(day=day_index, total_activity=_total(x, integerize),
+                         levels=levels, counts=counts)
 
 
 def synthesize_day(day_index: int, population: int,
@@ -191,7 +185,7 @@ def synthesize_day(day_index: int, population: int,
     """
     _check_population(population)
     x = _draw(day_index, population, config, config.upper_cutoff)
-    return _snapshot(day_index, population, x, config.integerize)
+    return _snapshot(day_index, x, config.integerize)
 
 
 def day_totals(day_index: int, population: int,
@@ -279,8 +273,8 @@ def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
     """
     protocol = canonical_protocol(protocol)
     snapshots = tuple(
-        _snapshot(day_index, population, x, config.integerize)
-        for day_index, population, x in _schedule_draws(schedule, config, protocol)
+        _snapshot(day_index, x, config.integerize)
+        for day_index, _, x in _schedule_draws(schedule, config, protocol)
     )
     return SyntheticSeries(days=snapshots, generator_config=config,
                            protocol=protocol)

@@ -30,6 +30,13 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _rows(table):
+    """An event table's (user_id, day, count) rows, in order."""
+    return [(table.users[user], table.days[day], count) for user, day, count
+            in zip(table.user_codes.tolist(), table.day_codes.tolist(),
+                   table.counts.tolist())]
+
+
 def _table_row(stdout, index=1):
     lines = [line for line in stdout.splitlines() if not line.startswith("#")]
     return lines[index].split("\t")
@@ -102,6 +109,29 @@ class TestSimulate:
                              "b6c354e52a0a47ea745aea7e5b84e024",
         }
 
+    def test_read_side_bytes_are_pinned(self, tmp_path, capsys):
+        # Digests of predict's table and collapse's figure on the run above,
+        # taken while snapshots still carried a {level: count} mapping.
+        out = tmp_path / "run"
+        assert _run(capsys, "simulate", "--beta", "1.6", "--days", "6",
+                    "--pmin", "1000", "--pmax", "10000", "--seed", "11",
+                    "--integerize", "--out", str(out))[0] == 0
+        events, svg = str(out / "events.csv"), out / "collapse.svg"
+        code, stdout, _ = _run(capsys, "predict", "--input", events)
+        assert code == 0
+        table = "".join(line + "\n" for line in stdout.splitlines()
+                        if not line.startswith("# manifest"))
+        assert _run(capsys, "collapse", "--beta", "1.6", "--input", events,
+                    "--svg", str(svg))[0] == 0
+        digests = {"predict": hashlib.sha256(table.encode()).hexdigest(),
+                   "collapse.svg": hashlib.sha256(svg.read_bytes()).hexdigest()}
+        assert digests == {
+            "predict": "1ec4a8f5c52a46ca01fe3692252b40e5"
+                       "62b6701f7e9ebb7cde48b65db8860929",
+            "collapse.svg": "66e90d7b3e92eee038c7548781343e31"
+                            "31ce5bc00cfd73e55c60e667e7e33cf1",
+        }
+
     def test_integerized_events_reproduce_the_snapshots(self, tmp_path, capsys):
         out = tmp_path / "run"
         code, _, _ = _run(
@@ -129,12 +159,30 @@ class TestSimulate:
             ["simulate", "--beta", "1.5", "--pmin", "5000", "--pmax", "5000",
              "--out", out],
             ["simulate", "--beta", "0.8", "--out", out],
+            ["simulate", "--beta", "inf", "--out", out],
             ["simulate", "--beta", "1.5", "--protocol", "fixed", "--out", out],
         ]
         for argv in cases:
             code, _, stderr = _run(capsys, *argv)
             assert code == 1
             assert "error" in stderr
+        cutoff = "cutoff must be finite and >= 1, got"
+        for flags, message in [
+            (["--c", "0.5"], f"argument --c: {cutoff} '0.5'"),
+            (["--c", "nan"], f"argument --c: {cutoff} 'nan'"),
+            (["--c", "inf"], f"argument --c: {cutoff} 'inf'"),
+            (["--protocol", "fixed", "--upper-cutoff", "nan"],
+             f"argument --upper-cutoff: {cutoff} 'nan'"),
+            (["--protocol", "fixed", "--upper-cutoff", "0"],
+             f"argument --upper-cutoff: {cutoff} '0'"),
+            (["--protocol", "fixed", "--c", "3", "--upper-cutoff", "3"],
+             "--upper-cutoff must exceed --c"),
+            (["--c", "5", "--upper-cutoff", "2"], "--upper-cutoff must exceed --c"),
+        ]:
+            code, stdout, stderr = _run(capsys, "simulate", "--beta", "1.5",
+                                        *flags, "--out", out)
+            assert (code, stdout) == (1, "")
+            assert stderr == f"growthlab: error: {message}\n"
 
     @pytest.mark.parametrize("protocol, ok", [
         ("coupled", True), ("fixed", True), ("unbounded", True),
@@ -296,6 +344,23 @@ class TestFit:
         assert (code, stdout) == (2, "")
         assert stderr == f"growthlab: line 4: {message}\n"
 
+    @pytest.mark.parametrize("separator, lineno", [
+        ("\x0b", 3), ("\x0c", 3), ("\x85", 3), ("\u2028", 3), ("\u2029", 3),
+        # float() does not strip these, so line 2 itself is bad.
+        ("\x1c", 2), ("\x1d", 2), ("\x1e", 2),
+    ])
+    def test_only_newlines_end_a_line(self, tmp_path, capsys, separator, lineno):
+        # A character str.splitlines breaks at ends line 2; line 3 is bad.
+        path = tmp_path / "bad.tsv"
+        _write_noiseless_snapshots(path, n_days=5)
+        lines = path.read_text().splitlines()
+        lines[1] += separator
+        lines[2] = "1\tmany\t15000\t100"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, stdout, stderr = _run(capsys, "fit", "--input", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"growthlab: line {lineno}: P, F and f_max must be numeric\n"
+
 
 # Day d has 2**(d+1) users; user u logs u + d + 1 tags.
 _AGREEMENT_ROWS = [(f"u{user}", day, user + day + 1)
@@ -330,8 +395,7 @@ class TestLibraryAndCliAgreeOnFormat:
     def test_same_events(self, tmp_path, capsys, name, kind):
         path = tmp_path / name
         path.write_text(_AGREEMENT_TEXTS[kind])
-        assert [(e.user_id, e.day, e.count) for e in load_events(str(path))] \
-            == _AGREEMENT_ROWS
+        assert _rows(load_events(str(path))) == _AGREEMENT_ROWS
         reference = tmp_path / "reference.csv"
         reference.write_text(_AGREEMENT_TEXTS["csv"])
         tables = []
@@ -364,7 +428,7 @@ class TestLibraryAndCliAgreeOnFormat:
             events = load_events(f"/dev/fd/{read_fd}")
         finally:
             os.close(read_fd)
-        assert [(e.user_id, e.day, e.count) for e in events] == _AGREEMENT_ROWS
+        assert _rows(events) == _AGREEMENT_ROWS
         tables = []
         for kind in (kind, "csv"):
             read_fd = _pipe(_AGREEMENT_TEXTS[kind])
@@ -547,6 +611,17 @@ class TestSweep:
         code, _, stderr = _run(capsys, "sweep", "--beta-grid", "0.8", "--out", out)
         assert code == 1
         assert "exceed 1" in stderr
+        for flag, values, message in [
+            ("--beta-grid", "1.5,nan", "beta must be finite and exceed 1"),
+            ("--beta-grid", "inf", "beta must be finite and exceed 1"),
+            ("--c-values", "0.5", "cutoff must be finite and >= 1, got '0.5'"),
+            ("--c-values", "1,nan", "cutoff must be finite and >= 1, got 'nan'"),
+            ("--c-values", "inf", "cutoff must be finite and >= 1, got 'inf'"),
+        ]:
+            code, stdout, stderr = _run(capsys, "sweep", flag, values, "--out", out)
+            assert (code, stdout) == (1, "")
+            assert stderr == f"growthlab: error: argument {flag}: {message}\n"
+        assert not os.path.exists(os.path.join(out, "cells.tsv"))
 
     @pytest.mark.parametrize("flags, message", [
         (["--pmin", "5"], "argument --pmin: '5' must be >= 10"),

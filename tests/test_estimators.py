@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import growthlab as gl
 from growthlab import (
     BetaFit,
+    DailySnapshot,
     DomainError,
     EstimationError,
     RescaledHistogram,
@@ -39,6 +40,15 @@ def _noisy_pairs(seed=13, slope=1.5, n=40, spread=0.15):
     return list(zip(x, y))
 
 
+def _rescaled(histogram):
+    """A {level: count} dict in master-curve coordinates: each level over
+    the largest."""
+    levels = np.array(sorted(histogram))
+    return RescaledHistogram(levels / levels[-1],
+                             [histogram[level] for level in levels.tolist()],
+                             None, float(levels[-1]))
+
+
 def _exact_model_day(beta, bins_per_decade=5, decades=3, per_bin=3,
                      f_max=1000.0):
     """A rescaled day whose counts follow (f/f_max)^(-beta) exactly.
@@ -51,7 +61,7 @@ def _exact_model_day(beta, bins_per_decade=5, decades=3, per_bin=3,
                          for j in range(decades * bins_per_decade)
                          for t in range(per_bin)]
     histogram = {f_max * 10.0 ** (-p): 10.0 ** (p * beta) for p in positions}
-    return gl.rescale_histogram(histogram)
+    return _rescaled(histogram)
 
 
 class TestFitGammaTls:
@@ -146,17 +156,22 @@ class TestFitGammaOls:
 
 class TestRescaleHistogram:
     def test_divides_levels_by_the_daily_maximum(self):
-        rescaled = gl.rescale_histogram({1: 9, 10: 1})
-        assert rescaled.points == ((0.1, 9.0), (1.0, 1.0))
-        assert rescaled.f_max == 10.0
+        snapshot = DailySnapshot(day=3, total_activity=19.0, levels=[1, 10],
+                                 counts=[9, 1])
+        rescaled = gl.rescale_histogram(snapshot)
+        assert rescaled.rel.tolist() == [0.1, 1.0]
+        assert rescaled.counts.tolist() == [9.0, 1.0]
+        assert (rescaled.source_day, rescaled.f_max) == (3, 10.0)
+        assert not rescaled.rel.flags.writeable
+        assert not rescaled.counts.flags.writeable
 
     def test_rejects_nonpositive_levels(self):
         with pytest.raises(DomainError):
-            gl.rescale_histogram({0: 3, 10: 1})
+            RescaledHistogram(np.array([0.0, 1.0]), np.array([3, 1]), None, 10.0)
 
     def test_rejects_empty_histogram(self):
         with pytest.raises(DomainError):
-            gl.rescale_histogram({})
+            RescaledHistogram(np.array([]), np.array([]), None, 10.0)
 
 
 def _reference_bin_index(rel, bins_per_decade):
@@ -173,12 +188,12 @@ def reference_binned_cloud(rescaled, bins_per_decade=5):
         raise DomainError("bins_per_decade must be at least 1")
     if len(rescaled) == 0:
         raise DomainError("need at least one rescaled histogram")
-    if min(rel for hist in rescaled for rel, _ in hist.points) > 0.1:
+    if min(hist.rel.min() for hist in rescaled) > 0.1:
         raise DomainError(
             "pooled points span less than one decade of relative activity")
     per_bin = {}
     for day_ordinal, hist in enumerate(rescaled):
-        for rel, count in hist.points:
+        for rel, count in zip(hist.rel.tolist(), hist.counts.tolist()):
             j = _reference_bin_index(rel, bins_per_decade)
             per_bin.setdefault(j, {}).setdefault(day_ordinal, []).append(count)
     centers, values = [], []
@@ -216,7 +231,7 @@ class TestBinnedCloudMatchesPointReference:
            bins_per_decade=st.integers(min_value=1, max_value=12))
     @settings(max_examples=400, deadline=None)
     def test_same_bins_and_values(self, days, bins_per_decade):
-        rescaled = [gl.rescale_histogram(day) for day in days]
+        rescaled = [_rescaled(day) for day in days]
         rel = np.concatenate([hist.rel for hist in rescaled])
         assert estimators._bin_indices(rel, bins_per_decade).tolist() == [
             _reference_bin_index(value, bins_per_decade) for value in rel.tolist()]
@@ -232,7 +247,7 @@ class TestBinnedCloudMatchesPointReference:
 
     @pytest.mark.parametrize("bins_per_decade", [1, 2, 5, 10])
     def test_exact_decade_ratios(self, bins_per_decade):
-        day = gl.rescale_histogram({10**k: 7 - k for k in range(7)})
+        day = _rescaled({10**k: 7 - k for k in range(7)})
         assert day.rel.tolist() == [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]
         assert estimators._bin_indices(day.rel, bins_per_decade).tolist() == [
             _reference_bin_index(rel, bins_per_decade) for rel in day.rel.tolist()]
@@ -253,7 +268,7 @@ class TestBinnedCloudMatchesPointReference:
 class TestBinnedCloud:
     def test_points_land_at_geometric_bin_centers(self):
         # rel = 10^-0.3 is dead center of bin 1 at 5 bins per decade
-        day = gl.rescale_histogram({10 ** -0.3 * 50: 4.0,
+        day = _rescaled({10 ** -0.3 * 50: 4.0,
                                     10 ** -2.5 * 50: 9.0, 50: 1.0})
         centers, values = gl.binned_cloud([day])
         assert centers[1] == pytest.approx(-0.3, abs=1e-12)
@@ -262,10 +277,10 @@ class TestBinnedCloud:
     def test_per_day_average_weighs_days_not_points(self):
         # all bottom points placed inside bin 10 (centers at -2.05, -2.15,
         # -2.1 of a 0.2-decade bin), away from its edges
-        day_a = gl.rescale_histogram({10**-2.05 * 100: 2.0,
+        day_a = _rescaled({10**-2.05 * 100: 2.0,
                                       10**-2.15 * 100: 4.0,
                                       10**-1.1 * 100: 5.0, 100.0: 1.0})
-        day_b = gl.rescale_histogram({10**-2.1 * 100: 9.0,
+        day_b = _rescaled({10**-2.1 * 100: 9.0,
                                       10**-1.1 * 100: 5.0, 100.0: 1.0})
         centers, values = gl.binned_cloud([day_a, day_b])
         # the bottom bin holds counts {2, 4} from day a and {9} from day b
@@ -273,12 +288,12 @@ class TestBinnedCloud:
         assert 10 ** values[-1] == pytest.approx((3.0 + 9.0) / 2, rel=1e-12)
 
     def test_rejects_span_below_one_decade(self):
-        day = gl.rescale_histogram({900: 5, 1000: 1})
+        day = _rescaled({900: 5, 1000: 1})
         with pytest.raises(DomainError, match="decade"):
             gl.binned_cloud([day])
 
     def test_rejects_sparse_clouds(self):
-        day = gl.rescale_histogram({1: 5, 1000: 1})
+        day = _rescaled({1: 5, 1000: 1})
         with pytest.raises(DomainError, match="bins"):
             gl.binned_cloud([day])
 
@@ -305,7 +320,7 @@ class TestPoolAndFitBeta:
             seeding.generator(0, seeding.STREAM_SCHEDULE), 120, (1e4, 1e6))
         series = gl.synthesize_series(schedule, cfg)
         fit = gl.pool_and_fit_beta(
-            [gl.rescale_histogram(s.histogram, s.day) for s in series.days],
+            [gl.rescale_histogram(s) for s in series.days],
             bootstrap_reps=0)
         assert 1.35 <= fit.beta <= 1.47
         assert fit.adjusted_r2 >= 0.9
@@ -314,7 +329,7 @@ class TestPoolAndFitBeta:
         cfg = SamplerConfig(beta=1.41, lower_cutoff=3.0,
                             upper_cutoff=gl.cutoff_for_population(20_000, 1.41),
                             integerize=True, seed=4)
-        day = gl.rescale_histogram(gl.synthesize_day(0, 20_000, cfg).histogram)
+        day = gl.rescale_histogram(gl.synthesize_day(0, 20_000, cfg))
         single = gl.pool_and_fit_beta([day], bootstrap_reps=0)
         tenfold = gl.pool_and_fit_beta([day] * 10, bootstrap_reps=0)
         assert tenfold.beta == single.beta
@@ -322,7 +337,7 @@ class TestPoolAndFitBeta:
         assert tenfold.n_points_or_samples == 10 * single.n_points_or_samples
 
     def test_rising_cloud_is_outside_the_model_class(self):
-        day = gl.rescale_histogram({0.001: 1.0, 0.01: 5.0, 0.1: 25.0,
+        day = _rescaled({0.001: 1.0, 0.01: 5.0, 0.1: 25.0,
                                     1.0: 125.0})
         with pytest.raises(EstimationError, match="beta"):
             gl.pool_and_fit_beta([day], bootstrap_reps=0)
@@ -332,7 +347,7 @@ class TestPoolAndFitBeta:
                             seed=2)
         schedule = gl.log_uniform_schedule(
             seeding.generator(2, seeding.STREAM_SCHEDULE), 12, (1e4, 1e5))
-        rescaled = [gl.rescale_histogram(s.histogram, s.day)
+        rescaled = [gl.rescale_histogram(s)
                     for s in gl.synthesize_series(schedule, cfg).days]
         a = gl.pool_and_fit_beta(rescaled, bootstrap_reps=200, seed=7)
         b = gl.pool_and_fit_beta(rescaled, bootstrap_reps=200, seed=7)
@@ -371,7 +386,7 @@ def _sampled_days(n_days, seed):
                         seed=seed)
     schedule = gl.log_uniform_schedule(
         seeding.generator(seed, seeding.STREAM_SCHEDULE), n_days, (1e3, 1e4))
-    return [gl.rescale_histogram(s.histogram, s.day)
+    return [gl.rescale_histogram(s)
             for s in gl.synthesize_series(schedule, cfg).days]
 
 
@@ -385,8 +400,8 @@ class TestCollapseBootstrapMatchesReplicateLoop:
     @staticmethod
     def _day_sets():
         a, b, c = _sampled_days(3, seed=5)
-        narrow = gl.rescale_histogram({200: 11, 500: 3, 1000: 1})
-        two_bins = gl.rescale_histogram({1: 1200, 1000: 1})
+        narrow = _rescaled({200: 11, 500: 3, 1000: 1})
+        two_bins = _rescaled({1: 1200, 1000: 1})
         return {
             "sampled": _sampled_days(6, seed=3),
             "skipped": [a, narrow, two_bins],
@@ -499,7 +514,7 @@ class TestCrossEstimatorAgreement:
             seeding.generator(0, seeding.STREAM_SCHEDULE), 40, (1e4, 1e6))
         series = gl.synthesize_series(schedule, cfg)
         collapse = gl.pool_and_fit_beta(
-            [gl.rescale_histogram(s.histogram, s.day) for s in series.days],
+            [gl.rescale_histogram(s) for s in series.days],
             bootstrap_reps=0)
         unbounded = SamplerConfig(beta=beta, lower_cutoff=1.0)
         draws = gl.sample_activity(
@@ -532,7 +547,10 @@ class TestFitTypes:
 
     def test_rescaled_histogram_invariants(self):
         with pytest.raises(DomainError):
-            RescaledHistogram(points=((0.5, 3.0),), source_day=0, f_max=10.0)
+            RescaledHistogram(rel=[0.5], counts=[3.0], source_day=0, f_max=10.0)
         with pytest.raises(DomainError):
-            RescaledHistogram(points=((0.5, 0.0), (1.0, 1.0)), source_day=0,
+            RescaledHistogram(rel=[0.5, 1.0], counts=[0.0, 1.0], source_day=0,
+                              f_max=10.0)
+        with pytest.raises(DomainError):
+            RescaledHistogram(rel=[0.5, 1.0], counts=[1.0], source_day=0,
                               f_max=10.0)

@@ -48,10 +48,9 @@ def _shifted(snapshot, offset):
     """Relabel a snapshot's day, e.g. to pool two series without clashes."""
     return DailySnapshot(
         day=snapshot.day + offset,
-        population=snapshot.population,
         total_activity=snapshot.total_activity,
-        histogram=snapshot.histogram,
-        f_max=snapshot.f_max,
+        levels=snapshot.levels,
+        counts=snapshot.counts,
     )
 
 
@@ -139,6 +138,10 @@ class TestRunSweep:
             run_sweep(
                 c_values=(1.0,), beta_values=(1.5,), population_range=(5.0, 100.0)
             )
+        # A failing cell becomes a row, not an error: this raise is the grid check.
+        for c in (0.5, math.nan):
+            with pytest.raises(DomainError, match=f"lower cutoff must be >= 1, got {c}"):
+                run_sweep(c_values=(1.0, c), beta_values=(1.5,))
 
     def test_cell_type_invariants(self):
         with pytest.raises(DomainError, match="finite"):
@@ -203,7 +206,7 @@ class TestComparePrediction:
 
     def test_both_bootstraps_share_one_draw(self, monkeypatch):
         series = _coupled_series(1.8, 3.0, 10, (1e3, 1e5), 2)
-        rescaled = [rescale_histogram(s.histogram, s.day) for s in series.days]
+        rescaled = [rescale_histogram(s) for s in series.days]
         pairs = [(s.population, s.total_activity) for s in series.days]
         estimators._bootstrap_indices.cache_clear()
         gamma_alone = fit_gamma_tls(pairs, bootstrap_reps=300, seed=7)

@@ -1,6 +1,5 @@
 """Event-log parsing, aggregation and the CSV interchange round trip."""
 
-import csv
 import datetime as dt
 import io
 import re
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growthlab as gl
-from growthlab import ActivityEvent, DailySnapshot, DataError, DomainError
+from growthlab import DailySnapshot, DataError, DomainError, EventTable
 
 CSV_SAMPLE = """user_id,day,count
 alice,2024-03-01,3
@@ -25,16 +24,31 @@ JSONL_SAMPLE = """{"user_id": "alice", "day": 5, "count": 3}
 """
 
 
-def _events(*triples):
-    return [ActivityEvent(user_id=u, day=d, count=c) for u, d, c in triples]
+def _events(*rows):
+    return EventTable.from_rows(rows)
 
 
+def _rows(table):
+    """An event table's (user_id, day, count) rows, in order."""
+    return [(table.users[user], table.days[day], count) for user, day, count
+            in zip(table.user_codes.tolist(), table.day_codes.tolist(),
+                   table.counts.tolist())]
+
+
+def _snapshot(day, histogram):
+    """The snapshot of a {level: user count} dict."""
+    levels = sorted(histogram)
+    return DailySnapshot(
+        day=day, total_activity=float(sum(f * n for f, n in histogram.items())),
+        levels=levels, counts=[histogram[level] for level in levels])
+
+
+# (user_id, day, count) rows.
 events_strategy = st.lists(
-    st.builds(
-        ActivityEvent,
-        user_id=st.sampled_from(["a", "b", "c", "d"]),
-        day=st.integers(min_value=0, max_value=3),
-        count=st.integers(min_value=1, max_value=5),
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "d"]),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=5),
     ),
     min_size=1,
     max_size=30,
@@ -45,25 +59,24 @@ class TestParseEvents:
     def test_csv_with_dates(self):
         events = gl.parse_events(io.StringIO(CSV_SAMPLE))
         assert len(events) == 3
-        assert events[0] == ActivityEvent("alice", dt.date(2024, 3, 1), 3)
+        assert _rows(events)[0] == ("alice", dt.date(2024, 3, 1), 3)
 
     def test_csv_with_integer_day_indices(self):
         text = "user_id,day,count\nu1,0,4\nu2,17,1\n"
         events = gl.parse_events(io.StringIO(text))
-        assert [e.day for e in events] == [0, 17]
+        assert [day for _, day, _ in _rows(events)] == [0, 17]
 
     def test_jsonl(self):
         events = gl.parse_events(io.StringIO(JSONL_SAMPLE), format="jsonl")
-        assert [e.user_id for e in events] == ["alice", "bob"]
-        assert events[0].day == 5
+        assert _rows(events) == [("alice", 5, 3), ("bob", 5, 1)]
 
     def test_bytes_input_is_decoded(self):
         events = gl.parse_events(io.BytesIO(CSV_SAMPLE.encode()))
         assert len(events) == 3
 
     def test_empty_input_yields_no_events(self):
-        assert gl.parse_events(io.StringIO("")) == []
-        assert gl.parse_events(io.StringIO(""), format="jsonl") == []
+        assert len(gl.parse_events(io.StringIO(""))) == 0
+        assert len(gl.parse_events(io.StringIO(""), format="jsonl")) == 0
 
     def test_header_mismatch_names_line_one(self):
         with pytest.raises(DataError, match="line 1"):
@@ -143,35 +156,70 @@ class TestLoadEvents:
         assert repr(str(path)) in str(raised.value)
 
 
-class TestActivityEvent:
-    def test_validation(self):
-        with pytest.raises(DataError):
-            ActivityEvent(user_id="", day=0, count=1)
-        with pytest.raises(DataError):
-            ActivityEvent(user_id="u", day=0, count=0)
-        with pytest.raises(DataError):
-            ActivityEvent(user_id="u", day=0, count=True)
-        with pytest.raises(DataError):
-            ActivityEvent(user_id="u", day=1.5, count=1)
+class TestFromRows:
+    def test_rows_read_back_in_order(self):
+        rows = [("b", dt.date(2024, 3, 1), 3), ("a", 7, 2**63 - 1), ("b", 7, 1)]
+        table = EventTable.from_rows(iter(rows))
+        assert _rows(table) == rows
+        assert table.days == (dt.date(2024, 3, 1), 7)
+        assert table.users == ("b", "a")
+
+    @pytest.mark.parametrize("row, message", [
+        (("", 0, 1), "user_id must be non-empty"),
+        (("u", 0, 0), "count must be >= 1, got 0"),
+        (("u", 0, True), "count must be an integer, got True"),
+        (("u", 0, 1.0), "count must be an integer, got 1.0"),
+        (("u", 0, "3"), "count must be an integer, got '3'"),
+        (("u", 0, 2**63), f"count {2**63} does not fit in 64 bits"),
+        (("u", 1.5, 1), "day must be a date or integer index, got 1.5"),
+        (("u", "0", 1), "day must be a date or integer index, got '0'"),
+        (("u", True, 1), "day must be a date or integer index, got True"),
+    ], ids=["empty-user", "count-zero", "count-bool", "count-float", "count-str",
+            "count-past-int64", "day-float", "day-str", "day-bool"])
+    def test_validation(self, row, message):
+        # Each bad row follows a good one, so a bool day cannot pass as day 1.
+        with pytest.raises(DataError) as raised:
+            EventTable.from_rows([("u", 1, 1), row])
+        assert str(raised.value) == message
 
 
 class TestDailySnapshot:
     def test_consistent_snapshot_constructs(self):
-        snap = DailySnapshot(day=0, population=3, total_activity=7.0,
-                             histogram={1: 2, 5: 1}, f_max=5.0)
-        assert snap.population == 3
+        levels, counts = np.array([1, 5]), np.array([2, 1])
+        snap = DailySnapshot(day=0, total_activity=7.0, levels=levels, counts=counts)
+        assert (snap.population, snap.f_max) == (3, 5.0)
+        assert type(snap.population) is int and type(snap.f_max) is float
+        assert snap.levels.tolist() == [1, 5] and snap.counts.tolist() == [2, 1]
+        # Held as read-only copies: the caller's arrays stay its own.
+        assert not snap.levels.flags.writeable and not snap.counts.flags.writeable
+        levels[0] = 2
+        assert snap.levels.tolist() == [1, 5] and levels.flags.writeable
 
     @pytest.mark.parametrize("kwargs", [
-        dict(population=3, total_activity=7.0, histogram={}, f_max=5.0),
-        dict(population=4, total_activity=7.0, histogram={1: 2, 5: 1}, f_max=5.0),
-        dict(population=3, total_activity=9.0, histogram={1: 2, 5: 1}, f_max=5.0),
-        dict(population=3, total_activity=7.0, histogram={1: 2, 5: 1}, f_max=4.0),
-        dict(population=3, total_activity=7.0, histogram={-1: 2, 9: 1}, f_max=9.0),
-        dict(population=2, total_activity=6.0, histogram={1: 0, 5: 1}, f_max=5.0),
-    ])
+        dict(total_activity=7.0, levels=[], counts=[]),
+        dict(total_activity=9.0, levels=[1, 5], counts=[2, 1]),
+        dict(total_activity=7.0, levels=[-1, 9], counts=[2, 1]),
+        dict(total_activity=6.0, levels=[1, 5], counts=[0, 1]),
+        dict(total_activity=7.0, levels=[5, 1], counts=[1, 2]),
+        dict(total_activity=7.0, levels=[1, 1, 5], counts=[1, 1, 1]),
+        dict(total_activity=7.0, levels=[1, 5], counts=[2, 1, 1]),
+        dict(total_activity=7.0, levels=[[1, 5]], counts=[[2, 1]]),
+        dict(total_activity=7.0, levels=[1, 5], counts=[2.0, 1.0]),
+        dict(total_activity=7.0, levels=[float("nan"), 5], counts=[2, 1]),
+    ], ids=["empty", "total", "negative-level", "zero-count", "unsorted",
+            "repeated-level", "lengths", "2-D", "float-counts", "nan-level"])
     def test_inconsistent_snapshots_rejected(self, kwargs):
         with pytest.raises(DomainError):
             DailySnapshot(day=0, **kwargs)
+
+    def test_equality_compares_the_arrays(self):
+        snap = _snapshot(0, {1: 2, 5: 1})
+        assert snap == _snapshot(0, {1: 2, 5: 1})
+        assert snap == DailySnapshot(0, 7.0, np.array([1.0, 5.0]), np.array([2, 1]))
+        assert snap != _snapshot(0, {1: 1, 2: 1, 4: 1})
+        assert snap != _snapshot(1, {1: 2, 5: 1})
+        with pytest.raises(TypeError):
+            hash(snap)
 
 
 class TestAggregate:
@@ -180,29 +228,26 @@ class TestAggregate:
         (snap,) = gl.aggregate(events)
         assert snap.population == 2
         assert snap.total_activity == 6.0
-        assert snap.histogram == {5: 1, 1: 1}
+        assert snap.levels.tolist() == [1, 5] and snap.counts.tolist() == [1, 1]
 
     def test_days_come_back_sorted(self):
         events = _events(("u1", 3, 1), ("u1", 0, 1), ("u1", 2, 1))
         assert [s.day for s in gl.aggregate(events)] == [0, 2, 3]
 
     def test_mixed_day_styles_sort_deterministically(self):
-        events = [
-            ActivityEvent("u1", dt.date(2024, 1, 1), 1),
-            ActivityEvent("u1", 7, 2),
-        ]
+        events = _events(("u1", dt.date(2024, 1, 1), 1), ("u1", 7, 2))
         days = [s.day for s in gl.aggregate(events)]
         assert days == [7, dt.date(2024, 1, 1)]
 
     @given(events_strategy, st.randoms())
     @settings(max_examples=100)
-    def test_invariant_under_input_permutation(self, events, rnd):
-        shuffled = list(events)
+    def test_invariant_under_input_permutation(self, rows, rnd):
+        shuffled = list(rows)
         rnd.shuffle(shuffled)
-        assert gl.aggregate(shuffled) == gl.aggregate(events)
+        assert gl.aggregate(_events(*shuffled)) == gl.aggregate(_events(*rows))
 
     def test_empty_input(self):
-        assert gl.aggregate([]) == []
+        assert gl.aggregate(_events()) == []
 
 
 class TestExportEventsCsv:
@@ -217,17 +262,16 @@ class TestExportEventsCsv:
         ]
 
     def test_export_is_a_function_of_the_event_multiset(self):
-        events = _events(("u1", 0, 1), ("u2", 0, 2), ("u1", 1, 3))
-        assert (gl.export_events_csv(events)
-                == gl.export_events_csv(list(reversed(events))))
+        rows = [("u1", 0, 1), ("u2", 0, 2), ("u1", 1, 3)]
+        assert (gl.export_events_csv(_events(*rows))
+                == gl.export_events_csv(_events(*reversed(rows))))
 
     @given(events_strategy)
     @settings(max_examples=100)
-    def test_parse_of_export_returns_the_same_events(self, events):
-        text = gl.export_events_csv(events)
+    def test_parse_of_export_returns_the_same_events(self, rows):
+        text = gl.export_events_csv(_events(*rows))
         reparsed = gl.parse_events(io.StringIO(text))
-        assert sorted(reparsed, key=lambda e: (e.day, e.user_id, e.count)) == \
-            sorted(events, key=lambda e: (e.day, e.user_id, e.count))
+        assert sorted(_rows(reparsed)) == sorted(rows)
 
     def test_write_reads_back_identically(self, tmp_path):
         events = _events(("u1", 0, 1), ("u2", 3, 9))
@@ -245,41 +289,38 @@ class TestSamplerRoundTrip:
         snapshots = gl.aggregate(gl.parse_events(io.StringIO(text)))
         assert [(s.day, s.population, s.total_activity) for s in snapshots] \
             == [(s.day, s.population, s.total_activity) for s in series.days]
-        for recovered, original in zip(snapshots, series.days):
-            assert recovered.histogram == {
-                int(k): v for k, v in original.histogram.items()}
+        assert snapshots == list(series.days)
 
 
-def reference_export(events):
-    """Events sorted by (day, user_id), stably, and written row by row: the
-    earlier implementation of export_events_csv, kept as the reference the
-    columnar writer must match byte for byte. A user id holding any of
-    , " \\r or \\n is quoted, with its quotes doubled."""
-    ordered = sorted(events, key=lambda e: ((isinstance(e.day, dt.date), e.day),
-                                            e.user_id))
-    rows = ["user_id,day,count\n"]
-    for event in ordered:
-        user = event.user_id
+def reference_export(rows):
+    """(user_id, day, count) rows sorted by (day, user_id), stably, and
+    written one by one: the earlier implementation of export_events_csv,
+    kept as the reference the columnar writer must match byte for byte. A
+    user id holding any of , " \\r or \\n is quoted, with its quotes
+    doubled."""
+    ordered = sorted(rows, key=lambda row: ((isinstance(row[1], dt.date), row[1]),
+                                            row[0]))
+    lines = ["user_id,day,count\n"]
+    for user, day, count in ordered:
         if any(char in user for char in ',"\r\n'):
             user = '"' + user.replace('"', '""') + '"'
-        day = event.day.isoformat() if isinstance(event.day, dt.date) else event.day
-        rows.append(f"{user},{day},{event.count}\n")
-    return "".join(rows)
+        day = day.isoformat() if isinstance(day, dt.date) else day
+        lines.append(f"{user},{day},{count}\n")
+    return "".join(lines)
 
 
-def _by_key(events):
-    return sorted(events, key=lambda e: ((isinstance(e.day, dt.date), e.day),
-                                         e.user_id, e.count))
+def _by_key(rows):
+    return sorted(rows, key=lambda row: ((isinstance(row[1], dt.date), row[1]),
+                                         row[0], row[2]))
 
 
 awkward_events = st.lists(
-    st.builds(
-        ActivityEvent,
-        user_id=st.text(alphabet='ab,"\n\r \'é', min_size=1, max_size=4),
-        day=st.one_of(st.integers(min_value=-2, max_value=3),
-                      st.dates(min_value=dt.date(2024, 1, 1),
-                               max_value=dt.date(2024, 1, 4))),
-        count=st.integers(min_value=1, max_value=2**63 - 1),
+    st.tuples(
+        st.text(alphabet='ab,"\n\r \'é', min_size=1, max_size=4),
+        st.one_of(st.integers(min_value=-2, max_value=3),
+                  st.dates(min_value=dt.date(2024, 1, 1),
+                           max_value=dt.date(2024, 1, 4))),
+        st.integers(min_value=1, max_value=2**63 - 1),
     ),
     max_size=30,
 )
@@ -290,36 +331,36 @@ class TestCsvWriterMatchesRowReference:
     @settings(max_examples=200)
     def test_bytes_equal_the_reference(self, events, tmp_path_factory):
         path = tmp_path_factory.mktemp("w") / "events.csv"
-        clean = [event for event in events if event.user_id == event.user_id.strip()]
+        clean = [row for row in events if row[0] == row[0].strip()]
         if clean != events:
             # Reading the CSV back would strip such an id: both writers refuse.
             with pytest.raises(DataError, match="surrounding whitespace"):
-                gl.export_events_csv(events)
+                gl.export_events_csv(_events(*events))
             with pytest.raises(DataError, match="surrounding whitespace"):
-                gl.write_events_csv(events, str(path))
+                gl.write_events_csv(_events(*events), str(path))
             assert not path.exists()
         expected = reference_export(clean)
-        assert gl.export_events_csv(clean) == expected
-        gl.write_events_csv(clean, str(path))
+        assert gl.export_events_csv(_events(*clean)) == expected
+        gl.write_events_csv(_events(*clean), str(path))
         assert path.read_bytes() == expected.encode("utf-8")
-        assert _by_key(gl.load_events(str(path))) == _by_key(clean)
+        assert _by_key(_rows(gl.load_events(str(path)))) == _by_key(clean)
 
     def test_user_ids_needing_quotes(self):
-        events = _events(("a,b", 0, 1), ('say "hi"', 0, 2), ("two\nlines", 0, 3),
-                         ("plain", 0, 4))
-        text = gl.export_events_csv(events)
-        assert text == reference_export(events)
+        rows = [("a,b", 0, 1), ('say "hi"', 0, 2), ("two\nlines", 0, 3),
+                ("plain", 0, 4)]
+        text = gl.export_events_csv(_events(*rows))
+        assert text == reference_export(rows)
         assert text == ('user_id,day,count\n"a,b",0,1\nplain,0,4\n'
                         '"say ""hi""",0,2\n"two\nlines",0,3\n')
 
     def test_carriage_return_in_an_id_round_trips(self, tmp_path):
-        events = _events(("a\rb", 0, 1), ("c\r\nd", 0, 2), ("e", 0, 3))
-        text = gl.export_events_csv(events)
+        rows = [("a\rb", 0, 1), ("c\r\nd", 0, 2), ("e", 0, 3)]
+        text = gl.export_events_csv(_events(*rows))
         assert text == 'user_id,day,count\n"a\rb",0,1\n"c\r\nd",0,2\ne,0,3\n'
-        assert gl.parse_events(io.StringIO(text)) == events
+        assert _rows(gl.parse_events(io.StringIO(text))) == rows
         path = tmp_path / "events.csv"
-        gl.write_events_csv(events, str(path))
-        assert gl.load_events(str(path)) == events
+        gl.write_events_csv(_events(*rows), str(path))
+        assert _rows(gl.load_events(str(path))) == rows
 
     @pytest.mark.parametrize("user", [" a", "a ", "a\n", "\ra", "\t"])
     def test_ids_the_reader_would_strip_are_refused(self, tmp_path, user):
@@ -339,15 +380,16 @@ class TestCsvWriterMatchesRowReference:
             "u,-1,4", "u,10,2", "u,2023-12-31,3", "u,2024-01-02,1"]
 
     def test_duplicate_user_days_keep_their_input_order(self):
-        events = _events(("u1", 0, 5), ("u0", 0, 1), ("u1", 0, 2))
-        assert gl.export_events_csv(events).splitlines()[1:] == [
+        rows = [("u1", 0, 5), ("u0", 0, 1), ("u1", 0, 2)]
+        assert gl.export_events_csv(_events(*rows)).splitlines()[1:] == [
             "u0,0,1", "u1,0,5", "u1,0,2"]
-        assert gl.export_events_csv(events[::-1]).splitlines()[1:] == [
+        assert gl.export_events_csv(_events(*rows[::-1])).splitlines()[1:] == [
             "u0,0,1", "u1,0,2", "u1,0,5"]
         # Enough equal keys that an unstable sort would reorder them.
         counts = [int(c) for c in np.random.default_rng(2).permutation(200) + 1]
-        events = [ActivityEvent(user, day, count) for count in counts
-                  for user, day in (("u1", 1), ("u0", 1), ("u1", 0))]
+        events = EventTable.from_rows(
+            (user, day, count) for count in counts
+            for user, day in (("u1", 1), ("u0", 1), ("u1", 0)))
         rows = gl.export_events_csv(events).splitlines()[1:]
         for key in ("u1,0,", "u0,1,", "u1,1,"):
             assert [int(row.rsplit(",", 1)[1]) for row in rows
@@ -364,32 +406,22 @@ class TestCsvWriterMatchesRowReference:
         assert users.index("u1000000") < users.index("u100001")
 
 
-def reference_aggregate(events):
+def reference_aggregate(rows):
     """Row-by-row aggregation: a dict of per-user totals for each day.
 
     This is the earlier implementation of aggregate, kept as the reference
     the columnar path must match.
     """
     per_day = {}
-    for event in events:
-        per_day.setdefault(event.day, {})
-        user_totals = per_day[event.day]
-        user_totals[event.user_id] = user_totals.get(event.user_id, 0) + event.count
+    for user, day, count in rows:
+        user_totals = per_day.setdefault(day, {})
+        user_totals[user] = user_totals.get(user, 0) + count
     snapshots = []
     for day in sorted(per_day, key=lambda d: (isinstance(d, dt.date), d)):
-        user_totals = per_day[day]
         histogram = {}
-        for total in user_totals.values():
+        for total in per_day[day].values():
             histogram[total] = histogram.get(total, 0) + 1
-        snapshots.append(
-            DailySnapshot(
-                day=day,
-                population=len(user_totals),
-                total_activity=float(sum(user_totals.values())),
-                histogram=histogram,
-                f_max=float(max(histogram)),
-            )
-        )
+        snapshots.append(_snapshot(day, histogram))
     return snapshots
 
 
@@ -427,35 +459,35 @@ class TestColumnarMatchesRowReference:
             lines.append(f"{pad}{user},{spellings[pick % len(spellings)]}, {count} ")
             if blank:
                 lines.append("")
-            events.append(ActivityEvent(user, day, count))
+            events.append((user, day, count))
         text = "\n".join(lines) + "\n"
         stream = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
         table = gl.parse_events(stream)
         assert isinstance(table, gl.EventTable)
-        assert table == events
-        assert list(table) == events
+        assert _rows(table) == events
         expected = reference_aggregate(events)
         assert gl.aggregate(table) == expected
-        assert gl.aggregate(events) == expected
+        assert gl.aggregate(_events(*events)) == expected
 
     def test_day_aliases_merge_into_one_day(self):
         text = "user_id,day,count\nu1,5,1\nu1, 5,2\nu2,05,4\nu3,2024-01-02,1\n"
         table = gl.parse_events(io.StringIO(text))
         assert table.days == (5, dt.date(2024, 1, 2))
         first, second = gl.aggregate(table)
-        assert (first.day, first.population, first.histogram) == (5, 2, {3: 1, 4: 1})
+        assert (first.day, first.population) == (5, 2)
+        assert first.levels.tolist() == [3, 4] and first.counts.tolist() == [1, 1]
         assert second.day == dt.date(2024, 1, 2)
 
-    def test_table_reads_as_a_sequence_of_events(self):
+    def test_table_reads_as_columns(self):
         table = gl.parse_events(io.StringIO(CSV_SAMPLE))
-        assert table[-1] == ActivityEvent("alice", dt.date(2024, 3, 2), 2)
-        assert table[:2] == list(table)[:2]
-        assert table.counts.dtype == "int64" and not table.counts.flags.writeable
-        assert table != gl.parse_events(io.StringIO(JSONL_SAMPLE), format="jsonl")
-        assert gl.parse_events(io.StringIO(JSONL_SAMPLE), format="jsonl") == _events(
-            ("alice", 5, 3), ("bob", 5, 1))
-        with pytest.raises(IndexError):
-            table[3]
+        assert table.days == (dt.date(2024, 3, 1), dt.date(2024, 3, 2))
+        assert table.users == ("alice", "bob")
+        assert table.day_codes.tolist() == [0, 0, 1]
+        assert table.user_codes.tolist() == [0, 1, 0]
+        assert table.counts.tolist() == [3, 1, 2]
+        for column in (table.day_codes, table.user_codes, table.counts):
+            assert column.dtype == "int64" and not column.flags.writeable
+        assert repr(table) == "EventTable(3 events, 2 days, 2 users)"
 
 
 HEADER = "user_id,day,count\n"
@@ -511,7 +543,7 @@ class TestBadRowsKeepTheirMessages:
 
     def test_largest_int64_count_is_accepted(self):
         table = gl.parse_events(io.StringIO(HEADER + "u1,0,9223372036854775807\n"))
-        assert table[0].count == 2**63 - 1
+        assert table.counts.tolist() == [2**63 - 1]
 
     @pytest.mark.parametrize("data, format", [
         (HEADER.encode() + b"u1,0,1\nu\xff,0,1\n", "csv"),
@@ -533,14 +565,16 @@ class TestSumsDoNotWrap:
             gl.aggregate(table)
 
     def test_day_total_past_int64_stays_exact(self):
-        events = _events(("u1", 0, 2**62), ("u2", 0, 2**62), ("u3", 0, 2**62 - 1))
-        (snap,) = gl.aggregate(events)
-        assert snap == reference_aggregate(events)[0]
-        assert snap.histogram == {2**62: 2, 2**62 - 1: 1}
+        rows = [("u1", 0, 2**62), ("u2", 0, 2**62), ("u3", 0, 2**62 - 1)]
+        (snap,) = gl.aggregate(_events(*rows))
+        assert snap == reference_aggregate(rows)[0]
+        assert snap.levels.tolist() == [2**62 - 1, 2**62]
+        assert snap.counts.tolist() == [1, 2]
+        assert snap.total_activity == float(3 * 2**62 - 1)
 
     def test_event_count_past_int64_is_a_data_error(self):
         with pytest.raises(DataError, match="does not fit in 64 bits"):
-            gl.aggregate([ActivityEvent("u1", 0, 2**63)])
+            EventTable.from_rows([("u1", 0, 2**63)])
 
 
 class TestMemory:

@@ -128,7 +128,8 @@ class TestSampleDistribution:
         for level in (1, 2, 3, 5, 10):
             mass = float(cdf(min(level + 1.0, upper)) - cdf(float(level)))
             mean = population * mass
-            z_level = (snap.histogram.get(level, 0) - mean) / math.sqrt(mean)
+            observed = int(snap.counts[snap.levels == level].sum())
+            z_level = (observed - mean) / math.sqrt(mean)
             assert abs(z_level) < 2.0
 
 
@@ -150,11 +151,9 @@ class TestSynthesizeDay:
                             integerize=True, seed=3)
         snap = gl.synthesize_day(0, 5_000, cfg)
         assert snap.population == 5_000
-        assert snap.total_activity == sum(
-            level * count for level, count in snap.histogram.items())
-        assert snap.f_max == max(snap.histogram)
-        assert all(float(level).is_integer() and level >= 1
-                   for level in snap.histogram)
+        assert snap.total_activity == int(snap.levels @ snap.counts)
+        assert snap.f_max == snap.levels.max()
+        assert snap.levels.dtype == np.int64 and snap.levels.min() >= 1
         assert float(snap.total_activity).is_integer()
 
     def test_same_inputs_reproduce_the_same_snapshot(self):
@@ -318,12 +317,11 @@ class TestEventsFromSeries:
         events = gl.events_from_series(series)
         assert len(events) == 600 + 1_200
         for snap in series.days:
-            day_events = [e for e in events if e.day == snap.day]
-            assert len({e.user_id for e in day_events}) == snap.population
-            rebuilt = {}
-            for event in day_events:
-                rebuilt[event.count] = rebuilt.get(event.count, 0) + 1
-            assert rebuilt == {int(k): v for k, v in snap.histogram.items()}
+            rows = events.day_codes == events.days.index(snap.day)
+            assert len(np.unique(events.user_codes[rows])) == snap.population
+            levels, counts = np.unique(events.counts[rows], return_counts=True)
+            assert levels.tolist() == snap.levels.tolist()
+            assert counts.tolist() == snap.counts.tolist()
 
     def test_requires_integerized_series(self):
         cfg = SamplerConfig(beta=1.41, lower_cutoff=1.0, integerize=False, seed=10)
@@ -367,18 +365,15 @@ def _reference_draw_day(day_index, population, config):
     return x
 
 
-def _reference_snapshot(day_index, population, x, integerize):
+def _reference_snapshot(day_index, x, integerize):
     if integerize:
         levels, counts = np.unique(x.astype(np.int64), return_counts=True)
         total = float(int(levels @ counts))
     else:
         levels, counts = np.unique(x, return_counts=True)
         total = float(x.sum())
-    return DailySnapshot(
-        day=day_index, population=population, total_activity=total,
-        histogram=dict(zip(levels.tolist(), counts.tolist())),
-        f_max=float(levels[-1]),
-    )
+    return DailySnapshot(day=day_index, total_activity=total, levels=levels,
+                         counts=counts)
 
 
 def _reference_series(schedule, config, protocol):
@@ -401,8 +396,7 @@ def _reference_series(schedule, config, protocol):
             else:
                 total = float(x.sum())
             totals.append((int(population), total))
-            snapshots.append(_reference_snapshot(
-                day_index, int(population), x, config.integerize))
+            snapshots.append(_reference_snapshot(day_index, x, config.integerize))
     except DomainError as exc:
         return str(exc)
     return totals, snapshots
@@ -451,9 +445,8 @@ class TestFoldedPathMatchesPerDayReference:
         assert gl.day_totals(1, 2_500, day_cfg) == totals[1]
         snapshot = gl.synthesize_day(1, 2_500, day_cfg)
         assert snapshot == snapshots[1]
-        # 3 == 3.0 as dict keys, so equality alone cannot tell the level types
-        level_type = int if integerize else float
-        assert all(type(level) is level_type for level in snapshot.histogram)
+        # Equal arrays of 3 and 3.0 compare equal, so check the level dtype.
+        assert snapshot.levels.dtype == (np.int64 if integerize else np.float64)
 
 
 class TestOverflowingDraws:

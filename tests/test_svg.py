@@ -97,13 +97,13 @@ class TestSweepFigure:
 
 class TestCollapseFigure:
     def test_two_panels_one_fit_line(self, short_series):
-        rescaled = [rescale_histogram(s.histogram, s.day)
+        rescaled = [rescale_histogram(s)
                     for s in short_series.days]
         cloud = binned_cloud(rescaled, 5)
         svg = collapse_svg(short_series.days, cloud, beta=1.41)
         counts = _inventory(svg)
         assert counts[("polyline", "fit")] == 1
-        raw_points = sum(len(s.histogram) for s in short_series.days)
+        raw_points = sum(len(s.levels) for s in short_series.days)
         assert counts[("circle", "dot")] == raw_points + len(cloud[0])
 
     def test_rejects_empty_input(self):
