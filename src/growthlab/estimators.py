@@ -228,6 +228,7 @@ def fit_gamma_tls(series: Iterable[tuple[float, float]],
     _tls_line would not see a zero x variance. Resamples whose principal
     axis is vertical are skipped too.
     """
+    seed = seeding.check_seed(seed)
     x, y = _as_log_pairs(series)
     slope, intercept = _tls_line(x, y)
     n = len(x)
@@ -361,6 +362,7 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
     idempotent under duplication of a day: per-day averaging makes ten
     copies of one day weigh exactly as the day itself.
     """
+    seed = seeding.check_seed(seed)
     rescaled = list(rescaled)
     day_values, day_weights, day_min_rel = _day_bin_matrices(
         rescaled, bins_per_decade)
@@ -409,8 +411,8 @@ def score_against_beta(rescaled: Sequence[RescaledHistogram], beta: float,
     The intercept is fitted through the centroid (the hypothesis pins the
     exponent, not the scale). Can be arbitrarily negative for a bad beta.
     """
-    if not beta > 1:
-        raise DomainError(f"beta must exceed 1, got {beta}")
+    if not 1 < beta < math.inf:  # also true for nan
+        raise DomainError(f"beta must be finite and exceed 1, got {beta}")
     centers, values = binned_cloud(rescaled, bins_per_decade)
     slope = -beta
     intercept = float(values.mean() - slope * centers.mean())

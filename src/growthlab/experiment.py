@@ -121,6 +121,7 @@ def run_sweep(c_values: Sequence[float] | None = None,
     never aborts the sweep. Cells are returned in grid order, C outer.
     """
     protocol = canonical_protocol(protocol)
+    seed = seeding.check_seed(seed)
     cs = list(default_c_values() if c_values is None else c_values)
     betas = list(default_beta_grid() if beta_values is None else beta_values)
     if not cs or not betas:
@@ -172,6 +173,7 @@ def compare_prediction(series, bins_per_decade: int = 5,
     gamma(beta), fits gamma directly from the (P, F) pairs, and flags
     consistency when the prediction falls inside the direct fit's 95% CI.
     """
+    seed = seeding.check_seed(seed)
     snapshots = _snapshots(series)
     if len(snapshots) < 3:
         raise DomainError("need at least 3 days to compare growth against theory")
@@ -197,6 +199,7 @@ def collapse_check(series, beta_hypothesis: float | None = None,
     against the FIXED slope -beta_hypothesis (intercept through the
     centroid) while the freely fitted BetaFit is still returned alongside.
     """
+    seed = seeding.check_seed(seed)
     snapshots = _snapshots(series)
     if len(snapshots) < 2:
         raise DomainError("need at least 2 days for a collapse check")

@@ -159,10 +159,12 @@ class EventTable:
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, Day, int]]) -> "EventTable":
         """A table of (user_id, day, count) rows in their order. A user id
-        must be non-empty, a day an int or a date, and a count an int in
+        must be a non-empty str, a day an int or a date, and a count an int in
         [1, 2^63 - 1]; anything else raises DataError."""
         builder = _TableBuilder()
         for user_id, day, count in rows:
+            if not isinstance(user_id, str):
+                raise DataError(f"user_id must be a string, got {user_id!r}")
             builder.add(_check_day(day), user_id, _check_count(count))
         return builder.table()
 

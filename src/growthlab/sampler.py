@@ -81,8 +81,7 @@ class SamplerConfig:
                 f"upper cutoff {self.upper_cutoff} must exceed lower cutoff "
                 f"{self.lower_cutoff}"
             )
-        if not 0 <= int(self.seed) < 2**64:
-            raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
+        object.__setattr__(self, "seed", seeding.check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -130,48 +129,54 @@ def _check_population(population, prefix: str = "") -> None:
         raise DomainError(f"{prefix}population must be >= 1, got {population}")
 
 
-def _draw(day_index: int, population: int, config: SamplerConfig,
-          upper: float | None) -> np.ndarray:
-    """The one draw pipeline: day `day_index`'s activities below cutoff `upper`.
+def _draw(rng: np.random.Generator, day_index: int, population: int,
+          config: SamplerConfig, upper: float | None) -> tuple[np.ndarray, float]:
+    """The one draw pipeline: day `day_index`'s activities below cutoff `upper`
+    and their total F.
 
     Snapshots and totals, single days and whole series all run through
-    here, so they consume the identical derived stream and agree to the
-    last bit. The caller has checked the population. rng.random() lies in
-    [0, 1), so u needs no range check. Integerized draws come back as
-    int64: draws are at least C >= 1, so the truncating cast is the floor.
+    here. `rng` must be positioned at the start of the day's stream:
+    seeding.generator(config.seed, STREAM_DAY, day_index) for a single day,
+    or the same stream from seeding.generators for a whole schedule. So
+    they agree to the last bit. The caller has checked the population.
+    rng.random() lies in [0, 1), so u needs no range check.
+
+    Each day is reduced once: the float sum is a bound on every draw, since
+    a sum of positive terms is never below its largest one. Only a sum that
+    is not finite (or reaches 2^63 for integerized draws) pays for x.max(),
+    to tell an inf or oversized draw from a sum that merely overflows.
+    Integerized draws come back as int64: draws are at least C >= 1, so the
+    truncating cast is the floor, and their F is the exact integer sum.
     """
-    rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
     with np.errstate(over="ignore"):
         x = _inverse_cdf(config.beta, config.lower_cutoff, upper,
                          rng.random(int(population)))
-    top = float(x.max())
-    if top == math.inf:
-        raise DomainError(
-            f"day {day_index}: an activity draw overflows to inf; beta "
-            f"{config.beta} is too close to 1 for this cutoff"
-        )
-    if config.integerize:
-        if top >= 2.0**63:
+        total = float(x.sum())
+    if not total < (2.0**63 if config.integerize else math.inf):
+        top = float(x.max())
+        if top == math.inf:
+            raise DomainError(
+                f"day {day_index}: an activity draw overflows to inf; beta "
+                f"{config.beta} is too close to 1 for this cutoff"
+            )
+        if config.integerize and top >= 2.0**63:
             raise DomainError(
                 f"day {day_index}: an integerized activity draw {top:.6g} "
                 f"exceeds 2^63 - 1"
             )
-        return x.astype(np.int64)
-    return x
+    if not config.integerize:
+        return x, total
+    x = x.astype(np.int64)
+    # The float sum errs by far less than a factor 2, so below 2^62 no
+    # partial int64 sum can wrap; past it Python ints sum exactly.
+    if total < 2.0**62:
+        return x, float(int(x.sum()))
+    return x, float(sum(x.tolist()))
 
 
-def _total(x: np.ndarray, integerize: bool) -> float:
-    """F of one day's draws; integerized draws are summed exactly."""
-    if not integerize:
-        return float(x.sum())
-    if float(x.max()) * x.size < 2.0**63:  # no partial sum can wrap
-        return float(int(x.sum()))
-    return float(sum(x.tolist()))
-
-
-def _snapshot(day_index: int, x: np.ndarray, integerize: bool) -> DailySnapshot:
+def _snapshot(day_index: int, x: np.ndarray, total: float) -> DailySnapshot:
     levels, counts = np.unique(x, return_counts=True)
-    return DailySnapshot(day=day_index, total_activity=_total(x, integerize),
+    return DailySnapshot(day=day_index, total_activity=total,
                          levels=levels, counts=counts)
 
 
@@ -184,8 +189,9 @@ def synthesize_day(day_index: int, population: int,
     regardless of call order.
     """
     _check_population(population)
-    x = _draw(day_index, population, config, config.upper_cutoff)
-    return _snapshot(day_index, x, config.integerize)
+    rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
+    return _snapshot(day_index, *_draw(rng, day_index, population, config,
+                                       config.upper_cutoff))
 
 
 def day_totals(day_index: int, population: int,
@@ -197,8 +203,9 @@ def day_totals(day_index: int, population: int,
     schedules through series_totals instead.
     """
     _check_population(population)
-    x = _draw(day_index, population, config, config.upper_cutoff)
-    return int(population), _total(x, config.integerize)
+    rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
+    _, total = _draw(rng, day_index, population, config, config.upper_cutoff)
+    return int(population), total
 
 
 def log_uniform_schedule(rng: np.random.Generator, days: int,
@@ -253,14 +260,20 @@ def _day_cutoff(config: SamplerConfig, protocol: str, day_index: int,
 
 
 def _schedule_draws(schedule: Sequence[int], config: SamplerConfig, protocol: str):
-    """(day_index, population, draws) for each scheduled day, in order."""
+    """(day_index, population, draws, total) for each scheduled day, in order.
+
+    The days' streams come from one seeding.generators pass, each used up
+    before the next is taken.
+    """
     if len(schedule) == 0:
         raise DomainError("schedule must contain at least one day")
-    for day_index, population in enumerate(schedule):
+    rngs = seeding.generators(config.seed, seeding.STREAM_DAY, len(schedule))
+    for (day_index, population), rng in zip(enumerate(schedule), rngs):
         _check_population(population, f"day {day_index}: ")
         upper = _day_cutoff(config, protocol, day_index, population)
         population = int(population)
-        yield day_index, population, _draw(day_index, population, config, upper)
+        yield (day_index, population,
+               *_draw(rng, day_index, population, config, upper))
 
 
 def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
@@ -273,8 +286,8 @@ def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
     """
     protocol = canonical_protocol(protocol)
     snapshots = tuple(
-        _snapshot(day_index, x, config.integerize)
-        for day_index, _, x in _schedule_draws(schedule, config, protocol)
+        _snapshot(day_index, x, total)
+        for day_index, _, x, total in _schedule_draws(schedule, config, protocol)
     )
     return SyntheticSeries(days=snapshots, generator_config=config,
                            protocol=protocol)
@@ -285,8 +298,8 @@ def series_totals(schedule: Sequence[int], config: SamplerConfig,
     """Per-day (P, F) pairs for a whole schedule via the lean totals path."""
     protocol = canonical_protocol(protocol)
     return [
-        (population, _total(x, config.integerize))
-        for _, population, x in _schedule_draws(schedule, config, protocol)
+        (population, total)
+        for _, population, _, total in _schedule_draws(schedule, config, protocol)
     ]
 
 

@@ -537,6 +537,15 @@ class TestSweep:
         assert all(line.split("\t")[6] == "ok" for line in lines[1:])
         assert "(4 ok, 0 failed of 4 cells)" in stdout
 
+    def test_cells_bytes_are_pinned(self, tmp_path, capsys):
+        # Digest taken while every day built its own generator; drawing a
+        # series' day streams in one pass must not move a bit.
+        out = tmp_path / "sweep"
+        assert _run(capsys, "sweep", "--c-values", "1,4", "--beta-grid", "1.3,1.8,3",
+                    "--days", "20", "--seed", "12345", "--out", str(out))[0] == 0
+        assert hashlib.sha256((out / "cells.tsv").read_bytes()).hexdigest() == (
+            "e50f9d04761b9d29474e9b2ad71b83e5dbbd87c22f19e97beb6b36735d779637")
+
     def test_failed_cells_become_rows_not_errors(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         code, stdout, _ = _run(

@@ -449,6 +449,11 @@ class TestScoreAgainstBeta:
         with pytest.raises(DomainError):
             gl.score_against_beta([_exact_model_day(1.5)], 1.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(DomainError, match="^beta must be finite and exceed 1"):
+            gl.score_against_beta([_exact_model_day(1.5)], beta)
+
 
 class TestFitBetaMle:
     def test_two_samples_one_log_unit_up(self):

@@ -268,6 +268,12 @@ class TestCollapseCheck:
         assert q_true - q_off > 0.05
         assert fit_a == free_fit and fit_b == free_fit
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_hypothesis_is_a_domain_error(self, beta):
+        with pytest.raises(DomainError, match="^beta must be finite and exceed 1"):
+            collapse_check(_fixed_series(1.41, 0, 4), beta_hypothesis=beta,
+                           bootstrap_reps=0)
+
     def test_mixture_of_betas_degrades_the_collapse(self):
         q_single, _ = collapse_check(_fixed_series(1.41, 0, 20), bootstrap_reps=0)
         first = _fixed_series(1.2, 1, 10)

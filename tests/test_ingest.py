@@ -166,6 +166,7 @@ class TestFromRows:
 
     @pytest.mark.parametrize("row, message", [
         (("", 0, 1), "user_id must be non-empty"),
+        ((5, 0, 1), "user_id must be a string, got 5"),
         (("u", 0, 0), "count must be >= 1, got 0"),
         (("u", 0, True), "count must be an integer, got True"),
         (("u", 0, 1.0), "count must be an integer, got 1.0"),
@@ -174,8 +175,8 @@ class TestFromRows:
         (("u", 1.5, 1), "day must be a date or integer index, got 1.5"),
         (("u", "0", 1), "day must be a date or integer index, got '0'"),
         (("u", True, 1), "day must be a date or integer index, got True"),
-    ], ids=["empty-user", "count-zero", "count-bool", "count-float", "count-str",
-            "count-past-int64", "day-float", "day-str", "day-bool"])
+    ], ids=["empty-user", "user-int", "count-zero", "count-bool", "count-float",
+            "count-str", "count-past-int64", "day-float", "day-str", "day-bool"])
     def test_validation(self, row, message):
         # Each bad row follows a good one, so a bool day cannot pass as day 1.
         with pytest.raises(DataError) as raised:
