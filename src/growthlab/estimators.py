@@ -190,15 +190,16 @@ def _bootstrap_indices(n: int, reps: int, seed: int) -> np.ndarray:
 
     Row r is drawn from the stream (seed, BOOTSTRAP, r) alone, so it does
     not depend on reps or on the order in which replicates are evaluated.
+    The streams come from one seeding.generators pass.
     The last array is kept, read-only, because compare_prediction's two
     bootstraps ask for the same (n, reps, seed) back to back.
     """
     if reps < 0:
         raise DomainError(f"bootstrap_reps must be >= 0, got {reps}")
     indices = np.empty((reps, n), dtype=np.int64)
-    for rep in range(reps):
-        rng = seeding.generator(seed, seeding.STREAM_BOOTSTRAP, rep)
-        indices[rep] = rng.integers(0, n, size=n)
+    rngs = seeding.generators(seed, seeding.STREAM_BOOTSTRAP, reps)
+    for row, rng in zip(indices, rngs):
+        row[:] = rng.integers(0, n, size=n)
     indices.flags.writeable = False
     return indices
 

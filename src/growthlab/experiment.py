@@ -10,12 +10,19 @@ a single series: estimate beta from the daily histograms, map it through
 the law, and confront the prediction with the directly fitted exponent.
 
 Every cell derives its RNG streams from (seed, cell index) alone, so a
-cell's result never depends on the cells run before it.
+cell's result never depends on the cells run before it, nor on the
+process it runs in. run_sweep therefore runs its cells on a pool of worker
+processes, one per usable CPU, started with fork: a worker inherits the
+imported modules instead of importing numpy again. The output is the same
+bytes as a serial run. multiprocessing and concurrent.futures are imported
+inside run_sweep, so importing the CLI does not pay for them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,6 +112,60 @@ def default_beta_grid() -> list[float]:
     return [float(1.0 / v) for v in inverse]
 
 
+# About this many chunks of cells go to each pool worker: enough that a
+# worker whose cells are cheap (a failed cell draws nothing) takes more
+# chunks, few enough that the cost of sending each chunk stays small.
+_CHUNKS_PER_WORKER = 8
+
+
+def _sweep_cell(index: int, c: float, beta: float, *, days_per_cell: int,
+                population_range: tuple[float, float], protocol: str,
+                seed: int, bootstrap_reps: int) -> SweepCell:
+    """Cell `index` of a sweep, drawn from the streams of (seed, index) alone.
+
+    A GrowthlabError becomes a failed cell; any other exception propagates.
+    Module-level, so that worker processes can be sent it by name.
+    """
+    cell_seed = seeding.derive_seed(seed, seeding.STREAM_CELL, index)
+    try:
+        schedule = log_uniform_schedule(
+            seeding.generator(cell_seed, seeding.STREAM_SCHEDULE),
+            days_per_cell, population_range,
+        )
+        config = SamplerConfig(beta=beta, lower_cutoff=c, seed=cell_seed)
+        totals = series_totals(schedule, config, protocol)
+        fit = fit_gamma_tls(totals, bootstrap_reps=bootstrap_reps, seed=cell_seed)
+    except GrowthlabError as exc:
+        return SweepCell(c=c, beta=beta, gamma_fit=math.nan,
+                         fit_quality=math.nan, status="failed",
+                         message=str(exc))
+    return SweepCell(c=c, beta=beta, gamma_fit=fit.slope,
+                     fit_quality=fit.adjusted_r2, status="ok")
+
+
+def _pool_workers(cells: int) -> int:
+    """Worker processes for `cells` sweep cells, or 0 to run them here.
+
+    One worker per CPU this process may run on, capped at `cells`. The
+    cells run here when that leaves fewer than 2 workers, when the
+    platform cannot fork, or when this process is daemonic and so may not
+    start children.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, cells)
+    if workers < 2:
+        return 0
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 0
+    return workers
+
+
 def run_sweep(c_values: Sequence[float] | None = None,
               beta_values: Sequence[float] | None = None,
               days_per_cell: int = 100,
@@ -118,7 +179,13 @@ def run_sweep(c_values: Sequence[float] | None = None,
     days under `protocol` and fits gamma by TLS. A cell that cannot be
     synthesized or fitted (e.g. cutoff collapsing below C at high beta and
     high C) is returned with status "failed" and the error message; it
-    never aborts the sweep. Cells are returned in grid order, C outer.
+    never aborts the sweep. Any other exception in a cell propagates.
+    Cells are returned in grid order, C outer.
+
+    The grid is checked here; the cells then run on forked worker
+    processes, one per usable CPU (see _pool_workers), in chunks of
+    consecutive cells, and equal those of a run in this process. A worker
+    that dies raises BrokenProcessPool here.
     """
     protocol = canonical_protocol(protocol)
     seed = seeding.check_seed(seed)
@@ -138,25 +205,22 @@ def run_sweep(c_values: Sequence[float] | None = None,
     if not (low >= 10 and high > low):
         raise DomainError("population range must satisfy 10 <= low < high")
 
-    def one_cell(index: int, c: float, beta: float) -> SweepCell:
-        cell_seed = seeding.derive_seed(seed, seeding.STREAM_CELL, index)
-        try:
-            schedule = log_uniform_schedule(
-                seeding.generator(cell_seed, seeding.STREAM_SCHEDULE),
-                days_per_cell, (low, high),
-            )
-            config = SamplerConfig(beta=beta, lower_cutoff=c, seed=cell_seed)
-            totals = series_totals(schedule, config, protocol)
-            fit = fit_gamma_tls(totals, bootstrap_reps=bootstrap_reps, seed=cell_seed)
-        except GrowthlabError as exc:
-            return SweepCell(c=c, beta=beta, gamma_fit=math.nan,
-                             fit_quality=math.nan, status="failed",
-                             message=str(exc))
-        return SweepCell(c=c, beta=beta, gamma_fit=fit.slope,
-                         fit_quality=fit.adjusted_r2, status="ok")
-
+    cell = functools.partial(
+        _sweep_cell, days_per_cell=days_per_cell, population_range=(low, high),
+        protocol=protocol, seed=seed, bootstrap_reps=bootstrap_reps,
+    )
     grid = [(c, beta) for c in cs for beta in betas]
-    return [one_cell(index, c, beta) for index, (c, beta) in enumerate(grid)]
+    columns = (range(len(grid)), *zip(*grid))
+    workers = _pool_workers(len(grid))
+    if not workers:
+        return list(map(cell, *columns))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = math.ceil(len(grid) / (_CHUNKS_PER_WORKER * workers))
+    with ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(cell, *columns, chunksize=chunk))
 
 
 def _snapshots(series) -> list[DailySnapshot]:

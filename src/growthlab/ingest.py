@@ -121,8 +121,9 @@ class EventTable:
     """An event log in columns.
 
     Row i is user ``users[user_codes[i]]`` with ``counts[i]`` tags on day
-    ``days[day_codes[i]]``. ``days`` and ``users`` hold distinct values;
-    the three columns are read-only int64 arrays of one length.
+    ``days[day_codes[i]]``. ``days`` and ``users`` hold distinct values,
+    the users as non-empty strings; the three columns are read-only int64
+    arrays of one length.
     """
 
     __slots__ = ("days", "users", "day_codes", "user_codes", "counts")
@@ -142,6 +143,10 @@ class EventTable:
                             "1-D and of one length")
         if len(set(self.days)) != len(self.days):
             raise DataError("days must be distinct")
+        # Test each distinct type once rather than each user id.
+        if not all(issubclass(kind, str) for kind in set(map(type, self.users))):
+            bad = next(user for user in self.users if not isinstance(user, str))
+            raise DataError(f"user ids must be strings, got {bad!r}")
         # Dict keys are distinct already; skip the set that would prove it.
         user_set = users if isinstance(users, dict) else set(self.users)
         if len(user_set) != len(self.users) or "" in user_set:

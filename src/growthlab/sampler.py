@@ -262,15 +262,19 @@ def _day_cutoff(config: SamplerConfig, protocol: str, day_index: int,
 def _schedule_draws(schedule: Sequence[int], config: SamplerConfig, protocol: str):
     """(day_index, population, draws, total) for each scheduled day, in order.
 
+    Every day's population and cutoff are checked, in day order, before
+    any day is drawn, so a schedule that fails on a late day draws nothing.
     The days' streams come from one seeding.generators pass, each used up
     before the next is taken.
     """
     if len(schedule) == 0:
         raise DomainError("schedule must contain at least one day")
-    rngs = seeding.generators(config.seed, seeding.STREAM_DAY, len(schedule))
-    for (day_index, population), rng in zip(enumerate(schedule), rngs):
+    uppers = []
+    for day_index, population in enumerate(schedule):
         _check_population(population, f"day {day_index}: ")
-        upper = _day_cutoff(config, protocol, day_index, population)
+        uppers.append(_day_cutoff(config, protocol, day_index, population))
+    rngs = seeding.generators(config.seed, seeding.STREAM_DAY, len(schedule))
+    for (day_index, population), upper, rng in zip(enumerate(schedule), uppers, rngs):
         population = int(population)
         yield (day_index, population,
                *_draw(rng, day_index, population, config, upper))

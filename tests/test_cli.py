@@ -63,6 +63,15 @@ def _write_model_events(path, beta=1.41, f_max=1259, days=(0, 1)):
     path.write_text("\n".join(rows) + "\n")
 
 
+def _source_env():
+    """The environment for a subprocess that imports this source tree."""
+    source_root = Path(growthlab.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(source_root), env.get("PYTHONPATH")]))
+    return env
+
+
 class TestSimulate:
     def test_writes_snapshot_table(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -546,6 +555,18 @@ class TestSweep:
         assert hashlib.sha256((out / "cells.tsv").read_bytes()).hexdigest() == (
             "e50f9d04761b9d29474e9b2ad71b83e5dbbd87c22f19e97beb6b36735d779637")
 
+    def test_pooled_sweep_leaves_stderr_empty(self, tmp_path):
+        # In a subprocess, so that anything a forked worker writes to the
+        # inherited stderr is seen too.
+        out = tmp_path / "sweep"
+        result = subprocess.run(
+            [sys.executable, "-m", "growthlab", "sweep", "--c-values", "1,8",
+             "--beta-grid", "1.3,6", "--days", "20", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=_source_env(),
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert "(3 ok, 1 failed of 4 cells)" in result.stdout
+
     def test_failed_cells_become_rows_not_errors(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         code, stdout, _ = _run(
@@ -777,6 +798,15 @@ class TestEntryPoints:
         code, _, stderr = _run(capsys)
         assert code == 1
         assert "SUBCOMMAND" in stderr
+
+    def test_importing_the_cli_starts_no_process_machinery(self):
+        # The sweep imports its process pool when it starts one, so that
+        # every other command's start-up does not pay for it.
+        probe = ("import sys, growthlab.cli; print(sorted(name for name in "
+                 "('multiprocessing', 'concurrent.futures') if name in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, timeout=120, env=_source_env())
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
     def test_version_flag(self, capsys):
         assert _run(capsys, "--version")[0] == 0

@@ -1,6 +1,8 @@
 """Tests for the sweep driver and single-series consistency checks."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from growthlab import (
     series_totals,
     synthesize_series,
 )
-from growthlab import estimators
+from growthlab import estimators, experiment
 from growthlab.errors import DomainError, EstimationError
 
 
@@ -154,6 +156,73 @@ class TestRunSweep:
             )
 
 
+def _usable_cpus(monkeypatch, count):
+    """Make run_sweep see `count` usable CPUs: 1 runs its cells here, more
+    start a pool of that many workers (capped at the grid size)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _raise_naming_the_process(*args):
+    raise RuntimeError(f"raised in process {os.getpid()}")
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+# C = 8 fails at beta 6 (cutoff below C) and fits at beta 1.3.
+SMALL_GRID = dict(c_values=(1.0, 8.0), beta_values=(1.3, 2.5, 6.0),
+                  days_per_cell=20, population_range=(100.0, 10_000.0), seed=3)
+
+
+class TestSweepPool:
+    @pytest.mark.parametrize("protocol", ["coupled-truncation", "fixed-truncation",
+                                          "unbounded"])
+    def test_pooled_cells_equal_serial_cells(self, monkeypatch, protocol):
+        _usable_cpus(monkeypatch, 1)
+        serial = run_sweep(protocol=protocol, bootstrap_reps=40, **SMALL_GRID)
+        _usable_cpus(monkeypatch, 4)
+        pooled = run_sweep(protocol=protocol, bootstrap_reps=40, **SMALL_GRID)
+        # repr compares failed cells too, whose nan fields never compare equal.
+        assert repr(pooled) == repr(serial)
+        if protocol == "coupled-truncation":
+            assert {cell.status for cell in serial} == {"ok", "failed"}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_other_errors_propagate_from_a_cell(self, monkeypatch, cpus):
+        # The patch is in place before the pool forks, so workers see it too.
+        monkeypatch.setattr(experiment, "series_totals", _raise_naming_the_process)
+        _usable_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError, match="raised in process") as raised:
+            run_sweep(**SMALL_GRID)
+        in_this_process = str(raised.value) == f"raised in process {os.getpid()}"
+        assert in_this_process == (cpus == 1 or not FORK)
+
+    def test_no_fork_runs_the_cells_here(self, monkeypatch):
+        monkeypatch.setattr(experiment, "series_totals", _raise_naming_the_process)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        _usable_cpus(monkeypatch, 2)
+        assert experiment._pool_workers(6) == 0
+        with pytest.raises(RuntimeError, match=f"^raised in process {os.getpid()}$"):
+            run_sweep(**SMALL_GRID)
+
+    @pytest.mark.skipif(not FORK, reason="needs the fork start method")
+    def test_a_daemonic_caller_runs_the_cells_itself(self, monkeypatch):
+        # A multiprocessing.Pool worker is daemonic and may not start children.
+        _usable_cpus(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            nested = pool.apply_async(run_sweep, kwds=SMALL_GRID).get(timeout=120)
+        _usable_cpus(monkeypatch, 1)
+        assert repr(nested) == repr(run_sweep(**SMALL_GRID))
+
+    def test_workers_follow_the_usable_cpus_capped_at_the_cells(self, monkeypatch):
+        _usable_cpus(monkeypatch, 3)
+        assert [experiment._pool_workers(n) for n in (1, 2, 3, 400)] == \
+            ([0, 2, 3, 3] if FORK else [0, 0, 0, 0])
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiment._pool_workers(400) == 0
+
+
 class TestCutoffInvariance:
     def test_gamma_ignores_the_lower_cutoff_for_continuous_draws(self):
         schedule = log_uniform_schedule(
@@ -213,12 +282,18 @@ class TestComparePrediction:
         estimators._bootstrap_indices.cache_clear()
         beta_alone = pool_and_fit_beta(rescaled, bootstrap_reps=300, seed=7)
         estimators._bootstrap_indices.cache_clear()
-        streams = []
-        generator = seeding.generator
-        monkeypatch.setattr(seeding, "generator",
-                            lambda *key: streams.append(key) or generator(*key))
+        calls = []
+        generators = seeding.generators
+
+        def counted(*key):
+            calls.append([key, 0])
+            for rng in generators(*key):
+                calls[-1][1] += 1
+                yield rng
+
+        monkeypatch.setattr(seeding, "generators", counted)
         prediction = compare_prediction(series, bootstrap_reps=300, seed=7)
-        assert len(streams) == 300
+        assert calls == [[(7, seeding.STREAM_BOOTSTRAP, 300), 300]]
         assert prediction.gamma_fit.ci95_slope == gamma_alone.ci95_slope
         assert prediction.beta_fit.ci95_beta == beta_alone.ci95_beta
         assert not estimators._bootstrap_indices(10, 300, 7).flags.writeable

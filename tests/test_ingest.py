@@ -184,6 +184,26 @@ class TestFromRows:
         assert str(raised.value) == message
 
 
+class TestEventTableConstructor:
+    @pytest.mark.parametrize("users, message", [
+        ([5], "user ids must be strings, got 5"),
+        (["a", None, 7], "user ids must be strings, got None"),
+        ([("a",)], "user ids must be strings, got ('a',)"),
+        (["a", "a"], "user ids must be distinct and non-empty"),
+        ([""], "user ids must be distinct and non-empty"),
+    ], ids=["int", "first-bad-named", "tuple", "repeated", "empty"])
+    def test_rejects_bad_user_ids(self, users, message):
+        with pytest.raises(DataError) as raised:
+            EventTable([0], users, [0], [0], [1])
+        assert str(raised.value) == message
+
+    def test_str_subclass_ids_are_strings(self):
+        class Name(str):
+            pass
+
+        assert EventTable([0], [Name("a")], [0], [0], [1]).users == ("a",)
+
+
 class TestDailySnapshot:
     def test_consistent_snapshot_constructs(self):
         levels, counts = np.array([1, 5]), np.array([2, 1])

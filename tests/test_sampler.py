@@ -303,6 +303,23 @@ class TestSynthesizeSeries:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             build(schedule, SamplerConfig(beta=1.5))
 
+    @pytest.mark.parametrize("build", [gl.synthesize_series, gl.series_totals])
+    def test_a_failing_late_day_draws_nothing(self, build, monkeypatch):
+        # Days 0 and 1 have a cutoff of about 13.2 > C; day 2's falls below C.
+        # The whole schedule is checked first, so days 0 and 1 are never drawn.
+        drawn = []
+        draw = gl.sampler._draw
+        monkeypatch.setattr(gl.sampler, "_draw",
+                            lambda rng, day, *rest: drawn.append(day) or draw(rng, day, *rest))
+        cfg = SamplerConfig(beta=5.0, lower_cutoff=10.0, seed=0)
+        with pytest.raises(DomainError, match=r"^day 2: population 100 gives cutoff"):
+            build([10**5, 10**5, 100], cfg)
+        with pytest.raises(DomainError, match=r"^day 1: population must be an integer"):
+            build([10**5, 1.5, 100], cfg)
+        assert drawn == []
+        build([10**5, 10**5], cfg)
+        assert drawn == [0, 1]
+
     def test_schedule_recorded_on_the_series(self):
         cfg = SamplerConfig(beta=1.5, seed=1)
         series = gl.synthesize_series([300, 800], cfg)
