@@ -42,6 +42,7 @@ from .ingest import DailySnapshot
 from .sampler import (
     SamplerConfig,
     SyntheticSeries,
+    _check_finite_range,
     canonical_protocol,
     log_uniform_schedule,
     series_totals,
@@ -201,6 +202,7 @@ def run_sweep(c_values: Sequence[float] | None = None,
             raise DomainError(f"lower cutoff must be >= 1, got {c}")
     if days_per_cell < 10:
         raise DomainError("need at least 10 days per cell")
+    _check_finite_range(population_range)
     low, high = population_range
     if not (low >= 10 and high > low):
         raise DomainError("population range must satisfy 10 <= low < high")

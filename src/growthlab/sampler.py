@@ -96,14 +96,6 @@ class SyntheticSeries:
         lambda self: tuple(day.population for day in self.days))
 
 
-def _inverse_cdf(beta: float, c: float, upper: float | None, u: np.ndarray):
-    exponent = -1.0 / (beta - 1.0)
-    if upper is None:
-        return c * (1.0 - u) ** exponent
-    ratio = (upper / c) ** (1.0 - beta)
-    return c * (1.0 - u * (1.0 - ratio)) ** exponent
-
-
 def sample_activity(config: SamplerConfig, u):
     """Map uniform u in [0, 1) to an activity via the inverse CDF.
 
@@ -111,12 +103,18 @@ def sample_activity(config: SamplerConfig, u):
     Truncated:  x = C (1 - u (1 - (U/C)^(1-beta)))^(-1/(beta-1))
 
     Strictly increasing in u, with x(0) = C and x(u -> 1) -> U (or infinity
-    when unbounded). Accepts scalars or arrays and returns the same shape.
+    when unbounded). Accepts scalars or arrays and returns the same shape;
+    an array u is left unchanged.
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any((u_arr < 0.0) | (u_arr >= 1.0)):
+    if np.any(~((u_arr >= 0.0) & (u_arr < 1.0))):  # also true for nan
         raise DomainError("u must lie in [0, 1)")
-    x = _inverse_cdf(config.beta, config.lower_cutoff, config.upper_cutoff, u_arr)
+    beta, c, upper = config.beta, config.lower_cutoff, config.upper_cutoff
+    exponent = -1.0 / (beta - 1.0)
+    if upper is None:
+        x = c * (1.0 - u_arr) ** exponent
+    else:
+        x = c * (1.0 - u_arr * (1.0 - (upper / c) ** (1.0 - beta))) ** exponent
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(x)
     return x
@@ -138,8 +136,15 @@ def _draw(rng: np.random.Generator, day_index: int, population: int,
     here. `rng` must be positioned at the start of the day's stream:
     seeding.generator(config.seed, STREAM_DAY, day_index) for a single day,
     or the same stream from seeding.generators for a whole schedule. So
-    they agree to the last bit. The caller has checked the population.
-    rng.random() lies in [0, 1), so u needs no range check.
+    they agree to the last bit. The caller has checked the population and
+    entered np.errstate(over="ignore"), once per public call rather than
+    once per day. rng.random() lies in [0, 1), so u needs no range check.
+
+    The uniforms are transformed in place: the same IEEE operations in the
+    same order as sample_activity, so the same bits, without a temporary
+    array per step. `**=` takes the same route as sample_activity's `**`,
+    numpy's fast paths for special exponents included; `x *= c` equals
+    `c * x`, since IEEE multiplication commutes.
 
     Each day is reduced once: the float sum is a bound on every draw, since
     a sum of positive terms is never below its largest one. Only a sum that
@@ -148,10 +153,14 @@ def _draw(rng: np.random.Generator, day_index: int, population: int,
     Integerized draws come back as int64: draws are at least C >= 1, so the
     truncating cast is the floor, and their F is the exact integer sum.
     """
-    with np.errstate(over="ignore"):
-        x = _inverse_cdf(config.beta, config.lower_cutoff, upper,
-                         rng.random(int(population)))
-        total = float(x.sum())
+    beta, c = config.beta, config.lower_cutoff
+    x = rng.random(int(population))
+    if upper is not None:
+        x *= 1.0 - (upper / c) ** (1.0 - beta)
+    np.subtract(1.0, x, out=x)
+    x **= -1.0 / (beta - 1.0)
+    x *= c
+    total = float(x.sum())
     if not total < (2.0**63 if config.integerize else math.inf):
         top = float(x.max())
         if top == math.inf:
@@ -180,6 +189,7 @@ def _snapshot(day_index: int, x: np.ndarray, total: float) -> DailySnapshot:
                          levels=levels, counts=counts)
 
 
+@np.errstate(over="ignore")
 def synthesize_day(day_index: int, population: int,
                    config: SamplerConfig) -> DailySnapshot:
     """Generate one day's snapshot: P draws, summed and histogrammed.
@@ -194,6 +204,7 @@ def synthesize_day(day_index: int, population: int,
                                        config.upper_cutoff))
 
 
+@np.errstate(over="ignore")
 def day_totals(day_index: int, population: int,
                config: SamplerConfig) -> tuple[int, float]:
     """(P, F) for one day without materializing the histogram.
@@ -217,13 +228,28 @@ def log_uniform_schedule(rng: np.random.Generator, days: int,
     """
     if days < 1:
         raise DomainError(f"need at least one day, got {days}")
+    _check_finite_range(population_range)
     low, high = population_range
     if not (1 <= low < high):
         raise DomainError(
             f"population range must satisfy 1 <= low < high, got {population_range}"
         )
     exponents = rng.uniform(math.log10(low), math.log10(high), size=days)
-    return [max(1, int(round(10.0**e))) for e in exponents]
+    # Python floats round like numpy scalars (libm pow, half to even), faster.
+    return [max(1, round(10.0**e)) for e in exponents.tolist()]
+
+
+def _check_finite_range(population_range: tuple[float, float]) -> None:
+    """Reject a population range with a bound that is no finite float:
+    inf, nan, or an int too large to convert."""
+    try:
+        finite = all(math.isfinite(bound) for bound in population_range)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"population range bounds must be finite numbers, got {population_range}"
+        )
 
 
 def canonical_protocol(name: str) -> str:
@@ -280,6 +306,7 @@ def _schedule_draws(schedule: Sequence[int], config: SamplerConfig, protocol: st
                *_draw(rng, day_index, population, config, upper))
 
 
+@np.errstate(over="ignore")
 def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
                       protocol: str = "coupled-truncation") -> SyntheticSeries:
     """Generate a full series: one snapshot per scheduled population.
@@ -297,6 +324,7 @@ def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
                            protocol=protocol)
 
 
+@np.errstate(over="ignore")
 def series_totals(schedule: Sequence[int], config: SamplerConfig,
                   protocol: str = "coupled-truncation") -> list[tuple[int, float]]:
     """Per-day (P, F) pairs for a whole schedule via the lean totals path."""

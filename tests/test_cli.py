@@ -227,6 +227,18 @@ class TestSimulate:
         assert "must be positive" not in stderr
         assert stdout == ""
 
+    def test_pmax_past_the_float_range_exits_two(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, stderr = _run(
+                capsys, "simulate", "--beta", "1.5", "--days", "3",
+                "--pmax", str(10**400), "--out", str(tmp_path / "run"),
+            )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(
+            "growthlab: population range bounds must be finite numbers, got (1000, ")
+        assert not os.path.exists(tmp_path / "run" / "snapshots.tsv")
+
 
 class TestFit:
     def test_noiseless_power_law_is_recovered_exactly(self, tmp_path, capsys):
@@ -665,6 +677,18 @@ class TestSweep:
                                     "--out", str(tmp_path / "sweep"))
         assert (code, stdout) == (1, "")
         assert stderr == f"growthlab: error: {message}\n"
+
+    def test_pmax_past_the_float_range_exits_two(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, stderr = _run(
+                capsys, "sweep", "--beta-grid", "1.5", "--c-values", "1",
+                "--pmax", str(10**400), "--out", str(tmp_path / "sweep"),
+            )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(
+            "growthlab: population range bounds must be finite numbers, got (100, ")
+        assert not os.path.exists(tmp_path / "sweep" / "cells.tsv")
 
     def test_internal_failures_exit_three(self, tmp_path, capsys, monkeypatch):
         import growthlab.cli as cli_module

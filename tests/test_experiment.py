@@ -140,6 +140,11 @@ class TestRunSweep:
             run_sweep(
                 c_values=(1.0,), beta_values=(1.5,), population_range=(5.0, 100.0)
             )
+        for population_range in [(100.0, math.inf), (100, 10**400)]:
+            with pytest.raises(DomainError,
+                               match=r"^population range bounds must be finite"):
+                run_sweep(c_values=(1.0,), beta_values=(1.5,),
+                          population_range=population_range)
         # A failing cell becomes a row, not an error: this raise is the grid check.
         for c in (0.5, math.nan):
             with pytest.raises(DomainError, match=f"lower cutoff must be >= 1, got {c}"):

@@ -63,7 +63,7 @@ class TestSampleActivity:
             if hi - lo > 1e-9:
                 assert gl.sample_activity(cfg, lo) < gl.sample_activity(cfg, hi)
 
-    @pytest.mark.parametrize("u", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("u", [-0.1, 1.0, 1.5, math.nan])
     def test_rejects_u_outside_the_half_open_interval(self, u):
         cfg = SamplerConfig(beta=1.58, lower_cutoff=1.0)
         with pytest.raises(DomainError):
@@ -73,6 +73,14 @@ class TestSampleActivity:
         cfg = SamplerConfig(beta=1.58, lower_cutoff=1.0)
         u = _uniforms(2, 12).reshape(3, 4)
         assert gl.sample_activity(cfg, u).shape == (3, 4)
+
+    @pytest.mark.parametrize("upper", [None, 400.0])
+    def test_leaves_the_callers_array_unchanged(self, upper):
+        cfg = SamplerConfig(beta=1.58, lower_cutoff=2.0, upper_cutoff=upper)
+        u = _uniforms(3, 1_000)
+        before = u.copy()
+        gl.sample_activity(cfg, u)
+        assert np.array_equal(u, before)
 
 
 class TestSampleDistribution:
@@ -175,6 +183,20 @@ class TestSynthesizeDay:
             assert population == snap.population
             assert total == snap.total_activity
 
+    # beta 2 and 3 give the exponents -1 and -0.5, which numpy may route to
+    # special kernels; the in-place draw must take the same ones.
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("upper", [None, 700.0])
+    def test_draws_equal_sample_activity_on_the_day_stream(self, beta, upper):
+        cfg = SamplerConfig(beta=beta, lower_cutoff=1.5, upper_cutoff=upper, seed=8)
+        rng = seeding.generator(8, seeding.STREAM_DAY, 3)
+        x = gl.sample_activity(cfg, rng.random(20_000))
+        levels, counts = np.unique(x, return_counts=True)
+        snap = gl.synthesize_day(3, 20_000, cfg)
+        assert np.array_equal(snap.levels, levels)
+        assert np.array_equal(snap.counts, counts)
+        assert snap.total_activity == float(x.sum())
+
     def test_integerize_floors_and_clamps(self):
         base = dict(beta=1.3, lower_cutoff=1.0, upper_cutoff=800.0, seed=6)
         continuous = gl.synthesize_day(0, 10_000, SamplerConfig(**base))
@@ -218,6 +240,31 @@ class TestLogUniformSchedule:
             gl.log_uniform_schedule(rng, 5, (1e3, 1e3))
         with pytest.raises(DomainError):
             gl.log_uniform_schedule(rng, 5, (0.5, 1e3))
+
+    @pytest.mark.parametrize("population_range", [
+        (1e3, math.inf), (math.nan, 1e3), (1e3, math.nan), (1e3, 10**400),
+        (10**400, 10**401),
+    ], ids=["inf", "nan-low", "nan-high", "huge-int", "huge-ints"])
+    def test_rejects_bounds_that_are_no_finite_float(self, population_range):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError,
+                               match=r"^population range bounds must be finite"):
+                gl.log_uniform_schedule(np.random.default_rng(0), 5,
+                                        population_range)
+
+    @pytest.mark.parametrize("population_range", [(1e2, 1e4), (1e3, 1e5)])
+    def test_equals_the_numpy_scalar_rounding(self, population_range):
+        # The schedule rounds Python floats; numpy float64 scalars take the
+        # same libm pow and round half to even, so the values are equal.
+        low, high = population_range
+        for seed in range(200):
+            schedule = gl.log_uniform_schedule(
+                np.random.default_rng(seed), 100, population_range)
+            exponents = np.random.default_rng(seed).uniform(
+                math.log10(low), math.log10(high), size=100)
+            assert schedule == [max(1, int(round(10.0**e))) for e in exponents]
+            assert all(type(population) is int for population in schedule)
 
 
 class TestProtocols:
@@ -485,8 +532,9 @@ class TestOverflowingDraws:
 
     def test_non_finite_continuous_draw(self):
         cfg = SamplerConfig(beta=1.01, seed=0)
-        with pytest.raises(DomainError, match=r"^day 2: .* overflows to inf"):
-            gl.series_totals([10, 20, 100_000], cfg, "unbounded")
+        for build in (gl.series_totals, gl.synthesize_series):
+            with pytest.raises(DomainError, match=r"^day 2: .* overflows to inf"):
+                build([10, 20, 100_000], cfg, "unbounded")
         with pytest.raises(DomainError, match=r"^day 3: .* overflows to inf"):
             gl.day_totals(3, 100_000, cfg)
         with pytest.raises(DomainError, match=r"^day 3: .* overflows to inf"):
