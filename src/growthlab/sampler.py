@@ -96,6 +96,14 @@ class SyntheticSeries:
         lambda self: tuple(day.population for day in self.days))
 
 
+def _inverse_cdf(beta: float, c: float, upper: float | None, u: np.ndarray):
+    exponent = -1.0 / (beta - 1.0)
+    if upper is None:
+        return c * (1.0 - u) ** exponent
+    ratio = (upper / c) ** (1.0 - beta)
+    return c * (1.0 - u * (1.0 - ratio)) ** exponent
+
+
 def sample_activity(config: SamplerConfig, u):
     """Map uniform u in [0, 1) to an activity via the inverse CDF.
 
@@ -109,12 +117,7 @@ def sample_activity(config: SamplerConfig, u):
     u_arr = np.asarray(u, dtype=float)
     if np.any(~((u_arr >= 0.0) & (u_arr < 1.0))):  # also true for nan
         raise DomainError("u must lie in [0, 1)")
-    beta, c, upper = config.beta, config.lower_cutoff, config.upper_cutoff
-    exponent = -1.0 / (beta - 1.0)
-    if upper is None:
-        x = c * (1.0 - u_arr) ** exponent
-    else:
-        x = c * (1.0 - u_arr * (1.0 - (upper / c) ** (1.0 - beta))) ** exponent
+    x = _inverse_cdf(config.beta, config.lower_cutoff, config.upper_cutoff, u_arr)
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(x)
     return x
@@ -140,12 +143,6 @@ def _draw(rng: np.random.Generator, day_index: int, population: int,
     entered np.errstate(over="ignore"), once per public call rather than
     once per day. rng.random() lies in [0, 1), so u needs no range check.
 
-    The uniforms are transformed in place: the same IEEE operations in the
-    same order as sample_activity, so the same bits, without a temporary
-    array per step. `**=` takes the same route as sample_activity's `**`,
-    numpy's fast paths for special exponents included; `x *= c` equals
-    `c * x`, since IEEE multiplication commutes.
-
     Each day is reduced once: the float sum is a bound on every draw, since
     a sum of positive terms is never below its largest one. Only a sum that
     is not finite (or reaches 2^63 for integerized draws) pays for x.max(),
@@ -153,13 +150,8 @@ def _draw(rng: np.random.Generator, day_index: int, population: int,
     Integerized draws come back as int64: draws are at least C >= 1, so the
     truncating cast is the floor, and their F is the exact integer sum.
     """
-    beta, c = config.beta, config.lower_cutoff
-    x = rng.random(int(population))
-    if upper is not None:
-        x *= 1.0 - (upper / c) ** (1.0 - beta)
-    np.subtract(1.0, x, out=x)
-    x **= -1.0 / (beta - 1.0)
-    x *= c
+    x = _inverse_cdf(config.beta, config.lower_cutoff, upper,
+                     rng.random(int(population)))
     total = float(x.sum())
     if not total < (2.0**63 if config.integerize else math.inf):
         top = float(x.max())
@@ -189,7 +181,6 @@ def _snapshot(day_index: int, x: np.ndarray, total: float) -> DailySnapshot:
                          levels=levels, counts=counts)
 
 
-@np.errstate(over="ignore")
 def synthesize_day(day_index: int, population: int,
                    config: SamplerConfig) -> DailySnapshot:
     """Generate one day's snapshot: P draws, summed and histogrammed.
@@ -200,11 +191,11 @@ def synthesize_day(day_index: int, population: int,
     """
     _check_population(population)
     rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
-    return _snapshot(day_index, *_draw(rng, day_index, population, config,
-                                       config.upper_cutoff))
+    with np.errstate(over="ignore"):
+        x, total = _draw(rng, day_index, population, config, config.upper_cutoff)
+    return _snapshot(day_index, x, total)
 
 
-@np.errstate(over="ignore")
 def day_totals(day_index: int, population: int,
                config: SamplerConfig) -> tuple[int, float]:
     """(P, F) for one day without materializing the histogram.
@@ -215,7 +206,8 @@ def day_totals(day_index: int, population: int,
     """
     _check_population(population)
     rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
-    _, total = _draw(rng, day_index, population, config, config.upper_cutoff)
+    with np.errstate(over="ignore"):
+        _, total = _draw(rng, day_index, population, config, config.upper_cutoff)
     return int(population), total
 
 
@@ -306,7 +298,6 @@ def _schedule_draws(schedule: Sequence[int], config: SamplerConfig, protocol: st
                *_draw(rng, day_index, population, config, upper))
 
 
-@np.errstate(over="ignore")
 def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
                       protocol: str = "coupled-truncation") -> SyntheticSeries:
     """Generate a full series: one snapshot per scheduled population.
@@ -316,23 +307,24 @@ def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
     be regenerated in isolation with synthesize_day.
     """
     protocol = canonical_protocol(protocol)
-    snapshots = tuple(
-        _snapshot(day_index, x, total)
-        for day_index, _, x, total in _schedule_draws(schedule, config, protocol)
-    )
+    with np.errstate(over="ignore"):
+        snapshots = tuple(
+            _snapshot(day_index, x, total)
+            for day_index, _, x, total in _schedule_draws(schedule, config, protocol)
+        )
     return SyntheticSeries(days=snapshots, generator_config=config,
                            protocol=protocol)
 
 
-@np.errstate(over="ignore")
 def series_totals(schedule: Sequence[int], config: SamplerConfig,
                   protocol: str = "coupled-truncation") -> list[tuple[int, float]]:
     """Per-day (P, F) pairs for a whole schedule via the lean totals path."""
     protocol = canonical_protocol(protocol)
-    return [
-        (population, total)
-        for _, population, _, total in _schedule_draws(schedule, config, protocol)
-    ]
+    with np.errstate(over="ignore"):
+        return [
+            (population, total)
+            for _, population, _, total in _schedule_draws(schedule, config, protocol)
+        ]
 
 
 def events_from_series(series: SyntheticSeries) -> EventTable:

@@ -183,20 +183,6 @@ class TestSynthesizeDay:
             assert population == snap.population
             assert total == snap.total_activity
 
-    # beta 2 and 3 give the exponents -1 and -0.5, which numpy may route to
-    # special kernels; the in-place draw must take the same ones.
-    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("upper", [None, 700.0])
-    def test_draws_equal_sample_activity_on_the_day_stream(self, beta, upper):
-        cfg = SamplerConfig(beta=beta, lower_cutoff=1.5, upper_cutoff=upper, seed=8)
-        rng = seeding.generator(8, seeding.STREAM_DAY, 3)
-        x = gl.sample_activity(cfg, rng.random(20_000))
-        levels, counts = np.unique(x, return_counts=True)
-        snap = gl.synthesize_day(3, 20_000, cfg)
-        assert np.array_equal(snap.levels, levels)
-        assert np.array_equal(snap.counts, counts)
-        assert snap.total_activity == float(x.sum())
-
     def test_integerize_floors_and_clamps(self):
         base = dict(beta=1.3, lower_cutoff=1.0, upper_cutoff=800.0, seed=6)
         continuous = gl.synthesize_day(0, 10_000, SamplerConfig(**base))
