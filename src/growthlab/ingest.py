@@ -10,10 +10,16 @@ Parsing is strict and error messages name the offending line, because
 silent coercion of a malformed activity log poisons every estimate
 downstream.
 
-A log is read as a stream, one row at a time, into an ``EventTable``: the
-distinct day values, the distinct user ids, and per-row int64 arrays of
-day code, user code and count. Each distinct day text is parsed once, and
-day texts naming the same day (``5``, `` 5``, ``05``) share a code.
+A log is read as a stream into an ``EventTable``: the distinct day values,
+the distinct user ids, and per-row int64 arrays of day code, user code and
+count. Each distinct day text is parsed once, and day texts naming the
+same day (``5``, `` 5``, ``05``) share a code. A CSV log is read in blocks
+of whole lines, about 64 KiB each. A plain block, whose every line is
+three unquoted cells without ``\\r`` and whose day and count texts parse,
+is split at its commas and coded a column at a time. At the first block
+that is not plain, csv.reader takes over and reads that block and the
+rest of the stream row by row: it is the one path for quoted cells,
+carriage returns, blank lines, padded user ids and every error.
 ``aggregate`` sums and histograms those arrays with numpy into one
 ``DailySnapshot`` per day, whose histogram is two arrays, ``levels`` and
 ``counts``. ``EventTable.from_rows`` builds a table from hand-written
@@ -25,10 +31,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import math
 import os
 import re
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Union
@@ -61,6 +69,13 @@ _FORMAT_BY_SUFFIX = {".tsv": "snapshot", ".csv": "csv", ".jsonl": "jsonl",
                      ".ndjson": "jsonl"}
 
 _INT64_MAX = 2**63 - 1
+
+# The CSV block reader reads this many characters, then the rest of the line.
+_CSV_BLOCK = 1 << 16
+
+# Every byte but , \n " and \r: deleting them from a plain block's UTF-8
+# leaves ",,\n" per line.
+_NOT_PLAIN = bytes(sorted(set(range(256)) - set(b',\n"\r')))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +183,7 @@ class EventTable:
         [1, 2^63 - 1]; anything else raises DataError."""
         builder = _TableBuilder()
         for user_id, day, count in rows:
-            if not isinstance(user_id, str):
-                raise DataError(f"user_id must be a string, got {user_id!r}")
-            builder.add(_check_day(day), user_id, _check_count(count))
+            builder.add(_check_day(day), _check_user_id(user_id), _check_count(count))
         return builder.table()
 
     def __len__(self) -> int:
@@ -182,14 +195,15 @@ class EventTable:
 
 
 class _TableBuilder:
-    """Rows appended as codes; each distinct day and user id gets the next code."""
+    """Rows appended as codes; each distinct day and user id gets the next
+    code. The columns are int64 arrays, which EventTable wraps uncopied."""
 
     def __init__(self) -> None:
         self.days: dict[Day, int] = {}
         self.users: dict[str, int] = {}
-        self.day_codes: list[int] = []
-        self.user_codes: list[int] = []
-        self.counts: list[int] = []
+        self.day_codes = array("q")
+        self.user_codes = array("q")
+        self.counts = array("q")
 
     def day_code(self, day: Day) -> int:
         return self.days.setdefault(day, len(self.days))
@@ -228,6 +242,12 @@ def _check_day(day: object) -> Day:
     return day
 
 
+def _check_user_id(user_id: object) -> str:
+    if not isinstance(user_id, str):
+        raise DataError(f"user_id must be a string, got {user_id!r}")
+    return user_id
+
+
 def _check_count(count: object) -> int:
     if isinstance(count, bool) or not isinstance(count, int):
         raise DataError(f"count must be an integer, got {count!r}")
@@ -248,54 +268,119 @@ def _parse_count(raw: object) -> int:
 
 
 def _parse_csv(text: IO[str]) -> EventTable:
+    builder = _TableBuilder()
     reader = csv.reader(text)
     try:
-        return _csv_table(reader)
+        header = next(reader, None)
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise DataError(f"line {reader.line_num}: {exc}") from None
-
-
-def _csv_table(reader) -> EventTable:
-    builder = _TableBuilder()
-    header = next(reader, None)
     if header is None:
         return builder.table()
     if [column.strip() for column in header] != _CSV_HEADER:
         raise DataError(
             f"line 1: expected header {','.join(_CSV_HEADER)!r}, got {','.join(header)!r}"
         )
-    # Raw cell text -> day code or count; a miss parses the text and caches
-    # it, so a bad text still fails, with its message, at its first line.
-    # Raw user text that hits builder.users is already stripped.
+    # Raw cell text -> day code or count, shared by both paths.
     day_by_text: dict[str, int] = {}
     count_by_text: dict[str, int] = {}
+    while block := text.read(_CSV_BLOCK):
+        block += text.readline()
+        if not _add_plain_block(block, builder, day_by_text, count_by_text):
+            # The block's lines split as in a stream opened with newline="",
+            # as csv.reader expects; each line of a plain block was one row.
+            rest = itertools.chain(io.StringIO(block, newline=""), text)
+            _csv_table(rest, reader.line_num + len(builder.counts) + 1,
+                       builder, day_by_text, count_by_text)
+            break
+    return builder.table()
+
+
+def _add_plain_block(block: str, builder: _TableBuilder,
+                     day_by_text: dict[str, int], count_by_text: dict[str, int]) -> bool:
+    """Add a block of whole lines to builder and return True if the block
+    is plain; else return False with builder and both caches untouched.
+
+    Plain: at most csv.field_size_limit() characters, no " or \\r, two
+    commas on every line, every new day and count text parses, and no new
+    user id is empty or has surrounding whitespace. csv.reader splits such
+    a line at its commas alone, and the row loop would accept every row.
+    """
+    if not block.endswith("\n"):  # the input's last line
+        block += "\n"
+    raw = block.encode("utf-8", "surrogatepass")
+    if (len(block) > csv.field_size_limit()
+            or raw.translate(None, _NOT_PLAIN) != b",,\n" * raw.count(b"\n")):
+        return False
+    cells = block.replace("\n", ",").split(",")
+    cells.pop()  # the empty text after the last newline
+    user_texts, day_texts, count_texts = cells[0::3], cells[1::3], cells[2::3]
+    try:
+        # In order of first use, so that new days get the row loop's codes.
+        new_days = [(text, _parse_day(text)) for text in dict.fromkeys(day_texts)
+                    if text not in day_by_text]
+        new_counts = {text: _parse_count(text)
+                      for text in set(count_texts).difference(count_by_text)}
+    except DataError:
+        return False
+    users = builder.users
+    known = len(users)
+    user_codes = [users.setdefault(text, len(users)) for text in user_texts]
+    new_users = list(itertools.islice(reversed(users), len(users) - known))
+    if "" in new_users or list(map(str.strip, new_users)) != new_users:
+        for text in new_users:
+            del users[text]
+        return False
+    for text, day in new_days:
+        day_by_text[text] = builder.day_code(day)
+    count_by_text.update(new_counts)
+    # array() fills from a list faster than extend() from an iterator.
+    builder.day_codes.extend(array("q", list(map(day_by_text.__getitem__, day_texts))))
+    builder.user_codes.extend(array("q", user_codes))
+    builder.counts.extend(array("q", list(map(count_by_text.__getitem__, count_texts))))
+    return True
+
+
+def _csv_table(lines: Iterable[str], first_line: int, builder: _TableBuilder,
+               day_by_text: dict[str, int], count_by_text: dict[str, int]) -> None:
+    """Add the CSV rows of lines to builder, one at a time. The lines are
+    numbered from first_line, and an error names the line its row starts
+    on."""
+    reader = csv.reader(lines)
+    # A cache miss parses the text and caches it, so a bad text still fails,
+    # with its message, at its first line. Raw user text that hits
+    # builder.users is already stripped.
     user_by_id = builder.users
     add_day = builder.day_codes.append
     add_user = builder.user_codes.append
     add_count = builder.counts.append
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            user_text, day_text, count_text = row
-        except ValueError:
-            if not row:
-                continue
-            raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}") from None
-        try:
-            day = day_by_text.get(day_text)
-            if day is None:
-                day = day_by_text[day_text] = builder.day_code(_parse_day(day_text))
-            count = count_by_text.get(count_text)
-            if count is None:
-                count = count_by_text[count_text] = _parse_count(count_text)
-            user = user_by_id.get(user_text)
-            if user is None:
-                user = builder.user_code(user_text.strip())
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        add_day(day)
-        add_user(user)
-        add_count(count)
-    return builder.table()
+    start = first_line
+    try:
+        for row in reader:
+            lineno, start = start, first_line + reader.line_num
+            try:
+                user_text, day_text, count_text = row
+            except ValueError:
+                if not row:
+                    continue
+                raise DataError(
+                    f"line {lineno}: expected 3 fields, got {len(row)}") from None
+            try:
+                day = day_by_text.get(day_text)
+                if day is None:
+                    day = day_by_text[day_text] = builder.day_code(_parse_day(day_text))
+                count = count_by_text.get(count_text)
+                if count is None:
+                    count = count_by_text[count_text] = _parse_count(count_text)
+                user = user_by_id.get(user_text)
+                if user is None:
+                    user = builder.user_code(user_text.strip())
+            except DataError as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
+            add_day(day)
+            add_user(user)
+            add_count(count)
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise DataError(f"line {first_line - 1 + reader.line_num}: {exc}") from None
 
 
 def _parse_jsonl(text: IO[str]) -> EventTable:
@@ -317,7 +402,8 @@ def _parse_jsonl(text: IO[str]) -> EventTable:
             if isinstance(day_raw, bool):
                 raise DataError(f"day {day_raw!r} is neither an ISO date nor an integer")
             day = day_raw if isinstance(day_raw, int) else _parse_day(str(day_raw))
-            builder.add(day, str(record["user_id"]), _parse_count(record["count"]))
+            builder.add(day, _check_user_id(record["user_id"]),
+                        _parse_count(record["count"]))
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
     return builder.table()

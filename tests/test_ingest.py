@@ -1,9 +1,11 @@
 """Event-log parsing, aggregation and the CSV interchange round trip."""
 
+import csv
 import datetime as dt
 import io
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growthlab as gl
-from growthlab import DailySnapshot, DataError, DomainError, EventTable
+from growthlab import DailySnapshot, DataError, DomainError, EventTable, ingest
 
 CSV_SAMPLE = """user_id,day,count
 alice,2024-03-01,3
@@ -575,6 +577,129 @@ class TestBadRowsKeepTheirMessages:
         with pytest.raises(DataError, match="^input is not valid UTF-8"):
             gl.parse_events(stream, format=format)
         assert not stream.closed
+
+
+class TestLineNumbersAndUserIds:
+    @pytest.mark.parametrize("text, message", [
+        (HEADER + '"a\nb",0,1\nu2,0,0\n', "line 4: count must be >= 1, got 0"),
+        (HEADER + '"a\n\nb",0,1\n\nu2,0\n', "line 6: expected 3 fields, got 2"),
+        (HEADER + '"a\nb",0,1\n' + "u" * 200_000 + ",0,1\n",
+         "line 4: field larger than field limit (131072)"),
+    ])
+    def test_csv_errors_name_the_physical_line(self, text, message):
+        # A quoted line break is a line of the file: the rows after it
+        # are named by the line they start on, not by their record number.
+        with pytest.raises(DataError) as raised:
+            gl.parse_events(io.StringIO(text))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("value, shown", [
+        ("null", "None"), ("17", "17"), ('["a"]', "['a']")])
+    def test_jsonl_user_id_must_be_a_string(self, value, shown):
+        text = '{"user_id": "u", "day": 0, "count": 1}\n' \
+            f'{{"user_id": {value}, "day": 0, "count": 1}}\n'
+        with pytest.raises(DataError) as raised:
+            gl.parse_events(io.StringIO(text), format="jsonl")
+        assert str(raised.value) == f"line 2: user_id must be a string, got {shown}"
+
+
+def _assert_same_table(table, expected):
+    assert table.days == expected.days and table.users == expected.users
+    for column in ("day_codes", "user_codes", "counts"):
+        assert getattr(table, column).tolist() == getattr(expected, column).tolist()
+
+
+def _reference_day(text):
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        return dt.date.fromisoformat(text)
+
+
+# Plain rows: ids of letters, digits and characters that neither csv nor a
+# line split treats specially; days and counts in several spellings.
+plain_rows = st.lists(
+    st.tuples(
+        st.text(alphabet="ab7 é\t\x00\x0c\x85\u2028\U0001f600", min_size=1,
+                max_size=5).filter(lambda user: user.strip() == user),
+        st.one_of(st.integers(min_value=-3, max_value=40).map(str),
+                  st.dates(min_value=dt.date(2024, 2, 27),
+                           max_value=dt.date(2024, 3, 2)).map(dt.date.isoformat),
+                  st.sampled_from([" 5", "05", "+5 "])),
+        st.integers(min_value=1, max_value=2**63 - 1).map(str)
+        | st.sampled_from([" 3", "03 "]),
+    ),
+    max_size=60,
+)
+
+
+class TestCsvBlockReader:
+    """The block reader against csv.reader, with blocks patched small so a
+    short log spans many of them."""
+
+    @given(plain_rows, st.integers(min_value=1, max_value=80), st.booleans(),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_plain_logs_read_as_csv_reader_rows(self, rows, block, final_newline,
+                                                as_bytes):
+        body = "".join(",".join(row) + "\n" for row in rows)
+        text = HEADER + (body if final_newline else body[:-1])
+        expected = EventTable.from_rows(
+            (user, _reference_day(day), int(count))
+            for user, day, count in list(csv.reader(io.StringIO(text, newline="")))[1:])
+        stream = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        with mock.patch.object(ingest, "_CSV_BLOCK", block):
+            table = gl.parse_events(stream)
+        _assert_same_table(table, expected)
+
+    PLAIN = "".join(f"u{i % 150},{i % 7},{1 + i % 4}\n" for i in range(600))
+    EXPECTED = [(f"u{i % 150}", i % 7, 1 + i % 4) for i in range(600)]
+    TAIL = "fresh,9,2\nu1,9,1\n"  # a new user and a new day after the switch
+
+    @pytest.mark.parametrize("line, rows", [
+        ('"q,1",0,3\n', [("q,1", 0, 3)]),
+        ("u1,2,3\r\n", [("u1", 2, 3)]),
+        ("u1,2,3\ru2,4,5\n", [("u1", 2, 3), ("u2", 4, 5)]),
+        ("\n", []),
+        (" u7 ,2,3\n", [("u7", 2, 3)]),
+        (" new\t,8,1\n", [("new", 8, 1)]),
+    ], ids=["quoted id", "CRLF", "CR", "blank line", "padded id", "padded new id"])
+    @pytest.mark.parametrize("block", [32, 1000, 1 << 16])
+    def test_input_that_needs_the_row_loop(self, line, rows, block):
+        text = HEADER + self.PLAIN + "late,3,1\n" + line + self.TAIL
+        with mock.patch.object(ingest, "_CSV_BLOCK", block):
+            table = gl.parse_events(io.BytesIO(text.encode()))
+        _assert_same_table(table, EventTable.from_rows(
+            self.EXPECTED + [("late", 3, 1)] + rows
+            + [("fresh", 9, 2), ("u1", 9, 1)]))
+
+    @pytest.mark.parametrize("line, message", [
+        ("x" * 200_000 + ",0,1\n", "field larger than field limit (131072)"),
+        ("u1,first,1\n", "day 'first' is neither an ISO date nor an integer"),
+        ("u1,0,zero\n", "count 'zero' is not an integer"),
+        ("u1,0,0\n", "count must be >= 1, got 0"),
+        (",0,1\n", "user_id must be non-empty"),
+        (" ,0,1\n", "user_id must be non-empty"),
+        ("u1,0\n", "expected 3 fields, got 2"),
+    ], ids=["over-limit cell", "bad day", "bad count", "zero count", "empty id",
+            "blank id", "short row"])
+    @pytest.mark.parametrize("block", [32, 1000, 1 << 16])
+    @pytest.mark.parametrize("quoted_break", [False, True])
+    def test_errors_in_a_late_block(self, line, message, block, quoted_break):
+        # The header, 600 plain rows, a row with a new day and a row whose
+        # quoted id may hold a line break: the bad row is on line 604 or 605.
+        lead = '"a\nb",0,1\n' if quoted_break else "a,0,1\n"
+        text = HEADER + self.PLAIN + "late,3,1\n" + lead + line + self.TAIL
+        with mock.patch.object(ingest, "_CSV_BLOCK", block):
+            with pytest.raises(DataError) as raised:
+                gl.parse_events(io.BytesIO(text.encode()))
+        assert str(raised.value) == f"line {604 + quoted_break}: {message}"
+
+    def test_a_surrogate_in_a_text_stream_is_an_id(self):
+        text = HEADER + "\ud800,0,1\nu,0,2\n"
+        assert _rows(gl.parse_events(io.StringIO(text))) == [("\ud800", 0, 1),
+                                                             ("u", 0, 2)]
 
 
 class TestSumsDoNotWrap:
