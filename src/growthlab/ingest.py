@@ -75,7 +75,7 @@ _CSV_BLOCK = 1 << 16
 
 # Every byte but , \n " and \r: deleting them from a plain block's UTF-8
 # leaves ",,\n" per line.
-_NOT_PLAIN = bytes(sorted(set(range(256)) - set(b',\n"\r')))
+_NOT_PLAIN = bytes(byte for byte in range(256) if byte not in b',\n"\r')
 
 
 @dataclass(frozen=True, eq=False)
