@@ -29,7 +29,7 @@ import sys
 from . import __version__, seeding
 from .errors import GrowthlabError
 from .estimators import binned_cloud, fit_gamma_tls, rescale_histogram
-from .experiment import collapse_check, compare_prediction, run_sweep
+from .experiment import _SWEEP_PROTOCOLS, collapse_check, compare_prediction, run_sweep
 from .ingest import (_fmt, _sniff_format, _snapshots_tsv, aggregate,
                      parse_events, parse_pairs, write_events_csv)
 from .sampler import (
@@ -159,6 +159,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise _UsageError("--protocol fixed requires --upper-cutoff")
     if args.upper_cutoff is not None and not args.upper_cutoff > args.c:
         raise _UsageError("--upper-cutoff must exceed --c")
+    if args.upper_cutoff is not None and protocol != "fixed-truncation":
+        raise _UsageError("--upper-cutoff applies only to --protocol fixed")
     config = SamplerConfig(
         beta=args.beta, lower_cutoff=args.c, upper_cutoff=args.upper_cutoff,
         integerize=args.integerize, seed=args.seed,
@@ -233,8 +235,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = run_sweep(
         c_values=c_values, beta_values=betas, days_per_cell=args.days,
         population_range=(args.pmin, args.pmax), protocol=protocol,
-        seed=args.seed, bootstrap_reps=args.bootstrap_reps,
-    )
+        seed=args.seed)
     lines = ["C\tbeta\tinv_beta\tgamma_fit\tgamma_theory\tr2\tstatus"]
     for cell in cells:
         status = cell.status if cell.status == "ok" else (
@@ -342,10 +343,9 @@ def build_parser() -> _Parser:
     sweep.add_argument("--days", type=_bounded_int(10), default=100)
     sweep.add_argument("--pmin", type=_bounded_int(10), default=100)
     sweep.add_argument("--pmax", type=_positive_int, default=10000)
-    sweep.add_argument("--protocol", choices=sorted(_PROTOCOL_ALIASES),
-                       default="coupled")
+    sweep.add_argument("--protocol", default="coupled", choices=sorted(
+        name for name, p in _PROTOCOL_ALIASES.items() if p in _SWEEP_PROTOCOLS))
     sweep.add_argument("--seed", type=_seed_int, default=0)
-    sweep.add_argument("--bootstrap-reps", type=_nonnegative_int, default=0)
     sweep.add_argument("--svg", default=None)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)

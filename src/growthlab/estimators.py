@@ -206,9 +206,10 @@ def _bootstrap_indices(n: int, reps: int, seed: int) -> np.ndarray:
 
 def _as_log_pairs(series) -> tuple[np.ndarray, np.ndarray]:
     pairs = np.asarray(list(series), dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
+    # An empty sequence is too short, not malformed.
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise DomainError("expected a sequence of (population, activity) pairs")
-    if pairs.shape[0] < 3:
+    if len(pairs) < 3:
         raise DomainError("need at least 3 days to fit a growth line")
     # Also true for nan, which no comparison admits.
     if not np.all((pairs >= 1.0) & (pairs < np.inf)):

@@ -40,6 +40,7 @@ from .estimators import (
 )
 from .ingest import DailySnapshot
 from .sampler import (
+    PROTOCOLS,
     SamplerConfig,
     SyntheticSeries,
     _check_finite_range,
@@ -113,6 +114,9 @@ def default_beta_grid() -> list[float]:
     return [float(1.0 / v) for v in inverse]
 
 
+# fixed-truncation needs an upper cutoff, which no sweep cell sets.
+_SWEEP_PROTOCOLS = tuple(p for p in PROTOCOLS if p != "fixed-truncation")
+
 # About this many chunks of cells go to each pool worker: enough that a
 # worker whose cells are cheap (a failed cell draws nothing) takes more
 # chunks, few enough that the cost of sending each chunk stays small.
@@ -121,7 +125,7 @@ _CHUNKS_PER_WORKER = 8
 
 def _sweep_cell(index: int, c: float, beta: float, *, days_per_cell: int,
                 population_range: tuple[float, float], protocol: str,
-                seed: int, bootstrap_reps: int) -> SweepCell:
+                seed: int) -> SweepCell:
     """Cell `index` of a sweep, drawn from the streams of (seed, index) alone.
 
     A GrowthlabError becomes a failed cell; any other exception propagates.
@@ -135,7 +139,7 @@ def _sweep_cell(index: int, c: float, beta: float, *, days_per_cell: int,
         )
         config = SamplerConfig(beta=beta, lower_cutoff=c, seed=cell_seed)
         totals = series_totals(schedule, config, protocol)
-        fit = fit_gamma_tls(totals, bootstrap_reps=bootstrap_reps, seed=cell_seed)
+        fit = fit_gamma_tls(totals, bootstrap_reps=0)
     except GrowthlabError as exc:
         return SweepCell(c=c, beta=beta, gamma_fit=math.nan,
                          fit_quality=math.nan, status="failed",
@@ -172,16 +176,19 @@ def run_sweep(c_values: Sequence[float] | None = None,
               days_per_cell: int = 100,
               population_range: tuple[float, float] = (100.0, 10_000.0),
               protocol: str = "coupled-truncation",
-              seed: int = 0,
-              bootstrap_reps: int = 0) -> list[SweepCell]:
+              seed: int = 0) -> list[SweepCell]:
     """Fit the growth exponent over a (C, beta) grid of synthetic series.
 
     Each cell draws its own log-uniform population schedule, synthesizes
-    days under `protocol` and fits gamma by TLS. A cell that cannot be
-    synthesized or fitted (e.g. cutoff collapsing below C at high beta and
-    high C) is returned with status "failed" and the error message; it
-    never aborts the sweep. Any other exception in a cell propagates.
-    Cells are returned in grid order, C outer.
+    days under `protocol` and fits gamma by TLS, with no bootstrap: a cell
+    reports only the point fit and its adjusted R^2. `protocol` is
+    coupled-truncation or unbounded, or its short name; the cells set no
+    upper cutoff, so fixed-truncation raises DomainError before any cell
+    runs. A cell that cannot be synthesized or fitted (e.g. cutoff
+    collapsing below C at high beta and high C) is returned with status
+    "failed" and the error message; it never aborts the sweep. Any other
+    exception in a cell propagates. Cells are returned in grid order, C
+    outer.
 
     The grid is checked here; the cells then run on forked worker
     processes, one per usable CPU (see _pool_workers), in chunks of
@@ -189,6 +196,9 @@ def run_sweep(c_values: Sequence[float] | None = None,
     that dies raises BrokenProcessPool here.
     """
     protocol = canonical_protocol(protocol)
+    if protocol not in _SWEEP_PROTOCOLS:
+        raise DomainError(f"a sweep cannot use {protocol}, since its cells set no "
+                          f"upper cutoff; expected one of {', '.join(_SWEEP_PROTOCOLS)}")
     seed = seeding.check_seed(seed)
     cs = list(default_c_values() if c_values is None else c_values)
     betas = list(default_beta_grid() if beta_values is None else beta_values)
@@ -209,8 +219,7 @@ def run_sweep(c_values: Sequence[float] | None = None,
 
     cell = functools.partial(
         _sweep_cell, days_per_cell=days_per_cell, population_range=(low, high),
-        protocol=protocol, seed=seed, bootstrap_reps=bootstrap_reps,
-    )
+        protocol=protocol, seed=seed)
     grid = [(c, beta) for c in cs for beta in betas]
     columns = (range(len(grid)), *zip(*grid))
     workers = _pool_workers(len(grid))

@@ -41,7 +41,6 @@ __all__ = [
     "PROTOCOLS",
     "sample_activity",
     "synthesize_day",
-    "day_totals",
     "synthesize_series",
     "series_totals",
     "events_from_series",
@@ -196,21 +195,6 @@ def synthesize_day(day_index: int, population: int,
     return _snapshot(day_index, x, total)
 
 
-def day_totals(day_index: int, population: int,
-               config: SamplerConfig) -> tuple[int, float]:
-    """(P, F) for one day without materializing the histogram.
-
-    Consumes the same stream as synthesize_day, so the pair equals the
-    snapshot's (population, total_activity) exactly. Sweeps draw whole
-    schedules through series_totals instead.
-    """
-    _check_population(population)
-    rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
-    with np.errstate(over="ignore"):
-        _, total = _draw(rng, day_index, population, config, config.upper_cutoff)
-    return int(population), total
-
-
 def log_uniform_schedule(rng: np.random.Generator, days: int,
                          population_range: tuple[float, float]) -> list[int]:
     """Daily populations drawn log-uniformly over population_range.
@@ -303,8 +287,9 @@ def synthesize_series(schedule: Sequence[int], config: SamplerConfig,
     """Generate a full series: one snapshot per scheduled population.
 
     Day k uses the stream derived from (config.seed, k), so the series is a
-    pure function of (schedule, config, protocol) and individual days can
-    be regenerated in isolation with synthesize_day.
+    pure function of (schedule, config, protocol). synthesize_day redraws
+    day k alone from a config holding that day's cutoff: for
+    coupled-truncation, upper_cutoff=cutoff_for_population(P_k, beta).
     """
     protocol = canonical_protocol(protocol)
     with np.errstate(over="ignore"):

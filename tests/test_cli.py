@@ -187,6 +187,9 @@ class TestSimulate:
             (["--protocol", "fixed", "--c", "3", "--upper-cutoff", "3"],
              "--upper-cutoff must exceed --c"),
             (["--c", "5", "--upper-cutoff", "2"], "--upper-cutoff must exceed --c"),
+            (["--upper-cutoff", "50"], "--upper-cutoff applies only to --protocol fixed"),
+            (["--protocol", "unbounded", "--upper-cutoff", "50"],
+             "--upper-cutoff applies only to --protocol fixed"),
         ]:
             code, stdout, stderr = _run(capsys, "simulate", "--beta", "1.5",
                                         *flags, "--out", out)
@@ -199,10 +202,11 @@ class TestSimulate:
     ])
     def test_protocol_takes_exactly_the_short_names(
             self, tmp_path, capsys, protocol, ok):
+        cutoff = ["--upper-cutoff", "50"] if protocol == "fixed" else []
         code, _, stderr = _run(
             capsys, "simulate", "--beta", "1.5", "--days", "3",
             "--pmin", "100", "--pmax", "1000", "--protocol", protocol,
-            "--upper-cutoff", "50", "--out", str(tmp_path / "run"),
+            *cutoff, "--out", str(tmp_path / "run"),
         )
         assert code == (0 if ok else 1)
         if not ok:
@@ -317,6 +321,17 @@ class TestFit:
         )
         assert code == 2
         assert "absent.tsv" in stderr
+
+    @pytest.mark.parametrize("name, header", [
+        ("snapshots.tsv", "day\tP\tF\tf_max\n"),
+        ("events.csv", "user_id,day,count\n"),
+    ])
+    def test_empty_input_needs_three_days(self, tmp_path, capsys, name, header):
+        path = tmp_path / name
+        path.write_text(header)
+        code, stdout, stderr = _run(capsys, "fit", "--input", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr == "growthlab: need at least 3 days to fit a growth line\n"
 
     def test_malformed_header_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
@@ -566,6 +581,49 @@ class TestSweep:
                     "--days", "20", "--seed", "12345", "--out", str(out))[0] == 0
         assert hashlib.sha256((out / "cells.tsv").read_bytes()).hexdigest() == (
             "e50f9d04761b9d29474e9b2ad71b83e5dbbd87c22f19e97beb6b36735d779637")
+
+    def test_small_grid_text_is_pinned(self, tmp_path, capsys):
+        # The full table, ok rows and failed rows with their messages alike.
+        out = tmp_path / "sweep"
+        assert _run(capsys, "sweep", "--c-values", "1,8", "--beta-grid",
+                    "1.3,2.5,6", "--days", "20", "--seed", "3",
+                    "--out", str(out))[0] == 0
+        assert (out / "cells.tsv").read_text() == (
+            "C\tbeta\tinv_beta\tgamma_fit\tgamma_theory\tr2\tstatus\n"
+            "1\t1.3\t0.769231\t1.48609\t1.53846\t0.998925\tok\n"
+            "1\t2.5\t0.4\t1.05688\t1\t0.999262\tok\n"
+            "1\t6\t0.166667\t1.00405\t1\t0.999964\tok\n"
+            "8\t1.3\t0.769231\t1.44848\t1.53846\t0.999718\tok\n"
+            "8\t2.5\t0.4\tnan\t1\tnan\tfailed: day 9: population 119 gives "
+            "cutoff 7.95528 at or below the lower cutoff 8.0\n"
+            "8\t6\t0.166667\tnan\t1\tnan\tfailed: day 0: population 2509 "
+            "gives cutoff 4.82035 at or below the lower cutoff 8.0\n")
+        assert hashlib.sha256((out / "cells.tsv").read_bytes()).hexdigest() == (
+            "15a4e0105a375e252b5a1d6297da741a7d2fdd6ca26e57b70eef10c317c6ec08")
+
+    @pytest.mark.parametrize("protocol", ["coupled", "unbounded"])
+    def test_every_protocol_choice_fits_a_cell(self, tmp_path, capsys, protocol):
+        out = tmp_path / "sweep"
+        code, _, _ = _run(
+            capsys, "sweep", "--protocol", protocol, "--c-values", "1,8",
+            "--beta-grid", "1.3,2.5,6", "--days", "20", "--seed", "3",
+            "--out", str(out),
+        )
+        assert code == 0
+        statuses = [line.split("\t")[6] for line in
+                    (out / "cells.tsv").read_text().splitlines()[1:]]
+        assert "ok" in statuses
+
+    def test_fixed_protocol_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code, stdout, stderr = _run(
+            capsys, "sweep", "--protocol", "fixed", "--c-values", "1",
+            "--beta-grid", "1.5", "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert "argument --protocol: invalid choice" in stderr
+        assert "choose from 'coupled', 'unbounded'" in stderr
+        assert not (out / "cells.tsv").exists()
 
     def test_pooled_sweep_leaves_stderr_empty(self, tmp_path):
         # In a subprocess, so that anything a forked worker writes to the

@@ -180,17 +180,27 @@ SMALL_GRID = dict(c_values=(1.0, 8.0), beta_values=(1.3, 2.5, 6.0),
 
 
 class TestSweepPool:
-    @pytest.mark.parametrize("protocol", ["coupled-truncation", "fixed-truncation",
-                                          "unbounded"])
+    @pytest.mark.parametrize("protocol", ["coupled-truncation", "unbounded"])
     def test_pooled_cells_equal_serial_cells(self, monkeypatch, protocol):
         _usable_cpus(monkeypatch, 1)
-        serial = run_sweep(protocol=protocol, bootstrap_reps=40, **SMALL_GRID)
+        serial = run_sweep(protocol=protocol, **SMALL_GRID)
         _usable_cpus(monkeypatch, 4)
-        pooled = run_sweep(protocol=protocol, bootstrap_reps=40, **SMALL_GRID)
+        pooled = run_sweep(protocol=protocol, **SMALL_GRID)
         # repr compares failed cells too, whose nan fields never compare equal.
         assert repr(pooled) == repr(serial)
         if protocol == "coupled-truncation":
             assert {cell.status for cell in serial} == {"ok", "failed"}
+
+    @pytest.mark.parametrize("protocol", ["fixed-truncation", "fixed"])
+    def test_fixed_protocol_raises_before_any_cell_runs(self, monkeypatch,
+                                                        protocol):
+        # Any cell that ran would raise RuntimeError instead.
+        monkeypatch.setattr(experiment, "series_totals", _raise_naming_the_process)
+        _usable_cpus(monkeypatch, 2)
+        with pytest.raises(DomainError, match="^a sweep cannot use fixed-truncation, "
+                           "since its cells set no upper cutoff; expected one of "
+                           "coupled-truncation, unbounded$"):
+            run_sweep(protocol=protocol, **SMALL_GRID)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_other_errors_propagate_from_a_cell(self, monkeypatch, cpus):

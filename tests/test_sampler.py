@@ -174,15 +174,6 @@ class TestSynthesizeDay:
         b = gl.synthesize_day(1, 2_000, cfg)
         assert a.total_activity != b.total_activity
 
-    def test_totals_path_equals_snapshot_path(self):
-        for integerize in (False, True):
-            cfg = SamplerConfig(beta=1.58, lower_cutoff=1.0, upper_cutoff=300.0,
-                                integerize=integerize, seed=5)
-            snap = gl.synthesize_day(2, 3_000, cfg)
-            population, total = gl.day_totals(2, 3_000, cfg)
-            assert population == snap.population
-            assert total == snap.total_activity
-
     def test_integerize_floors_and_clamps(self):
         base = dict(beta=1.3, lower_cutoff=1.0, upper_cutoff=800.0, seed=6)
         continuous = gl.synthesize_day(0, 10_000, SamplerConfig(**base))
@@ -489,10 +480,9 @@ class TestFoldedPathMatchesPerDayReference:
         cfg = SamplerConfig(beta=1.58, lower_cutoff=2.0, upper_cutoff=900.0,
                             integerize=integerize, seed=12)
         schedule = [40, 2_500, 700]
-        totals, snapshots = _reference_series(schedule, cfg, protocol)
+        _, snapshots = _reference_series(schedule, cfg, protocol)
         day_cfg = _reference_day_config(
             cfg, gl.canonical_protocol(protocol), 1, 2_500)
-        assert gl.day_totals(1, 2_500, day_cfg) == totals[1]
         snapshot = gl.synthesize_day(1, 2_500, day_cfg)
         assert snapshot == snapshots[1]
         # Equal arrays of 3 and 3.0 compare equal, so check the level dtype.
@@ -522,8 +512,6 @@ class TestOverflowingDraws:
             with pytest.raises(DomainError, match=r"^day 2: .* overflows to inf"):
                 build([10, 20, 100_000], cfg, "unbounded")
         with pytest.raises(DomainError, match=r"^day 3: .* overflows to inf"):
-            gl.day_totals(3, 100_000, cfg)
-        with pytest.raises(DomainError, match=r"^day 3: .* overflows to inf"):
             gl.synthesize_day(3, 100_000, cfg)
 
     @pytest.mark.parametrize("upper, floor", [(1e15, 2**53), (9e18, 2**63)])
@@ -536,5 +524,5 @@ class TestOverflowingDraws:
         draws = np.maximum(1.0, np.floor(gl.sample_activity(cfg, rng.random(1_000))))
         exact = sum(int(v) for v in draws)
         assert exact > floor
-        assert gl.day_totals(0, 1_000, cfg) == (1_000, float(exact))
+        assert gl.series_totals([1_000], cfg, "fixed") == [(1_000, float(exact))]
         assert gl.synthesize_day(0, 1_000, cfg).total_activity == float(exact)

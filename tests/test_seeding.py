@@ -73,7 +73,7 @@ def _entry_points():
         "SamplerConfig": lambda seed: gl.series_totals(
             [50, 80], gl.SamplerConfig(beta=1.5, seed=seed)),
         "run_sweep": lambda seed: run_sweep([1.0], [1.5, 3.0], days_per_cell=10,
-                                            seed=seed, bootstrap_reps=5),
+                                            seed=seed),
         "fit_gamma_tls": lambda seed: gl.fit_gamma_tls(pairs, bootstrap_reps=20,
                                                        seed=seed),
         "pool_and_fit_beta": lambda seed: gl.pool_and_fit_beta(
