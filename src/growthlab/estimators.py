@@ -18,13 +18,13 @@ likelihood estimator for unbounded samples, used as a cross-check.
 Confidence intervals are nonparametric percentile bootstraps over days
 with replicate-indexed derived seeds: replicate r always consumes the
 stream (seed, BOOTSTRAP, r), so the interval does not depend on evaluation
-order. Both bootstraps draw their day indices from one helper. A resampled
-day set is a multiplicity vector over days, so the collapse bootstrap bins
-each day once into a day x bin matrix and forms every replicate's binned
-cloud as one row of a weight-matrix product (Efron & Tibshirani 1993, the
-resampling-vector form), then fits all replicates with one masked OLS. The
-point estimate's cloud is the row that draws every day once, so one
-binning path serves both.
+order. A resampled day set is a multiplicity vector over days, and both
+bootstraps read the rows of one cached reps x days matrix W (Efron &
+Tibshirani 1993, the resampling-vector form), so for one seed they
+resample the same days; each point fit is the row of ones. The TLS fit
+weighs each day by its multiplicity. The collapse fit bins each day once
+into a day x bin matrix, forms every replicate's binned cloud as a row of
+a product with W, and fits all replicates with one masked OLS.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import seeding
 from .errors import DomainError, EstimationError
-from .ingest import DailySnapshot
+from .ingest import DailySnapshot, _fmt
 
 __all__ = [
     "TlsFit",
@@ -125,29 +125,29 @@ class RescaledHistogram:
             object.__setattr__(self, name, array)
 
 
-def _tls_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Slope and intercept of the principal axis through the centroid.
+def _tls_lines(x: np.ndarray, y: np.ndarray,
+               weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slope and intercept of the principal axis through each weighted centroid.
 
+    Row w of weights counts point i w_i times: the row of ones is the plain
+    fit, and a bootstrap replicate's row is its day multiplicities.
     slope = (Syy - Sxx + sqrt((Syy - Sxx)^2 + 4 Sxy^2)) / (2 Sxy), which is
     the eigenvector direction of the larger eigenvalue and automatically
     shares the sign of the covariance. Exactly recovers collinear input.
+    Sxy = 0 gives slope 0, or nan where Syy > Sxx: the axis is vertical.
     """
-    mean_x = x.mean()
-    mean_y = y.mean()
-    dx = x - mean_x
-    dy = y - mean_y
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    sxy = float(dx @ dy)
-    if sxx == 0.0:
-        raise DomainError("zero variance in the x coordinate")
-    if sxy == 0.0:
-        if syy > sxx:
-            raise DomainError("principal axis is vertical; slope undefined")
-        slope = 0.0
-    else:
-        slope = (syy - sxx + math.hypot(syy - sxx, 2.0 * sxy)) / (2.0 * sxy)
-    return slope, float(mean_y - slope * mean_x)
+    totals = weights.sum(axis=1)
+    mean_x = weights @ x / totals
+    mean_y = weights @ y / totals
+    dx = x - mean_x[:, None]
+    dy = y - mean_y[:, None]
+    sxx = (weights * dx * dx).sum(axis=1)
+    syy = (weights * dy * dy).sum(axis=1)
+    sxy = (weights * dx * dy).sum(axis=1)
+    rise = syy - sxx + np.hypot(syy - sxx, 2.0 * sxy)
+    slopes = np.divide(rise, 2.0 * sxy, out=np.where(rise > 0, np.nan, 0.0),
+                       where=sxy != 0)
+    return slopes, mean_y - slopes * mean_x
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -184,37 +184,54 @@ def _percentile_ci(values: Sequence[float], center: float) -> tuple[float, float
     return (min(float(low), center), max(float(high), center))
 
 
-@functools.lru_cache(maxsize=1)
-def _bootstrap_indices(n: int, reps: int, seed: int) -> np.ndarray:
-    """Resampled day indices, one row of n draws per replicate (reps x n).
-
-    Row r is drawn from the stream (seed, BOOTSTRAP, r) alone, so it does
-    not depend on reps or on the order in which replicates are evaluated.
-    The streams come from one seeding.generators pass.
-    The last array is kept, read-only, because compare_prediction's two
-    bootstraps ask for the same (n, reps, seed) back to back.
-    """
+def _check_reps(reps) -> int:
+    """`reps` as an int if it is an int or numpy integer >= 0, not a bool;
+    else DomainError."""
+    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
+        raise DomainError(f"bootstrap_reps must be an integer, got {reps!r}")
     if reps < 0:
         raise DomainError(f"bootstrap_reps must be >= 0, got {reps}")
-    indices = np.empty((reps, n), dtype=np.int64)
+    return int(reps)
+
+
+@functools.lru_cache(maxsize=1)
+def _bootstrap_weights(n: int, reps: int, seed: int) -> np.ndarray:
+    """Day multiplicities of each replicate: the reps x n matrix W.
+
+    Row r counts how often each of n days is among n draws with
+    replacement from the stream (seed, BOOTSTRAP, r) alone, so it does not
+    depend on reps or on the order in which replicates are evaluated. The
+    streams come from one seeding.generators pass. The last matrix is
+    kept, read-only, because compare_prediction's two bootstraps ask for
+    the same (n, reps, seed) back to back.
+    """
+    weights = np.empty((reps, n))
     rngs = seeding.generators(seed, seeding.STREAM_BOOTSTRAP, reps)
-    for row, rng in zip(indices, rngs):
-        row[:] = rng.integers(0, n, size=n)
-    indices.flags.writeable = False
-    return indices
+    for row, rng in zip(weights, rngs):
+        row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    weights.flags.writeable = False
+    return weights
 
 
 def _as_log_pairs(series) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.asarray(list(series), dtype=float)
-    # An empty sequence is too short, not malformed.
-    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
-        raise DomainError("expected a sequence of (population, activity) pairs")
+    try:
+        pairs = np.asarray(list(series), dtype=float)
+        # An empty sequence is too short, not malformed.
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise DomainError(
+            "expected a sequence of (population, activity) pairs") from None
     if len(pairs) < 3:
         raise DomainError("need at least 3 days to fit a growth line")
     # Also true for nan, which no comparison admits.
     if not np.all((pairs >= 1.0) & (pairs < np.inf)):
         raise DomainError("all populations and activities must be finite and >= 1")
-    return np.log10(pairs[:, 0]), np.log10(pairs[:, 1])
+    x = np.log10(pairs[:, 0])
+    if x.min() == x.max():
+        raise DomainError(f"all {len(x)} days have population {_fmt(pairs[0, 0])};"
+                          " a growth line needs two distinct populations")
+    return x, np.log10(pairs[:, 1])
 
 
 def fit_gamma_tls(series: Iterable[tuple[float, float]],
@@ -223,31 +240,34 @@ def fit_gamma_tls(series: Iterable[tuple[float, float]],
 
     The slope is base-invariant (any common rescaling of both log axes
     cancels) and symmetric: swapping the axes inverts it. The 95% CI is a
-    percentile bootstrap over days; bootstrap_reps=0 degrades the interval
-    to the point estimate, and a negative count raises DomainError.
-    Resamples that draw one day n times are skipped, as the draw shows:
-    the mean of n copies of one log P can miss it in the last bit, so
-    _tls_line would not see a zero x variance. Resamples whose principal
-    axis is vertical are skipped too.
+    percentile bootstrap over days, one weighted TLS per row of the day
+    multiplicity matrix that pool_and_fit_beta reads too. A replicate
+    whose drawn days share one population is skipped, as is one whose
+    principal axis is vertical. bootstrap_reps=0 degrades the interval to
+    the point estimate; a count that is not an integer >= 0 raises
+    DomainError.
     """
     seed = seeding.check_seed(seed)
+    bootstrap_reps = _check_reps(bootstrap_reps)
     x, y = _as_log_pairs(series)
-    slope, intercept = _tls_line(x, y)
-    n = len(x)
-    draws = _bootstrap_indices(n, bootstrap_reps, seed)
-    slopes: list[float] = []
-    for idx in draws[(draws != draws[:, :1]).any(axis=1)]:
-        try:
-            rep_slope, _ = _tls_line(x[idx], y[idx])
-        except DomainError:
-            continue
-        slopes.append(rep_slope)
+    slopes, intercepts = _tls_lines(x, y, np.ones((1, len(x))))
+    slope, intercept = float(slopes[0]), float(intercepts[0])
+    if math.isnan(slope):
+        raise DomainError("principal axis is vertical; slope undefined")
+    ci95 = (slope, slope)
+    if bootstrap_reps:
+        weights = _bootstrap_weights(len(x), bootstrap_reps, seed)
+        # Exact: a mean of copies of one log P can miss it in the last bit.
+        drawn = weights > 0
+        spread = np.where(drawn, x, -np.inf).max(1) > np.where(drawn, x, np.inf).min(1)
+        rep_slopes, _ = _tls_lines(x, y, weights[spread])
+        ci95 = _percentile_ci(rep_slopes[~np.isnan(rep_slopes)], slope)
     return TlsFit(
         slope=slope,
         intercept=intercept,
-        ci95_slope=_percentile_ci(slopes, slope),
+        ci95_slope=ci95,
         adjusted_r2=_adjusted_r2(x, y, slope, intercept),
-        n_points=n,
+        n_points=len(x),
     )
 
 
@@ -351,20 +371,20 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
 
     beta is minus the ordinary log-log slope of the binned cloud. The CI
     bootstraps whole days, since days, not points, are the independent
-    units; replicate r still consumes the stream (seed, BOOTSTRAP, r). A
-    replicate is the vector w of day multiplicities, one row of the reps x
-    days weight matrix W, so with each day binned once into the day x bin
-    matrices (M, I) every replicate's cloud is a row of (W @ M) / (W @ I)
-    on its populated bins, and one masked OLS fits them all; the point fit's
-    cloud is the row w = 1, binned_cloud's. A replicate is
-    skipped, as binned_cloud would reject it, when its days span less than
-    one decade or populate fewer than 3 bins; replicates with beta <= 1
-    are dropped. bootstrap_reps=0 degrades the interval to the point
-    estimate, and a negative count raises DomainError. Pooling is
-    idempotent under duplication of a day: per-day averaging makes ten
-    copies of one day weigh exactly as the day itself.
+    units. A replicate is the vector w of day multiplicities, one row of
+    the reps x days matrix W that fit_gamma_tls reads too, so with each day
+    binned once into the day x bin matrices (M, I) every replicate's cloud
+    is a row of (W @ M) / (W @ I) on its populated bins, and one masked OLS
+    fits them all; the point fit's cloud is the row w = 1, binned_cloud's.
+    A replicate is skipped, as binned_cloud would reject it, when none of
+    its days spans a decade or it populates fewer than 3 bins; replicates
+    with beta <= 1 are dropped. bootstrap_reps=0 degrades the interval to
+    the point estimate; a count that is not an integer >= 0 raises
+    DomainError. Pooling is idempotent under duplication of a day: per-day
+    averaging makes ten copies of one day weigh exactly as the day itself.
     """
     seed = seeding.check_seed(seed)
+    bootstrap_reps = _check_reps(bootstrap_reps)
     rescaled = list(rescaled)
     day_values, day_weights, day_min_rel = _day_bin_matrices(
         rescaled, bins_per_decade)
@@ -376,17 +396,12 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
         raise EstimationError(
             f"pooled cloud implies beta {beta:.4g} <= 1; data outside model class"
         )
-    n_days = len(rescaled)
-    draws = _bootstrap_indices(n_days, bootstrap_reps, seed)
-    # Row r is np.bincount(draws[r], minlength=n_days), all rows at once.
-    offsets = draws + n_days * np.arange(bootstrap_reps)[:, None]
-    weights = np.bincount(offsets.ravel(), minlength=bootstrap_reps * n_days)
-    weights = weights.reshape(bootstrap_reps, n_days).astype(float)
+    weights = _bootstrap_weights(len(rescaled), bootstrap_reps, seed)
     sums = weights @ day_values
     totals = weights @ day_weights
     populated = totals > 0
-    kept = (day_min_rel[draws].min(axis=1) <= 0.1) \
-        & (populated.sum(axis=1) >= 3)
+    # A replicate's days span a decade when one of them does.
+    kept = (weights @ (day_min_rel <= 0.1) > 0) & (populated.sum(axis=1) >= 3)
     mask = populated[kept]
     x = -(np.arange(mask.shape[1]) + 0.5) / bins_per_decade
     y = np.log10(np.divide(sums[kept], totals[kept],

@@ -51,6 +51,14 @@ def _write_noiseless_snapshots(path, exponent=1.39, n_days=9):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_pairs(path, populations, activities):
+    """A snapshot table of the given (P, F) days; f_max is F."""
+    lines = ["day\tP\tF\tf_max"]
+    lines += [f"{day}\t{p}\t{f}\t{f}"
+              for day, (p, f) in enumerate(zip(populations, activities))]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _write_model_events(path, beta=1.41, f_max=1259, days=(0, 1)):
     """Two identical days drawn exactly from the bounded power law."""
     rows = ["user_id,day,count"]
@@ -315,6 +323,29 @@ class TestFit:
         gamma, _, low, high = map(float, _table_row(stdout)[:4])
         assert 1.0 < low <= gamma <= high
 
+    def test_one_population_replicates_are_skipped(self, tmp_path, capsys):
+        # 7 of the 9 days have P = 3. The 105 of 1000 replicates that draw
+        # only those days have no growth line; 895 enter the interval.
+        path = tmp_path / "nine.tsv"
+        _write_pairs(path, [3, 3, 3, 3, 3, 3, 3, 100, 1000],
+                     [4, 5, 6, 4, 5, 6, 5, 300, 5000])
+        code, stdout, stderr = _run(capsys, "fit", "--input", str(path))
+        assert (code, stderr) == (0, "")
+        assert _table_row(stdout) == ["1.18861", "0.188608", "1.15643",
+                                      "1.21215", "0.996244", "9"]
+
+    @pytest.mark.parametrize("population, activities", [
+        (3, [4, 5, 6, 4, 5, 6, 5]), (10, [4, 5, 6])])
+    def test_one_population_exits_two(self, tmp_path, capsys, population,
+                                      activities):
+        path = tmp_path / "one.tsv"
+        _write_pairs(path, [population] * len(activities), activities)
+        code, stdout, stderr = _run(capsys, "fit", "--input", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr == (f"growthlab: all {len(activities)} days have "
+                          f"population {population}; a growth line needs two "
+                          "distinct populations\n")
+
     def test_missing_input_exits_two(self, capsys, tmp_path):
         code, _, stderr = _run(
             capsys, "fit", "--input", str(tmp_path / "absent.tsv")
@@ -519,6 +550,34 @@ class TestPredict:
         assert float(row[3]) == pytest.approx(2.0 / beta, rel=1e-4)
         assert float(row[5]) <= float(row[4]) <= float(row[6])
         assert row[7] == "true"
+
+    def test_bootstrap_tables_are_pinned(self, tmp_path, capsys):
+        # Taken while the TLS bootstrap refit each replicate's points in turn.
+        out = tmp_path / "sim"
+        assert _run(capsys, "simulate", "--beta", "1.5", "--days", "30",
+                    "--pmax", "10000", "--integerize", "--seed", "1",
+                    "--out", str(out))[0] == 0
+        events, snapshots = str(out / "events.csv"), str(out / "snapshots.tsv")
+        fit_table = ["gamma\ttheta\tci95_low\tci95_high\tadj_r2\tn_days",
+                     "1.33515\t0.335151\t1.31155\t1.35946\t0.998421\t30"]
+        expected = {
+            ("predict", events, "200"): [
+                "beta\tbeta_ci_low\tbeta_ci_high\tgamma_predicted\t"
+                "gamma_fit\tgamma_ci_low\tgamma_ci_high\tconsistent",
+                "1.34664\t1.33627\t1.36055\t1.48517\t1.33515\t1.3119\t"
+                "1.3559\tfalse"],
+            ("collapse", events, "200"): [
+                "beta\tci95_low\tci95_high\tadj_r2\tn_days",
+                "1.34664\t1.33627\t1.36055\t0.998194\t30"],
+            ("fit", events, "1000"): fit_table,
+            ("fit", snapshots, "1000"): fit_table,
+        }
+        for (command, source, reps), table in expected.items():
+            code, stdout, stderr = _run(capsys, command, "--input", source,
+                                        "--bootstrap-reps", reps)
+            assert (code, stderr) == (0, "")
+            assert [line for line in stdout.splitlines()
+                    if not line.startswith("#")] == table
 
     @pytest.mark.parametrize("name, data", [
         ("bad.csv", b"user_id,day,count\nu1,0,1\nu\xff2,0,1\n"),

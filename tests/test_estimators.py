@@ -147,6 +147,28 @@ class TestFitGammaTls:
         assert "bracket" not in str(caught.value)
 
 
+    @pytest.mark.parametrize("bad", [[(1, 2), (3,)], [(1, 2), (3, 4), ("a", 5)]],
+                             ids=["ragged", "text"])
+    def test_malformed_pairs_are_rejected(self, bad):
+        for fit in (gl.fit_gamma_tls, gl.fit_gamma_ols):
+            with pytest.raises(DomainError, match=re.escape(
+                    "expected a sequence of (population, activity) pairs")):
+                fit(bad)
+
+    def test_vertical_principal_axis_is_rejected(self):
+        # log coordinates (0, 0), (1, 3), (2, 0): Sxy = 0 and Syy > Sxx
+        with pytest.raises(DomainError, match="principal axis is vertical"):
+            gl.fit_gamma_tls([(1, 1), (10, 1000), (100, 1)])
+
+    @pytest.mark.parametrize("population, n_days", [(3, 7), (10, 3), (2.5, 4)])
+    def test_one_population_is_rejected(self, population, n_days):
+        pairs = [(population, 4.0 + day) for day in range(n_days)]
+        for fit in (gl.fit_gamma_tls, gl.fit_gamma_ols):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"all {n_days} days have population {population};")):
+                fit(pairs)
+
+
 class TestFitGammaOls:
     def test_collinear_recovery(self):
         slope, intercept = gl.fit_gamma_ols(_power_series(1.39, scale=10.0))
@@ -432,6 +454,107 @@ class TestCollapseBootstrapMatchesReplicateLoop:
             gl.pool_and_fit_beta([_exact_model_day(1.5)], bootstrap_reps=-3)
         with pytest.raises(DomainError, match="bootstrap_reps"):
             gl.fit_gamma_tls(_power_series(1.3), bootstrap_reps=-3)
+
+
+
+def _reference_tls_slope(x, y):
+    """The principal-axis slope of one point set, by the closed form."""
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx, syy, sxy = dx @ dx, dy @ dy, dx @ dy
+    if sxy == 0:
+        return 0.0 if syy <= sxx else math.nan
+    return (syy - sxx + math.hypot(syy - sxx, 2.0 * sxy)) / (2.0 * sxy)
+
+
+def _loop_fit_gamma_tls_ci(pairs, bootstrap_reps=1000, seed=0):
+    """The per-replicate TLS bootstrap, kept as the reference.
+
+    Fits the resampled points x[idx], y[idx] once per replicate, skipping
+    draws of one population and vertical axes. Returns the 95% CI and the
+    number of replicates that entered it.
+    """
+    x, y = np.log10(np.asarray(pairs, dtype=float)).T
+    slope = _reference_tls_slope(x, y)
+    slopes = []
+    rngs = seeding.generators(seed, seeding.STREAM_BOOTSTRAP, bootstrap_reps)
+    for rng in rngs:
+        idx = rng.integers(0, len(x), size=len(x))
+        if len(set(x[idx].tolist())) < 2:
+            continue
+        rep_slope = _reference_tls_slope(x[idx], y[idx])
+        if not math.isnan(rep_slope):
+            slopes.append(rep_slope)
+    return estimators._percentile_ci(slopes, slope), len(slopes)
+
+
+class TestTlsBootstrapMatchesReplicateLoop:
+    """The weight-matrix TLS bootstrap against the per-replicate loop.
+
+    Weighted sums run in another order than sums over repeated points, so
+    endpoints may differ in the last bits.
+    """
+
+    @staticmethod
+    def _series():
+        cfg = SamplerConfig(beta=1.58, lower_cutoff=1.0, seed=4)
+        schedule = gl.log_uniform_schedule(
+            seeding.generator(4, seeding.STREAM_SCHEDULE), 20, (1e3, 1e5))
+        return {
+            "sampled": list(gl.series_totals(schedule, cfg)),
+            # 7 of the 9 days share P = 3, so about a tenth of the
+            # replicates draw no other day.
+            "nine-days": list(zip([3, 3, 3, 3, 3, 3, 3, 100, 1000],
+                                  [4, 5, 6, 4, 5, 6, 5, 300, 5000])),
+            "three-days": [(1007, 16004), (10000, 418012), (100000, 9699999)],
+        }
+
+    @pytest.mark.parametrize("series, used", [
+        ("sampled", 1000), ("nine-days", 895), ("three-days", 889)])
+    def test_ci_endpoints_agree(self, series, used):
+        pairs = self._series()[series]
+        fit = gl.fit_gamma_tls(pairs, bootstrap_reps=1000, seed=0)
+        (low, high), reference_used = _loop_fit_gamma_tls_ci(pairs, 1000, 0)
+        assert fit.ci95_slope[0] == pytest.approx(low, abs=1e-12)
+        assert fit.ci95_slope[1] == pytest.approx(high, abs=1e-12)
+        assert reference_used == used
+        assert low < fit.slope < high
+
+    def test_zero_reps_give_the_point_interval(self):
+        pairs = self._series()["sampled"]
+        fit = gl.fit_gamma_tls(pairs, bootstrap_reps=0)
+        assert fit.ci95_slope == (fit.slope, fit.slope)
+        (low, high), used = _loop_fit_gamma_tls_ci(pairs, bootstrap_reps=0)
+        assert used == 0
+        assert (low, high) == pytest.approx((fit.slope, fit.slope), abs=1e-12)
+
+
+class TestBootstrapReps:
+    @pytest.mark.parametrize("reps", [2.5, True, False, "10", None,
+                                      np.float64(3.0)])
+    def test_non_integer_counts_are_rejected(self, reps):
+        estimators._bootstrap_weights.cache_clear()
+        with pytest.raises(DomainError, match=re.escape(
+                f"bootstrap_reps must be an integer, got {reps!r}")):
+            gl.fit_gamma_tls(_power_series(1.3), bootstrap_reps=reps)
+        with pytest.raises(DomainError, match="bootstrap_reps must be an integer"):
+            gl.pool_and_fit_beta([_exact_model_day(1.5)], bootstrap_reps=reps)
+        assert estimators._bootstrap_weights.cache_info().currsize == 0
+
+    def test_numpy_integer_counts_are_accepted(self):
+        pairs = _noisy_pairs()
+        day = [_exact_model_day(1.5)]
+        assert gl.fit_gamma_tls(pairs, bootstrap_reps=np.int32(50), seed=1) \
+            == gl.fit_gamma_tls(pairs, bootstrap_reps=50, seed=1)
+        assert gl.pool_and_fit_beta(day, bootstrap_reps=np.uint8(50), seed=1) \
+            == gl.pool_and_fit_beta(day, bootstrap_reps=50, seed=1)
+
+    def test_weights_are_day_multiplicities_of_the_draws(self):
+        weights = estimators._bootstrap_weights(7, 40, 3)
+        rngs = seeding.generators(3, seeding.STREAM_BOOTSTRAP, 40)
+        for row, rng in zip(weights, rngs):
+            assert row.tolist() == np.bincount(rng.integers(0, 7, size=7),
+                                               minlength=7).tolist()
+        assert not weights.flags.writeable
 
 
 class TestScoreAgainstBeta:

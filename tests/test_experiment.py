@@ -292,11 +292,11 @@ class TestComparePrediction:
         series = _coupled_series(1.8, 3.0, 10, (1e3, 1e5), 2)
         rescaled = [rescale_histogram(s) for s in series.days]
         pairs = [(s.population, s.total_activity) for s in series.days]
-        estimators._bootstrap_indices.cache_clear()
+        estimators._bootstrap_weights.cache_clear()
         gamma_alone = fit_gamma_tls(pairs, bootstrap_reps=300, seed=7)
-        estimators._bootstrap_indices.cache_clear()
+        estimators._bootstrap_weights.cache_clear()
         beta_alone = pool_and_fit_beta(rescaled, bootstrap_reps=300, seed=7)
-        estimators._bootstrap_indices.cache_clear()
+        estimators._bootstrap_weights.cache_clear()
         calls = []
         generators = seeding.generators
 
@@ -311,7 +311,7 @@ class TestComparePrediction:
         assert calls == [[(7, seeding.STREAM_BOOTSTRAP, 300), 300]]
         assert prediction.gamma_fit.ci95_slope == gamma_alone.ci95_slope
         assert prediction.beta_fit.ci95_beta == beta_alone.ci95_beta
-        assert not estimators._bootstrap_indices(10, 300, 7).flags.writeable
+        assert not estimators._bootstrap_weights(10, 300, 7).flags.writeable
 
     def test_requires_three_days(self):
         series = _coupled_series(1.5, 1.0, 10, (1e3, 1e4), 0)
