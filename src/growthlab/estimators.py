@@ -21,10 +21,18 @@ stream (seed, BOOTSTRAP, r), so the interval does not depend on evaluation
 order. A resampled day set is a multiplicity vector over days, and both
 bootstraps read the rows of one cached reps x days matrix W (Efron &
 Tibshirani 1993, the resampling-vector form), so for one seed they
-resample the same days; each point fit is the row of ones. The TLS fit
-weighs each day by its multiplicity. The collapse fit bins each day once
-into a day x bin matrix, forms every replicate's binned cloud as a row of
-a product with W, and fits all replicates with one masked OLS.
+resample the same days.
+
+Every line fit is built on one weighted least-squares core, _line_sums:
+per row of a weight matrix, the weighted centroid and the centred sums
+Sxx, Syy, Sxy. The TLS slope is the principal axis of those sums, the OLS
+slope is Sxy/Sxx, and the adjusted R^2 of any slope through the centroid
+follows from them as well. In both fits the point fit is row 0 of the
+weight matrix, the row of ones, and the rows after it are the bootstrap
+replicates. The TLS fit weighs each day by its multiplicity. The collapse
+fit bins each day once into a day x bin matrix, forms every row's binned
+cloud as a row of a product with the weights, and weighs each bin by
+whether the row populates it.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from . import seeding
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, check_integer
 from .ingest import DailySnapshot, _fmt
 
 __all__ = [
@@ -125,53 +133,36 @@ class RescaledHistogram:
             object.__setattr__(self, name, array)
 
 
-def _tls_lines(x: np.ndarray, y: np.ndarray,
-               weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slope and intercept of the principal axis through each weighted centroid.
+def _line_sums(x: np.ndarray, y: np.ndarray, weights: np.ndarray
+               ) -> tuple[np.ndarray, ...]:
+    """Weighted centroid and centred sums of the points (x, y), one set per
+    row of weights: (mean_x, mean_y, Sxx, Syy, Sxy).
 
-    Row w of weights counts point i w_i times: the row of ones is the plain
-    fit, and a bootstrap replicate's row is its day multiplicities.
-    slope = (Syy - Sxx + sqrt((Syy - Sxx)^2 + 4 Sxy^2)) / (2 Sxy), which is
-    the eigenvector direction of the larger eigenvalue and automatically
-    shares the sign of the covariance. Exactly recovers collinear input.
-    Sxy = 0 gives slope 0, or nan where Syy > Sxx: the axis is vertical.
+    Row w counts point i w_i times: the row of ones is the plain fit, a
+    bootstrap replicate's row is its day multiplicities, and a weight of 0
+    leaves a point out. y is one vector shared by every row, or a matrix
+    with one row per weight row.
     """
     totals = weights.sum(axis=1)
     mean_x = weights @ x / totals
-    mean_y = weights @ y / totals
+    mean_y = (weights * y).sum(axis=1) / totals
     dx = x - mean_x[:, None]
     dy = y - mean_y[:, None]
-    sxx = (weights * dx * dx).sum(axis=1)
-    syy = (weights * dy * dy).sum(axis=1)
-    sxy = (weights * dx * dy).sum(axis=1)
-    rise = syy - sxx + np.hypot(syy - sxx, 2.0 * sxy)
-    slopes = np.divide(rise, 2.0 * sxy, out=np.where(rise > 0, np.nan, 0.0),
-                       where=sxy != 0)
-    return slopes, mean_y - slopes * mean_x
+    wdx = weights * dx
+    return (mean_x, mean_y, (wdx * dx).sum(axis=1), (weights * dy * dy).sum(axis=1),
+            (wdx * dy).sum(axis=1))
 
 
-def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    mean_x = x.mean()
-    mean_y = y.mean()
-    dx = x - mean_x
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise DomainError("zero variance in the x coordinate")
-    slope = float(dx @ (y - mean_y)) / sxx
-    return slope, float(mean_y - slope * mean_x)
-
-
-def _adjusted_r2(x: np.ndarray, y: np.ndarray, slope: float, intercept: float) -> float:
-    """1 - (1 - R^2)(n-1)/(n-2) with R^2 from vertical residuals."""
-    n = len(x)
-    residuals = y - (intercept + slope * x)
-    ss_res = float(residuals @ residuals)
-    centered = y - y.mean()
-    ss_tot = float(centered @ centered)
-    if ss_tot == 0.0:
+def _adjusted_r2(slope: float, sxx: float, syy: float, sxy: float, n: int) -> float:
+    """1 - (1 - R^2)(n-1)/(n-2), R^2 from the vertical residuals of n points
+    about the line of this slope through their centroid:
+    ss_res = Syy - 2 slope Sxy + slope^2 Sxx, ss_tot = Syy."""
+    slope, sxx, syy, sxy = float(slope), float(sxx), float(syy), float(sxy)
+    ss_res = syy + slope * (slope * sxx - 2.0 * sxy)
+    if syy == 0.0:
         r2 = 1.0 if ss_res == 0.0 else -math.inf
     else:
-        r2 = 1.0 - ss_res / ss_tot
+        r2 = 1.0 - ss_res / syy
     return 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
 
 
@@ -182,16 +173,6 @@ def _percentile_ci(values: Sequence[float], center: float) -> tuple[float, float
     # The percentile interval brackets the point estimate in all but
     # pathological resamples; clamp so the fit types' invariant is total.
     return (min(float(low), center), max(float(high), center))
-
-
-def _check_reps(reps) -> int:
-    """`reps` as an int if it is an int or numpy integer >= 0, not a bool;
-    else DomainError."""
-    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
-        raise DomainError(f"bootstrap_reps must be an integer, got {reps!r}")
-    if reps < 0:
-        raise DomainError(f"bootstrap_reps must be >= 0, got {reps}")
-    return int(reps)
 
 
 @functools.lru_cache(maxsize=1)
@@ -241,32 +222,38 @@ def fit_gamma_tls(series: Iterable[tuple[float, float]],
     The slope is base-invariant (any common rescaling of both log axes
     cancels) and symmetric: swapping the axes inverts it. The 95% CI is a
     percentile bootstrap over days, one weighted TLS per row of the day
-    multiplicity matrix that pool_and_fit_beta reads too. A replicate
-    whose drawn days share one population is skipped, as is one whose
-    principal axis is vertical. bootstrap_reps=0 degrades the interval to
-    the point estimate; a count that is not an integer >= 0 raises
-    DomainError.
+    multiplicity matrix that pool_and_fit_beta reads too, stacked under
+    the point fit's row of ones. A replicate whose drawn days share one
+    population is skipped, as is one whose principal axis is vertical.
+    bootstrap_reps=0 degrades the interval to the point estimate; a count
+    that is not an integer >= 0 raises DomainError.
     """
     seed = seeding.check_seed(seed)
-    bootstrap_reps = _check_reps(bootstrap_reps)
+    bootstrap_reps = check_integer(bootstrap_reps, "bootstrap_reps", 0)
     x, y = _as_log_pairs(series)
-    slopes, intercepts = _tls_lines(x, y, np.ones((1, len(x))))
-    slope, intercept = float(slopes[0]), float(intercepts[0])
+    weights = np.ones((1, len(x)))
+    if bootstrap_reps:
+        replicates = _bootstrap_weights(len(x), bootstrap_reps, seed)
+        # Exact: a mean of copies of one log P can miss it in the last bit.
+        drawn = replicates > 0
+        spread = np.where(drawn, x, -np.inf).max(1) > np.where(drawn, x, np.inf).min(1)
+        weights = np.vstack([weights, replicates[spread]])
+    mean_x, mean_y, sxx, syy, sxy = _line_sums(x, y, weights)
+    # The principal axis: the eigenvector of the larger eigenvalue, which
+    # shares the sign of Sxy; Sxy = 0 gives slope 0, or nan (a vertical
+    # axis) where Syy > Sxx. Exactly recovers collinear input.
+    rise = syy - sxx + np.hypot(syy - sxx, 2.0 * sxy)
+    slopes = np.divide(rise, 2.0 * sxy, out=np.where(rise > 0, np.nan, 0.0),
+                       where=sxy != 0)
+    slope = float(slopes[0])
     if math.isnan(slope):
         raise DomainError("principal axis is vertical; slope undefined")
-    ci95 = (slope, slope)
-    if bootstrap_reps:
-        weights = _bootstrap_weights(len(x), bootstrap_reps, seed)
-        # Exact: a mean of copies of one log P can miss it in the last bit.
-        drawn = weights > 0
-        spread = np.where(drawn, x, -np.inf).max(1) > np.where(drawn, x, np.inf).min(1)
-        rep_slopes, _ = _tls_lines(x, y, weights[spread])
-        ci95 = _percentile_ci(rep_slopes[~np.isnan(rep_slopes)], slope)
+    rep_slopes = slopes[1:]
     return TlsFit(
         slope=slope,
-        intercept=intercept,
-        ci95_slope=ci95,
-        adjusted_r2=_adjusted_r2(x, y, slope, intercept),
+        intercept=float(mean_y[0] - slope * mean_x[0]),
+        ci95_slope=_percentile_ci(rep_slopes[~np.isnan(rep_slopes)], slope),
+        adjusted_r2=_adjusted_r2(slope, sxx[0], syy[0], sxy[0], len(x)),
         n_points=len(x),
     )
 
@@ -278,7 +265,9 @@ def fit_gamma_ols(series: Iterable[tuple[float, float]]) -> tuple[float, float]:
     isotropic noise OLS attenuates the slope toward zero while TLS does not.
     """
     x, y = _as_log_pairs(series)
-    return _ols_line(x, y)
+    mean_x, mean_y, sxx, _, sxy = _line_sums(x, y, np.ones((1, len(x))))
+    slope = float(sxy[0] / sxx[0])
+    return slope, float(mean_y[0] - slope * mean_x[0])
 
 
 def rescale_histogram(snapshot: DailySnapshot) -> RescaledHistogram:
@@ -316,10 +305,11 @@ def _day_bin_matrices(rescaled: Sequence[RescaledHistogram], bins_per_decade: in
     M holds the day's mean count in the bin and I is 1 where the day has a
     point there. For day multiplicities w, the binned cloud of the
     resampled days averages (w @ M) / (w @ I) over the bins where
-    w @ I > 0; binned_cloud is the row w = 1.
+    w @ I > 0; binned_cloud is the row w = 1. Raises DomainError unless
+    bins_per_decade is an integer >= 1 and the days span a decade and
+    populate at least 3 bins.
     """
-    if bins_per_decade < 1:
-        raise DomainError("bins_per_decade must be at least 1")
+    bins_per_decade = check_integer(bins_per_decade, "bins_per_decade", 1)
     if len(rescaled) == 0:
         raise DomainError("need at least one rescaled histogram")
     sizes = [len(hist.rel) for hist in rescaled]
@@ -337,18 +327,10 @@ def _day_bin_matrices(rescaled: Sequence[RescaledHistogram], bins_per_decade: in
                        minlength=shape[0] * n_bins).reshape(shape)
     points = np.bincount(cells, minlength=shape[0] * n_bins).reshape(shape)
     present = points > 0
+    if np.count_nonzero(present.any(axis=0)) < 3:
+        raise DomainError("fewer than 3 populated bins; cannot fit a slope")
     means = np.divide(sums, points, out=np.zeros_like(sums), where=present)
     return means, present.astype(float), day_min_rel
-
-
-def _cloud(sums: np.ndarray, totals: np.ndarray,
-           bins_per_decade: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log10 centers, log10 means) of the bins one weight row populates."""
-    populated = np.flatnonzero(totals > 0)
-    if len(populated) < 3:
-        raise DomainError("fewer than 3 populated bins; cannot fit a slope")
-    return (-(populated + 0.5) / bins_per_decade,
-            np.log10(sums[populated] / totals[populated]))
 
 
 def binned_cloud(rescaled: Sequence[RescaledHistogram], bins_per_decade: int = 5
@@ -361,7 +343,10 @@ def binned_cloud(rescaled: Sequence[RescaledHistogram], bins_per_decade: int = 5
     Returns (log10 centers, log10 mean counts) for the populated bins.
     """
     values, weights, _ = _day_bin_matrices(rescaled, bins_per_decade)
-    return _cloud(values.sum(axis=0), weights.sum(axis=0), bins_per_decade)
+    totals = weights.sum(axis=0)
+    populated = np.flatnonzero(totals > 0)
+    return (-(populated + 0.5) / bins_per_decade,
+            np.log10(values.sum(axis=0)[populated] / totals[populated]))
 
 
 def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
@@ -372,10 +357,11 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
     beta is minus the ordinary log-log slope of the binned cloud. The CI
     bootstraps whole days, since days, not points, are the independent
     units. A replicate is the vector w of day multiplicities, one row of
-    the reps x days matrix W that fit_gamma_tls reads too, so with each day
-    binned once into the day x bin matrices (M, I) every replicate's cloud
-    is a row of (W @ M) / (W @ I) on its populated bins, and one masked OLS
-    fits them all; the point fit's cloud is the row w = 1, binned_cloud's.
+    the reps x days matrix W that fit_gamma_tls reads too. With the row of
+    ones stacked on top of W and each day binned once into the day x bin
+    matrices (M, I), every row's cloud is a row of (W @ M) / (W @ I) on its
+    populated bins, and one OLS over the populated bins fits them all: row
+    0, binned_cloud's cloud, is the point fit and the rest are replicates.
     A replicate is skipped, as binned_cloud would reject it, when none of
     its days spans a decade or it populates fewer than 3 bins; replicates
     with beta <= 1 are dropped. bootstrap_reps=0 degrades the interval to
@@ -384,38 +370,35 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
     averaging makes ten copies of one day weigh exactly as the day itself.
     """
     seed = seeding.check_seed(seed)
-    bootstrap_reps = _check_reps(bootstrap_reps)
+    bootstrap_reps = check_integer(bootstrap_reps, "bootstrap_reps", 0)
     rescaled = list(rescaled)
     day_values, day_weights, day_min_rel = _day_bin_matrices(
         rescaled, bins_per_decade)
-    centers, values = _cloud(day_values.sum(axis=0), day_weights.sum(axis=0),
-                             bins_per_decade)
-    slope, intercept = _ols_line(centers, values)
-    beta = -slope
+    n_days = len(rescaled)
+    weights = np.vstack([np.ones((1, n_days)),
+                         _bootstrap_weights(n_days, bootstrap_reps, seed)])
+    sums = weights @ day_values
+    totals = weights @ day_weights
+    populated = totals > 0
+    # A replicate's days span a decade when one of them does. Row 0, the
+    # point fit, is kept: _day_bin_matrices checked all days.
+    kept = (weights @ (day_min_rel <= 0.1) > 0) & (populated.sum(axis=1) >= 3)
+    mask = populated[kept]
+    y = np.log10(np.divide(sums[kept], totals[kept],
+                           out=np.ones(mask.shape), where=mask))
+    centers = -(np.arange(mask.shape[1]) + 0.5) / bins_per_decade
+    _, _, sxx, syy, sxy = _line_sums(centers, y, mask)
+    betas = -sxy / sxx
+    beta = float(betas[0])
     if not beta > 1:
         raise EstimationError(
             f"pooled cloud implies beta {beta:.4g} <= 1; data outside model class"
         )
-    weights = _bootstrap_weights(len(rescaled), bootstrap_reps, seed)
-    sums = weights @ day_values
-    totals = weights @ day_weights
-    populated = totals > 0
-    # A replicate's days span a decade when one of them does.
-    kept = (weights @ (day_min_rel <= 0.1) > 0) & (populated.sum(axis=1) >= 3)
-    mask = populated[kept]
-    x = -(np.arange(mask.shape[1]) + 0.5) / bins_per_decade
-    y = np.log10(np.divide(sums[kept], totals[kept],
-                           out=np.ones(mask.shape), where=mask))
-    n_populated = mask.sum(axis=1)
-    mean_x = (mask @ x) / n_populated
-    mean_y = np.where(mask, y, 0.0).sum(axis=1) / n_populated
-    dx = np.where(mask, x - mean_x[:, None], 0.0)
-    rep_betas = -((dx * (y - mean_y[:, None])).sum(axis=1)
-                  / (dx * dx).sum(axis=1))
+    rep_betas = betas[1:]
     return BetaFit(
         beta=beta,
         ci95_beta=_percentile_ci(rep_betas[rep_betas > 1], beta),
-        adjusted_r2=_adjusted_r2(centers, values, slope, intercept),
+        adjusted_r2=_adjusted_r2(-beta, sxx[0], syy[0], sxy[0], int(mask[0].sum())),
         method="collapse-regression",
         n_points_or_samples=sum(len(hist.rel) for hist in rescaled),
     )
@@ -431,9 +414,8 @@ def score_against_beta(rescaled: Sequence[RescaledHistogram], beta: float,
     if not 1 < beta < math.inf:  # also true for nan
         raise DomainError(f"beta must be finite and exceed 1, got {beta}")
     centers, values = binned_cloud(rescaled, bins_per_decade)
-    slope = -beta
-    intercept = float(values.mean() - slope * centers.mean())
-    return _adjusted_r2(centers, values, slope, intercept)
+    _, _, sxx, syy, sxy = _line_sums(centers, values, np.ones((1, len(centers))))
+    return _adjusted_r2(-beta, sxx[0], syy[0], sxy[0], len(centers))
 
 
 def fit_beta_mle(samples: Iterable[float], x_min: float = 1.0) -> BetaFit:
@@ -453,6 +435,8 @@ def fit_beta_mle(samples: Iterable[float], x_min: float = 1.0) -> BetaFit:
         raise DomainError(f"x_min must be at least 1, got {x_min}")
     if np.any(x < x_min):
         raise DomainError("all samples must be >= x_min")
+    if not np.isfinite(x).all():
+        raise DomainError("samples must be finite")
     log_sum = float(np.log(x / x_min).sum())
     if log_sum == 0.0:
         raise EstimationError("all samples equal x_min; beta estimate diverges")

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import seeding
-from .errors import DomainError, GrowthlabError
+from .errors import DomainError, GrowthlabError, check_integer
 from .estimators import (
     BetaFit,
     TlsFit,
@@ -44,6 +44,7 @@ from .sampler import (
     SamplerConfig,
     SyntheticSeries,
     _check_finite_range,
+    _check_lower_cutoff,
     canonical_protocol,
     log_uniform_schedule,
     series_totals,
@@ -208,10 +209,10 @@ def run_sweep(c_values: Sequence[float] | None = None,
         if not beta > 1:
             raise DomainError(f"beta must exceed 1, got {beta}")
     for c in cs:
-        if not c >= 1:  # also true for nan
-            raise DomainError(f"lower cutoff must be >= 1, got {c}")
+        _check_lower_cutoff(c)
+    days_per_cell = check_integer(days_per_cell, "days_per_cell")
     if days_per_cell < 10:
-        raise DomainError("need at least 10 days per cell")
+        raise DomainError(f"need at least 10 days per cell, got {days_per_cell}")
     _check_finite_range(population_range)
     low, high = population_range
     if not (low >= 10 and high > low):

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import seeding
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .ingest import DailySnapshot, EventTable
 from .theory import cutoff_for_population
 
@@ -59,9 +59,9 @@ PROTOCOLS = tuple(_PROTOCOL_ALIASES.values())
 class SamplerConfig:
     """Parameters of the activity generator.
 
-    beta > 1 is the power-law exponent, lower_cutoff (C) >= 1 the smallest
-    possible activity, upper_cutoff (U) an optional truncation point > C,
-    seed the 64-bit base seed all day streams derive from.
+    beta > 1 is the power-law exponent, lower_cutoff (C), finite and >= 1,
+    the smallest possible activity, upper_cutoff (U) an optional truncation
+    point > C, seed the 64-bit base seed all day streams derive from.
     """
 
     beta: float
@@ -73,8 +73,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if not self.beta > 1:
             raise DomainError(f"beta must exceed 1, got {self.beta}")
-        if not self.lower_cutoff >= 1:
-            raise DomainError(f"lower cutoff must be >= 1, got {self.lower_cutoff}")
+        _check_lower_cutoff(self.lower_cutoff)
         if self.upper_cutoff is not None and not self.upper_cutoff > self.lower_cutoff:
             raise DomainError(
                 f"upper cutoff {self.upper_cutoff} must exceed lower cutoff "
@@ -122,11 +121,12 @@ def sample_activity(config: SamplerConfig, u):
     return x
 
 
-def _check_population(population, prefix: str = "") -> None:
-    if not isinstance(population, (int, np.integer)) or isinstance(population, bool):
-        raise DomainError(f"{prefix}population must be an integer, got {population!r}")
-    if population < 1:
-        raise DomainError(f"{prefix}population must be >= 1, got {population}")
+def _check_lower_cutoff(c) -> None:
+    """DomainError unless the lower cutoff C is a finite number >= 1."""
+    if not c >= 1:  # also true for nan
+        raise DomainError(f"lower cutoff must be >= 1, got {c}")
+    if c == math.inf:
+        raise DomainError(f"lower cutoff must be finite, got {c}")
 
 
 def _draw(rng: np.random.Generator, day_index: int, population: int,
@@ -188,7 +188,8 @@ def synthesize_day(day_index: int, population: int,
     (day_index, population, config) always reproduce the same snapshot
     regardless of call order.
     """
-    _check_population(population)
+    day_index = check_integer(day_index, "day_index")
+    population = check_integer(population, "population", 1)
     rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
     with np.errstate(over="ignore"):
         x, total = _draw(rng, day_index, population, config, config.upper_cutoff)
@@ -202,8 +203,7 @@ def log_uniform_schedule(rng: np.random.Generator, days: int,
     Log-uniform spacing gives the fitted growth exponent even leverage per
     decade instead of letting the largest days dominate the regression.
     """
-    if days < 1:
-        raise DomainError(f"need at least one day, got {days}")
+    days = check_integer(days, "days", 1)
     _check_finite_range(population_range)
     low, high = population_range
     if not (1 <= low < high):
@@ -273,7 +273,7 @@ def _schedule_draws(schedule: Sequence[int], config: SamplerConfig, protocol: st
         raise DomainError("schedule must contain at least one day")
     uppers = []
     for day_index, population in enumerate(schedule):
-        _check_population(population, f"day {day_index}: ")
+        check_integer(population, f"day {day_index}: population", 1)
         uppers.append(_day_cutoff(config, protocol, day_index, population))
     rngs = seeding.generators(config.seed, seeding.STREAM_DAY, len(schedule))
     for (day_index, population), upper, rng in zip(enumerate(schedule), uppers, rngs):

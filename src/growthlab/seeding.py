@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -53,11 +53,10 @@ def check_seed(seed) -> int:
     Python ints and numpy integers are accepted; bools, floats and strings
     are not, whatever their value.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+    seed = check_integer(seed, "seed")
     if not 0 <= seed <= _MASK64:
         raise DomainError(f"seed must fit in 64 bits, got {seed}")
-    return int(seed)
+    return seed
 
 
 def splitmix64(value: int) -> int:

@@ -110,6 +110,13 @@ def _phi(x: float) -> float:
     return math.expm1(x) / x
 
 
+def _check_moment_args(f_max: float, beta: float) -> None:
+    if not beta > 1:
+        raise DomainError(f"beta must exceed 1, got {beta}")
+    if not 1 <= f_max < math.inf:  # also false for nan
+        raise DomainError(f"f_max must be finite and at least 1, got {f_max}")
+
+
 def exact_moments(f_max: float, beta: float) -> MomentPair:
     """P and F from exact integration of n(f) = (f/f_max)^(-beta) on [1, f_max].
 
@@ -123,10 +130,7 @@ def exact_moments(f_max: float, beta: float) -> MomentPair:
     but remains fully accurate through the removable singularity at
     beta = 2, where it reduces to the analytic limit F = f_max^2 ln f_max.
     """
-    if not beta > 1:
-        raise DomainError(f"beta must exceed 1, got {beta}")
-    if not f_max >= 1:
-        raise DomainError(f"f_max must be at least 1, got {f_max}")
+    _check_moment_args(f_max, beta)
     log_cutoff = math.log(f_max)
     population = f_max * log_cutoff * _phi((beta - 1.0) * log_cutoff)
     total = f_max * f_max * log_cutoff * _phi((beta - 2.0) * log_cutoff)
@@ -147,10 +151,7 @@ def approx_moments(f_max: float, beta: float) -> MomentPair:
     1/(f_max^|2-beta| - 1) on F (beta != 2): excellent deep inside each
     branch, poor near beta = 1 and beta = 2 at moderate cutoffs.
     """
-    if not beta > 1:
-        raise DomainError(f"beta must exceed 1, got {beta}")
-    if not f_max >= 1:
-        raise DomainError(f"f_max must be at least 1, got {f_max}")
+    _check_moment_args(f_max, beta)
     if beta == 2.0:
         square = f_max * f_max
         return MomentPair(population=square, total_activity=square, f_max=f_max)

@@ -149,6 +149,21 @@ class TestSimulate:
                             "31ce5bc00cfd73e55c60e667e7e33cf1",
         }
 
+    def test_hypothesis_scores_are_pinned(self, tmp_path, capsys):
+        # collapse's score against a fixed beta on the run above, as the
+        # residual-based R^2 printed it before the fits shared one
+        # weighted-sums core.
+        out = tmp_path / "run"
+        assert _run(capsys, "simulate", "--beta", "1.6", "--days", "6",
+                    "--pmin", "1000", "--pmax", "10000", "--seed", "11",
+                    "--integerize", "--out", str(out))[0] == 0
+        for beta, line in [("1.6", "# hypothesis beta 1.6: adj_r2 0.976467"),
+                           ("6", "# hypothesis beta 6: adj_r2 -10.7815")]:
+            code, stdout, _ = _run(capsys, "collapse", "--beta", beta,
+                                   "--input", str(out / "events.csv"))
+            assert code == 0
+            assert line in stdout.splitlines()
+
     def test_integerized_events_reproduce_the_snapshots(self, tmp_path, capsys):
         out = tmp_path / "run"
         code, _, _ = _run(

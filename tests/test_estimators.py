@@ -175,6 +175,43 @@ class TestFitGammaOls:
         assert slope == pytest.approx(1.39, abs=1e-9)
         assert intercept == pytest.approx(1.0, abs=1e-9)
 
+    def test_matches_polyfit_on_a_noisy_series(self):
+        pairs = np.log10(_noisy_pairs())
+        expected = np.polyfit(pairs[:, 0], pairs[:, 1], 1)
+        assert gl.fit_gamma_ols(_noisy_pairs()) == pytest.approx(
+            tuple(expected), rel=0, abs=1e-12)
+
+
+def _residual_adjusted_r2(x, y, slope, intercept):
+    """Adjusted R^2 from the vertical residuals themselves, the reference
+    for the fits' closed form in their centred sums."""
+    x, y = np.asarray(x), np.asarray(y)
+    residuals = y - (intercept + slope * x)
+    r2 = 1.0 - (residuals @ residuals) / np.sum((y - y.mean()) ** 2)
+    return 1.0 - (1.0 - r2) * (len(x) - 1) / (len(x) - 2)
+
+
+class TestAdjustedR2MatchesResiduals:
+    def test_tls_fit(self):
+        fit = gl.fit_gamma_tls(_noisy_pairs(), bootstrap_reps=0)
+        pairs = np.log10(_noisy_pairs())
+        assert fit.adjusted_r2 == pytest.approx(_residual_adjusted_r2(
+            pairs[:, 0], pairs[:, 1], fit.slope, fit.intercept), rel=0, abs=1e-12)
+
+    def test_collapse_fit_and_hypothesis_scores(self):
+        rescaled = _sampled_days(12, 5)
+        centers, values = reference_binned_cloud(rescaled)
+        slope, intercept = np.polyfit(centers, values, 1)
+        fit = gl.pool_and_fit_beta(rescaled, bootstrap_reps=0)
+        assert fit.beta == pytest.approx(-slope, rel=0, abs=1e-12)
+        assert fit.adjusted_r2 == pytest.approx(_residual_adjusted_r2(
+            centers, values, slope, intercept), rel=0, abs=1e-12)
+        for beta in (1.5, 2.5, 6.0):
+            intercept = values.mean() + beta * centers.mean()
+            assert gl.score_against_beta(rescaled, beta) == pytest.approx(
+                _residual_adjusted_r2(centers, values, -beta, intercept),
+                rel=1e-12, abs=1e-12)
+
 
 class TestRescaleHistogram:
     def test_divides_levels_by_the_daily_maximum(self):
@@ -386,7 +423,7 @@ def _loop_pool_and_fit_beta_ci(rescaled, bins_per_decade=5, bootstrap_reps=1000,
     replicate. Returns the 95% CI and the number of replicates that entered it.
     """
     centers, values = reference_binned_cloud(rescaled, bins_per_decade)
-    beta = -estimators._ols_line(centers, values)[0]
+    beta = -np.polyfit(centers, values, 1)[0]
     betas = []
     n_days = len(rescaled)
     for rep in range(bootstrap_reps):
@@ -395,7 +432,7 @@ def _loop_pool_and_fit_beta_ci(rescaled, bins_per_decade=5, bootstrap_reps=1000,
         try:
             rep_centers, rep_values = reference_binned_cloud(
                 [rescaled[i] for i in idx], bins_per_decade)
-            rep_slope, _ = estimators._ols_line(rep_centers, rep_values)
+            rep_slope = np.polyfit(rep_centers, rep_values, 1)[0]
         except (DomainError, EstimationError):
             continue
         if -rep_slope > 1:
@@ -557,6 +594,41 @@ class TestBootstrapReps:
         assert not weights.flags.writeable
 
 
+class TestBinsPerDecade:
+    _fits = {
+        "binned_cloud": lambda days, b: gl.binned_cloud(days, b),
+        "pool_and_fit_beta": lambda days, b: gl.pool_and_fit_beta(
+            days, bins_per_decade=b, bootstrap_reps=20),
+        "score_against_beta": lambda days, b: gl.score_against_beta(
+            days, 1.5, bins_per_decade=b),
+    }
+
+    @pytest.mark.parametrize("fit", _fits)
+    @pytest.mark.parametrize("bins", [math.inf, math.nan, 2.5, True, "5",
+                                      np.float64(5.0)])
+    def test_non_integer_counts_are_rejected(self, fit, bins):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(
+                    f"bins_per_decade must be an integer, got {bins!r}")):
+                self._fits[fit]([_exact_model_day(1.5)], bins)
+
+    @pytest.mark.parametrize("fit", _fits)
+    def test_counts_below_one_are_rejected(self, fit):
+        with pytest.raises(DomainError,
+                           match="^bins_per_decade must be >= 1, got 0$"):
+            self._fits[fit]([_exact_model_day(1.5)], 0)
+
+    @pytest.mark.parametrize("fit", _fits)
+    def test_numpy_integer_counts_are_accepted(self, fit):
+        days = [_exact_model_day(1.5)]
+        first, second = (self._fits[fit](days, b) for b in (np.int16(5), 5))
+        if fit == "binned_cloud":
+            assert [a.tolist() for a in first] == [a.tolist() for a in second]
+        else:
+            assert first == second
+
+
 class TestScoreAgainstBeta:
     def test_true_exponent_scores_near_one(self):
         day = _exact_model_day(1.58)
@@ -621,6 +693,11 @@ class TestFitBetaMle:
             gl.fit_beta_mle([0.5, 2.0], x_min=1.0)
         with pytest.raises(DomainError):
             gl.fit_beta_mle([2.0, 3.0], x_min=0.2)
+
+    @pytest.mark.parametrize("samples", [[2.0, math.inf], [2.0, math.nan, 3.0]])
+    def test_non_finite_samples_are_rejected(self, samples):
+        with pytest.raises(DomainError, match="^samples must be finite$"):
+            gl.fit_beta_mle(samples)
 
 
 class TestCrossEstimatorAgreement:

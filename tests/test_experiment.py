@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,16 @@ class TestRunSweep:
         for c in (0.5, math.nan):
             with pytest.raises(DomainError, match=f"lower cutoff must be >= 1, got {c}"):
                 run_sweep(c_values=(1.0, c), beta_values=(1.5,))
+
+    def test_grid_rejects_an_infinite_lower_cutoff(self):
+        with pytest.raises(DomainError, match="^lower cutoff must be finite, got inf$"):
+            run_sweep(c_values=(1.0, math.inf), beta_values=(1.5,))
+
+    @pytest.mark.parametrize("days", [12.5, True, "12"])
+    def test_non_integer_days_per_cell_are_rejected(self, days):
+        with pytest.raises(DomainError, match=re.escape(
+                f"days_per_cell must be an integer, got {days!r}")):
+            run_sweep(c_values=[1], beta_values=[1.5], days_per_cell=days)
 
     def test_cell_type_invariants(self):
         with pytest.raises(DomainError, match="finite"):

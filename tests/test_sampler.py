@@ -152,6 +152,10 @@ class TestSamplerConfig:
         with pytest.raises(DomainError):
             SamplerConfig(beta=1.5, seed=-1)
 
+    def test_rejects_an_infinite_lower_cutoff(self):
+        with pytest.raises(DomainError, match="^lower cutoff must be finite, got inf$"):
+            SamplerConfig(beta=1.5, lower_cutoff=math.inf)
+
 
 class TestSynthesizeDay:
     def test_snapshot_is_internally_consistent(self):
@@ -190,6 +194,17 @@ class TestSynthesizeDay:
         with pytest.raises(DomainError):
             gl.synthesize_day(0, 2.5, cfg)
 
+    @pytest.mark.parametrize("day_index", [1.5, True, "1"])
+    def test_rejects_a_non_integer_day_index(self, day_index):
+        with pytest.raises(DomainError, match=re.escape(
+                f"day_index must be an integer, got {day_index!r}")):
+            gl.synthesize_day(day_index, 10, SamplerConfig(beta=1.5))
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        cfg = SamplerConfig(beta=1.5, seed=2)
+        assert gl.synthesize_day(np.int64(3), np.int32(50), cfg) \
+            == gl.synthesize_day(3, 50, cfg)
+
 
 class TestLogUniformSchedule:
     def test_lengths_bounds_and_determinism(self):
@@ -217,6 +232,12 @@ class TestLogUniformSchedule:
             gl.log_uniform_schedule(rng, 5, (1e3, 1e3))
         with pytest.raises(DomainError):
             gl.log_uniform_schedule(rng, 5, (0.5, 1e3))
+
+    @pytest.mark.parametrize("days", [2.5, True, np.float64(3.0)])
+    def test_rejects_a_non_integer_count_of_days(self, days):
+        with pytest.raises(DomainError, match=re.escape(
+                f"days must be an integer, got {days!r}")):
+            gl.log_uniform_schedule(np.random.default_rng(0), days, (10, 100))
 
     @pytest.mark.parametrize("population_range", [
         (1e3, math.inf), (math.nan, 1e3), (1e3, math.nan), (1e3, 10**400),

@@ -132,6 +132,14 @@ class TestExactMoments:
             exact_moments(f_max, beta)
 
 
+@pytest.mark.parametrize("moments", [exact_moments, approx_moments])
+@pytest.mark.parametrize("f_max", [math.inf, math.nan])
+def test_non_finite_cutoffs_are_rejected(moments, f_max):
+    with pytest.raises(DomainError,
+                       match=f"^f_max must be finite and at least 1, got {f_max}$"):
+        moments(f_max, 1.5)
+
+
 class TestApproxMoments:
     def test_pinned_examples(self):
         pair = approx_moments(1e4, 1.5)
