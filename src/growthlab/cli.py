@@ -27,7 +27,7 @@ import os
 import sys
 
 from . import __version__, seeding
-from .errors import GrowthlabError
+from .errors import DomainError, GrowthlabError, check_beta, check_cutoff
 from .estimators import binned_cloud, fit_gamma_tls, rescale_histogram
 from .experiment import _SWEEP_PROTOCOLS, collapse_check, compare_prediction, run_sweep
 from .ingest import (_fmt, _sniff_format, _snapshots_tsv, aggregate,
@@ -85,18 +85,18 @@ def _number(text: str) -> float:
 
 
 def _beta_value(text: str) -> float:
-    value = _number(text)
-    if not 1 < value < math.inf:  # also true for nan
-        raise argparse.ArgumentTypeError("beta must be finite and exceed 1")
-    return value
+    try:
+        return check_beta(_number(text))
+    except DomainError:
+        raise argparse.ArgumentTypeError("beta must be finite and exceed 1") from None
 
 
 def _cutoff_value(text: str) -> float:
-    value = _number(text)
-    if not 1 <= value < math.inf:
+    try:
+        return check_cutoff(_number(text), "cutoff")
+    except DomainError:
         raise argparse.ArgumentTypeError(
-            f"cutoff must be finite and >= 1, got {text.strip()!r}")
-    return value
+            f"cutoff must be finite and >= 1, got {text.strip()!r}") from None
 
 
 def _list_of(parse):

@@ -45,7 +45,8 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from . import seeding
-from .errors import DomainError, EstimationError, check_integer
+from .errors import (DomainError, EstimationError, check_beta, check_cutoff,
+                     check_integer)
 from .ingest import DailySnapshot, _fmt
 
 __all__ = [
@@ -411,8 +412,7 @@ def score_against_beta(rescaled: Sequence[RescaledHistogram], beta: float,
     The intercept is fitted through the centroid (the hypothesis pins the
     exponent, not the scale). Can be arbitrarily negative for a bad beta.
     """
-    if not 1 < beta < math.inf:  # also true for nan
-        raise DomainError(f"beta must be finite and exceed 1, got {beta}")
+    beta = check_beta(beta)
     centers, values = binned_cloud(rescaled, bins_per_decade)
     _, _, sxx, syy, sxy = _line_sums(centers, values, np.ones((1, len(centers))))
     return _adjusted_r2(-beta, sxx[0], syy[0], sxy[0], len(centers))
@@ -431,8 +431,7 @@ def fit_beta_mle(samples: Iterable[float], x_min: float = 1.0) -> BetaFit:
     x = np.asarray(list(samples), dtype=float)
     if x.size < 2:
         raise DomainError("need at least 2 samples")
-    if not x_min >= 1:
-        raise DomainError(f"x_min must be at least 1, got {x_min}")
+    x_min = check_cutoff(x_min, "x_min")
     if np.any(x < x_min):
         raise DomainError("all samples must be >= x_min")
     if not np.isfinite(x).all():

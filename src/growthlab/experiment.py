@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from . import seeding
-from .errors import DomainError, GrowthlabError, check_integer
+from .errors import (DomainError, GrowthlabError, check_beta, check_cutoff,
+                     check_integer, check_population_range)
 from .estimators import (
     BetaFit,
     TlsFit,
@@ -43,8 +44,6 @@ from .sampler import (
     PROTOCOLS,
     SamplerConfig,
     SyntheticSeries,
-    _check_finite_range,
-    _check_lower_cutoff,
     canonical_protocol,
     log_uniform_schedule,
     series_totals,
@@ -205,18 +204,12 @@ def run_sweep(c_values: Sequence[float] | None = None,
     betas = list(default_beta_grid() if beta_values is None else beta_values)
     if not cs or not betas:
         raise DomainError("sweep grid must contain at least one C and one beta")
-    for beta in betas:
-        if not beta > 1:
-            raise DomainError(f"beta must exceed 1, got {beta}")
-    for c in cs:
-        _check_lower_cutoff(c)
+    betas = [check_beta(beta) for beta in betas]
+    cs = [check_cutoff(c, "lower cutoff") for c in cs]
     days_per_cell = check_integer(days_per_cell, "days_per_cell")
     if days_per_cell < 10:
         raise DomainError(f"need at least 10 days per cell, got {days_per_cell}")
-    _check_finite_range(population_range)
-    low, high = population_range
-    if not (low >= 10 and high > low):
-        raise DomainError("population range must satisfy 10 <= low < high")
+    low, high = check_population_range(population_range, 10)
 
     cell = functools.partial(
         _sweep_cell, days_per_cell=days_per_cell, population_range=(low, high),

@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from . import seeding
-from .errors import DomainError, check_integer
+from .errors import (DomainError, check_beta, check_cutoff, check_integer,
+                     check_population_range)
 from .ingest import DailySnapshot, EventTable
 from .theory import cutoff_for_population
 
@@ -60,8 +61,8 @@ class SamplerConfig:
     """Parameters of the activity generator.
 
     beta > 1 is the power-law exponent, lower_cutoff (C), finite and >= 1,
-    the smallest possible activity, upper_cutoff (U) an optional truncation
-    point > C, seed the 64-bit base seed all day streams derive from.
+    the smallest possible activity, upper_cutoff (U) an optional finite
+    truncation point > C, seed the 64-bit base seed of every day stream.
     """
 
     beta: float
@@ -71,14 +72,15 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.beta > 1:
-            raise DomainError(f"beta must exceed 1, got {self.beta}")
-        _check_lower_cutoff(self.lower_cutoff)
-        if self.upper_cutoff is not None and not self.upper_cutoff > self.lower_cutoff:
-            raise DomainError(
-                f"upper cutoff {self.upper_cutoff} must exceed lower cutoff "
-                f"{self.lower_cutoff}"
-            )
+        object.__setattr__(self, "beta", check_beta(self.beta))
+        object.__setattr__(self, "lower_cutoff",
+                           check_cutoff(self.lower_cutoff, "lower cutoff"))
+        if self.upper_cutoff is not None:
+            object.__setattr__(self, "upper_cutoff",
+                               check_cutoff(self.upper_cutoff, "upper cutoff"))
+            if not self.upper_cutoff > self.lower_cutoff:
+                raise DomainError(f"upper cutoff {self.upper_cutoff} must exceed "
+                                  f"lower cutoff {self.lower_cutoff}")
         object.__setattr__(self, "seed", seeding.check_seed(self.seed))
 
 
@@ -119,14 +121,6 @@ def sample_activity(config: SamplerConfig, u):
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(x)
     return x
-
-
-def _check_lower_cutoff(c) -> None:
-    """DomainError unless the lower cutoff C is a finite number >= 1."""
-    if not c >= 1:  # also true for nan
-        raise DomainError(f"lower cutoff must be >= 1, got {c}")
-    if c == math.inf:
-        raise DomainError(f"lower cutoff must be finite, got {c}")
 
 
 def _draw(rng: np.random.Generator, day_index: int, population: int,
@@ -204,28 +198,10 @@ def log_uniform_schedule(rng: np.random.Generator, days: int,
     decade instead of letting the largest days dominate the regression.
     """
     days = check_integer(days, "days", 1)
-    _check_finite_range(population_range)
-    low, high = population_range
-    if not (1 <= low < high):
-        raise DomainError(
-            f"population range must satisfy 1 <= low < high, got {population_range}"
-        )
+    low, high = check_population_range(population_range, 1)
     exponents = rng.uniform(math.log10(low), math.log10(high), size=days)
     # Python floats round like numpy scalars (libm pow, half to even), faster.
     return [max(1, round(10.0**e)) for e in exponents.tolist()]
-
-
-def _check_finite_range(population_range: tuple[float, float]) -> None:
-    """Reject a population range with a bound that is no finite float:
-    inf, nan, or an int too large to convert."""
-    try:
-        finite = all(math.isfinite(bound) for bound in population_range)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
-        raise DomainError(
-            f"population range bounds must be finite numbers, got {population_range}"
-        )
 
 
 def canonical_protocol(name: str) -> str:

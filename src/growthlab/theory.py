@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_beta, check_cutoff
 
 __all__ = [
     "Exponents",
@@ -55,8 +55,7 @@ class Exponents:
     beta: float
 
     def __post_init__(self) -> None:
-        if not self.beta > 1:
-            raise DomainError(f"beta must exceed 1, got {self.beta}")
+        object.__setattr__(self, "beta", check_beta(self.beta))
 
     gamma = property(lambda self: gamma_of_beta(self.beta))
     theta = property(lambda self: self.gamma - 1.0)
@@ -89,8 +88,7 @@ def gamma_of_beta(beta: float) -> float:
     regime) and 1 for beta >= 2 (homogeneous-like linear growth). Continuous
     at beta = 2.
     """
-    if not beta > 1:
-        raise DomainError(f"beta must exceed 1, got {beta}")
+    beta = check_beta(beta)
     if beta < 2:
         return 2.0 / beta
     return 1.0
@@ -98,8 +96,8 @@ def gamma_of_beta(beta: float) -> float:
 
 def theta_of_gamma(gamma: float) -> float:
     """Average-activity exponent theta = gamma - 1 (F/P ~ P^theta)."""
-    if not gamma >= 1:
-        raise DomainError(f"gamma must be at least 1, got {gamma}")
+    if not 1 <= gamma < math.inf:  # also true for nan
+        raise DomainError(f"gamma must be finite and at least 1, got {gamma}")
     return gamma - 1.0
 
 
@@ -108,13 +106,6 @@ def _phi(x: float) -> float:
     if x == 0.0:
         return 1.0
     return math.expm1(x) / x
-
-
-def _check_moment_args(f_max: float, beta: float) -> None:
-    if not beta > 1:
-        raise DomainError(f"beta must exceed 1, got {beta}")
-    if not 1 <= f_max < math.inf:  # also false for nan
-        raise DomainError(f"f_max must be finite and at least 1, got {f_max}")
 
 
 def exact_moments(f_max: float, beta: float) -> MomentPair:
@@ -130,7 +121,7 @@ def exact_moments(f_max: float, beta: float) -> MomentPair:
     but remains fully accurate through the removable singularity at
     beta = 2, where it reduces to the analytic limit F = f_max^2 ln f_max.
     """
-    _check_moment_args(f_max, beta)
+    beta, f_max = check_beta(beta), check_cutoff(f_max, "f_max")
     log_cutoff = math.log(f_max)
     population = f_max * log_cutoff * _phi((beta - 1.0) * log_cutoff)
     total = f_max * f_max * log_cutoff * _phi((beta - 2.0) * log_cutoff)
@@ -151,7 +142,7 @@ def approx_moments(f_max: float, beta: float) -> MomentPair:
     1/(f_max^|2-beta| - 1) on F (beta != 2): excellent deep inside each
     branch, poor near beta = 1 and beta = 2 at moderate cutoffs.
     """
-    _check_moment_args(f_max, beta)
+    beta, f_max = check_beta(beta), check_cutoff(f_max, "f_max")
     if beta == 2.0:
         square = f_max * f_max
         return MomentPair(population=square, total_activity=square, f_max=f_max)
@@ -177,10 +168,9 @@ def cutoff_for_population(population: float, beta: float) -> float:
     cutoff of at least 1. A result a few ulps below 1 is round-off at the
     f_max = 1 boundary (P = 1/(beta-1)) and comes back as exactly 1.0.
     """
-    if not beta > 1:
-        raise DomainError(f"beta must exceed 1, got {beta}")
-    if not population > 0:
-        raise DomainError(f"population must be positive, got {population}")
+    beta = check_beta(beta)
+    if not 0 < population < math.inf:  # also true for nan
+        raise DomainError(f"population must be finite and positive, got {population}")
     f_max = ((beta - 1.0) * population) ** (1.0 / beta)
     if _UNIT_CUTOFF_FLOOR <= f_max < 1.0:
         return 1.0
@@ -201,8 +191,7 @@ def iid_sum_exponent(beta: float) -> float:
     switched off, and the reason the bounded-distribution law cannot be
     reproduced by unbounded sampling.
     """
-    if not beta > 1:
-        raise DomainError(f"beta must exceed 1, got {beta}")
+    beta = check_beta(beta)
     if beta < 2:
         return 1.0 / (beta - 1.0)
     return 1.0

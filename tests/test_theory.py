@@ -67,6 +67,12 @@ class TestThetaOfGamma:
         with pytest.raises(DomainError):
             theta_of_gamma(0.97)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_rejects_a_non_finite_gamma(self, gamma):
+        with pytest.raises(DomainError,
+                           match=f"^gamma must be finite and at least 1, got {gamma}$"):
+            theta_of_gamma(gamma)
+
 
 class TestExponents:
     def test_beta_gives_a_consistent_triple(self):
@@ -135,8 +141,8 @@ class TestExactMoments:
 @pytest.mark.parametrize("moments", [exact_moments, approx_moments])
 @pytest.mark.parametrize("f_max", [math.inf, math.nan])
 def test_non_finite_cutoffs_are_rejected(moments, f_max):
-    with pytest.raises(DomainError,
-                       match=f"^f_max must be finite and at least 1, got {f_max}$"):
+    rule = "must be finite" if f_max == math.inf else "must be >= 1"
+    with pytest.raises(DomainError, match=f"^f_max {rule}, got {f_max}$"):
         moments(f_max, 1.5)
 
 
@@ -228,6 +234,13 @@ class TestCutoffForPopulation:
     def test_rejects_nonpositive_population(self):
         with pytest.raises(DomainError):
             cutoff_for_population(0.0, 1.5)
+
+    @pytest.mark.parametrize("population", [math.inf, math.nan])
+    def test_rejects_a_non_finite_population(self, population):
+        with pytest.raises(
+                DomainError,
+                match=f"^population must be finite and positive, got {population}$"):
+            cutoff_for_population(population, 1.5)
 
     @given(st.floats(min_value=1.0, max_value=1e5), betas)
     @example(1.0, 1.7004)  # (beta-1) * 1/(beta-1) rounds to 1 - 2^-53
