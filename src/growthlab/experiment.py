@@ -15,7 +15,7 @@ process it runs in. run_sweep therefore runs its cells on a pool of worker
 processes, one per usable CPU, started with fork: a worker inherits the
 imported modules instead of importing numpy again. The output is the same
 bytes as a serial run. multiprocessing and concurrent.futures are imported
-inside run_sweep, so importing the CLI does not pay for them.
+inside _map_cells, so importing the CLI does not pay for them.
 """
 
 from __future__ import annotations
@@ -171,6 +171,26 @@ def _pool_workers(cells: int) -> int:
     return workers
 
 
+def _map_cells(fn, columns: Sequence[Sequence]) -> list:
+    """fn(*row) for each row of zip(*columns), in order, from columns of
+    equal length: on forked worker processes in chunks of consecutive rows,
+    or in this process when _pool_workers says so. A worker is sent fn and
+    its rows by pickle, so fn is a module-level function or a partial of
+    one. An exception raised by fn propagates; a worker that dies raises
+    BrokenProcessPool here.
+    """
+    workers = _pool_workers(len(columns[0]))
+    if not workers:
+        return list(map(fn, *columns))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = math.ceil(len(columns[0]) / (_CHUNKS_PER_WORKER * workers))
+    with ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, *columns, chunksize=chunk))
+
+
 def run_sweep(c_values: Sequence[float] | None = None,
               beta_values: Sequence[float] | None = None,
               days_per_cell: int = 100,
@@ -190,10 +210,9 @@ def run_sweep(c_values: Sequence[float] | None = None,
     exception in a cell propagates. Cells are returned in grid order, C
     outer.
 
-    The grid is checked here; the cells then run on forked worker
-    processes, one per usable CPU (see _pool_workers), in chunks of
-    consecutive cells, and equal those of a run in this process. A worker
-    that dies raises BrokenProcessPool here.
+    The grid is checked here; the cells then run through _map_cells, on
+    forked worker processes or in this process, with equal results. A
+    worker that dies raises BrokenProcessPool here.
     """
     protocol = canonical_protocol(protocol)
     if protocol not in _SWEEP_PROTOCOLS:
@@ -215,17 +234,7 @@ def run_sweep(c_values: Sequence[float] | None = None,
         _sweep_cell, days_per_cell=days_per_cell, population_range=(low, high),
         protocol=protocol, seed=seed)
     grid = [(c, beta) for c in cs for beta in betas]
-    columns = (range(len(grid)), *zip(*grid))
-    workers = _pool_workers(len(grid))
-    if not workers:
-        return list(map(cell, *columns))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = math.ceil(len(grid) / (_CHUNKS_PER_WORKER * workers))
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(cell, *columns, chunksize=chunk))
+    return _map_cells(cell, (range(len(grid)), *zip(*grid)))
 
 
 def _snapshots(series) -> list[DailySnapshot]:
@@ -269,6 +278,7 @@ def collapse_check(series, beta_hypothesis: float | None = None,
     centroid) while the freely fitted BetaFit is still returned alongside.
     """
     seed = seeding.check_seed(seed)
+    beta_hypothesis = None if beta_hypothesis is None else check_beta(beta_hypothesis)
     snapshots = _snapshots(series)
     if len(snapshots) < 2:
         raise DomainError("need at least 2 days for a collapse check")

@@ -173,14 +173,24 @@ class TestRunSweep:
 
 
 def _usable_cpus(monkeypatch, count):
-    """Make run_sweep see `count` usable CPUs: 1 runs its cells here, more
-    start a pool of that many workers (capped at the grid size)."""
+    """Make _map_cells see `count` usable CPUs: 1 runs its rows here, more
+    start a pool of that many workers (capped at the row count)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
 
 
 def _raise_naming_the_process(*args):
     raise RuntimeError(f"raised in process {os.getpid()}")
+
+
+def _row_and_process(*row):
+    return row, os.getpid()
+
+
+def _process_rows(rows):
+    """_map_cells over `rows` of _row_and_process: (rows back, process ids)."""
+    results = experiment._map_cells(_row_and_process, (range(rows), "x" * rows))
+    return [row for row, _ in results], {pid for _, pid in results}
 
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -213,40 +223,50 @@ class TestSweepPool:
                            "coupled-truncation, unbounded$"):
             run_sweep(protocol=protocol, **SMALL_GRID)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_rows_come_back_in_order(self, monkeypatch, cpus):
+        # 37 rows make uneven chunks for 2 or 3 workers.
+        _usable_cpus(monkeypatch, cpus)
+        rows, pids = _process_rows(37)
+        assert rows == [(index, "x") for index in range(37)]
+        assert (pids == {os.getpid()}) == (cpus == 1 or not FORK)
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_other_errors_propagate_from_a_cell(self, monkeypatch, cpus):
-        # The patch is in place before the pool forks, so workers see it too.
-        monkeypatch.setattr(experiment, "series_totals", _raise_naming_the_process)
         _usable_cpus(monkeypatch, cpus)
         with pytest.raises(RuntimeError, match="raised in process") as raised:
-            run_sweep(**SMALL_GRID)
+            experiment._map_cells(_raise_naming_the_process, (range(6),))
         in_this_process = str(raised.value) == f"raised in process {os.getpid()}"
         assert in_this_process == (cpus == 1 or not FORK)
 
     def test_no_fork_runs_the_cells_here(self, monkeypatch):
-        monkeypatch.setattr(experiment, "series_totals", _raise_naming_the_process)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         _usable_cpus(monkeypatch, 2)
         assert experiment._pool_workers(6) == 0
         with pytest.raises(RuntimeError, match=f"^raised in process {os.getpid()}$"):
-            run_sweep(**SMALL_GRID)
+            experiment._map_cells(_raise_naming_the_process, (range(6),))
 
     @pytest.mark.skipif(not FORK, reason="needs the fork start method")
     def test_a_daemonic_caller_runs_the_cells_itself(self, monkeypatch):
         # A multiprocessing.Pool worker is daemonic and may not start children.
         _usable_cpus(monkeypatch, 2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            nested = pool.apply_async(run_sweep, kwds=SMALL_GRID).get(timeout=120)
-        _usable_cpus(monkeypatch, 1)
-        assert repr(nested) == repr(run_sweep(**SMALL_GRID))
+            nested = pool.apply_async(_process_rows, (6,)).get(timeout=120)
+            worker = pool.apply_async(os.getpid).get(timeout=120)
+        assert nested == ([(index, "x") for index in range(6)], {worker})
 
     def test_workers_follow_the_usable_cpus_capped_at_the_cells(self, monkeypatch):
         _usable_cpus(monkeypatch, 3)
         assert [experiment._pool_workers(n) for n in (1, 2, 3, 400)] == \
             ([0, 2, 3, 3] if FORK else [0, 0, 0, 0])
+        if FORK:
+            # Two rows get at most two workers, and none of them is this process.
+            _, pids = _process_rows(2)
+            assert len(pids) <= 2 and os.getpid() not in pids
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert experiment._pool_workers(400) == 0
+        assert _process_rows(3)[1] == {os.getpid()}
 
 
 class TestCutoffInvariance:
@@ -370,10 +390,18 @@ class TestCollapseCheck:
         assert fit_a == free_fit and fit_b == free_fit
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan])
-    def test_non_finite_hypothesis_is_a_domain_error(self, beta):
+    def test_non_finite_hypothesis_is_a_domain_error(self, monkeypatch, beta):
         with pytest.raises(DomainError, match="^beta must be finite and exceed 1"):
             collapse_check(_fixed_series(1.41, 0, 4), beta_hypothesis=beta,
                            bootstrap_reps=0)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran before the hypothesis was checked")
+
+        # With the default 1000 replicates too, the check comes before any fit.
+        monkeypatch.setattr(experiment, "pool_and_fit_beta", no_fit)
+        with pytest.raises(DomainError, match="^beta must be finite and exceed 1"):
+            collapse_check(_fixed_series(1.41, 0, 4), beta_hypothesis=beta)
 
     def test_mixture_of_betas_degrades_the_collapse(self):
         q_single, _ = collapse_check(_fixed_series(1.41, 0, 20), bootstrap_reps=0)
