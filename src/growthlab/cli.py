@@ -22,7 +22,6 @@ import argparse
 import datetime as dt
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -59,22 +58,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _bounded_int(low: int, high: float = math.inf, message: str = ""):
-    """An argparse type for integers in [low, high)."""
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
+def _bounded_int(low: int):
+    """An argparse type for integers of at least low."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if not low <= value < high:
-            raise argparse.ArgumentTypeError(message or f"{text!r} must be >= {low}")
+        value = _integer(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} must be >= {low}")
         return value
     return parse
 
 
 _positive_int = _bounded_int(1)
 _nonnegative_int = _bounded_int(0)
-_seed_int = _bounded_int(0, 2**64, "seed must fit in 64 bits")
+
+
+def _seed_value(text: str) -> int:
+    try:
+        return seeding.check_seed(_integer(text))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _number(text: str) -> float:
@@ -310,7 +319,7 @@ def build_parser() -> _Parser:
     simulate.add_argument("--days", type=_positive_int, default=100)
     simulate.add_argument("--pmin", type=_positive_int, default=1000)
     simulate.add_argument("--pmax", type=_positive_int, default=100000)
-    simulate.add_argument("--seed", type=_seed_int, default=0)
+    simulate.add_argument("--seed", type=_seed_value, default=0)
     simulate.add_argument("--integerize", action="store_true",
                           help="floor activities to integers; also writes events.csv")
     simulate.add_argument("--out", required=True, help="output directory")
@@ -320,7 +329,7 @@ def build_parser() -> _Parser:
     fit.add_argument("--input", required=True,
                      help="snapshot TSV or event log (csv/jsonl)")
     fit.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
-    fit.add_argument("--seed", type=_seed_int, default=0)
+    fit.add_argument("--seed", type=_seed_value, default=0)
     fit.add_argument("--svg", default=None, help="write a scatter+fit figure here")
     fit.add_argument("--out", default=None, help="directory for the manifest")
     fit.set_defaults(func=cmd_fit)
@@ -331,7 +340,7 @@ def build_parser() -> _Parser:
     predict.add_argument("--input", required=True, help="event log (csv/jsonl)")
     predict.add_argument("--bins-per-decade", type=_positive_int, default=5)
     predict.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
-    predict.add_argument("--seed", type=_seed_int, default=0)
+    predict.add_argument("--seed", type=_seed_value, default=0)
     predict.add_argument("--out", default=None)
     predict.set_defaults(func=cmd_predict)
 
@@ -345,7 +354,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--pmax", type=_positive_int, default=10000)
     sweep.add_argument("--protocol", default="coupled", choices=sorted(
         name for name, p in _PROTOCOL_ALIASES.items() if p in _SWEEP_PROTOCOLS))
-    sweep.add_argument("--seed", type=_seed_int, default=0)
+    sweep.add_argument("--seed", type=_seed_value, default=0)
     sweep.add_argument("--svg", default=None)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
@@ -358,7 +367,7 @@ def build_parser() -> _Parser:
     collapse.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
     collapse.add_argument("--beta", type=_beta_value, default=None,
                           help="score the collapse against this fixed beta")
-    collapse.add_argument("--seed", type=_seed_int, default=0)
+    collapse.add_argument("--seed", type=_seed_value, default=0)
     collapse.add_argument("--svg", default=None)
     collapse.add_argument("--out", default=None)
     collapse.set_defaults(func=cmd_collapse)

@@ -13,8 +13,15 @@ histograms themselves: each day is rescaled by its own cutoff (f/f_max),
 all days are pooled onto the common master curve (f/f_max)^(-beta), the
 cloud is averaged in logarithmic bins (per contributing day, so a huge day
 cannot outvote a small one), and the exponent is the negative log-log
-slope. fit_beta_mle is the closed-form continuous power-law maximum
-likelihood estimator for unbounded samples, used as a cross-check.
+slope. Its model is n(k) ~ k^-beta at integer k, which the floored draws
+of the sampler do not follow: on them it reads beta low.
+
+fit_beta_likelihood measures beta under the model the sampler draws, a
+power law on [C, U_d] truncated at each day's maximum and floored for
+integer levels (Clauset, Shalizi & Newman 2009; Aban, Meerschaert &
+Panorska 2006). Its one likelihood, _beta_loglik, is a days x beta-grid
+matrix computed once. fit_beta_mle is the closed-form continuous
+power-law maximum likelihood estimator for unbounded samples.
 
 Confidence intervals are nonparametric percentile bootstraps over days
 with replicate-indexed derived seeds: replicate r always consumes the
@@ -60,8 +67,12 @@ __all__ = [
     "binned_cloud",
     "pool_and_fit_beta",
     "score_against_beta",
+    "fit_beta_likelihood",
     "fit_beta_mle",
 ]
+
+# The beta grid of the likelihood fit: 0.01 steps inside (1, 3).
+_BETA_GRID = np.arange(101, 300) / 100.0
 
 
 @dataclass(frozen=True)
@@ -420,15 +431,99 @@ def score_against_beta(rescaled: Sequence[RescaledHistogram], beta: float,
     return _adjusted_r2(-beta, sxx[0], syy[0], sxy[0], len(centers))
 
 
+def _beta_loglik(snapshots: Sequence[DailySnapshot], c: float) -> np.ndarray:
+    """The days x _BETA_GRID log-likelihood matrix of a power law with
+    density ~ x^-b on [c, U_d], truncated at each day's sample maximum.
+
+    A day with integer levels is read as floored draws, so level k has the
+    probability (k^(1-b) - (k+1)^(1-b)) / (c^(1-b) - U_d^(1-b)), U_d the
+    day's largest level plus 1. Its log numerator is evaluated once per
+    distinct level of all such days and summed per day by one days x
+    levels count-matrix product. A day with float levels has the
+    continuous density (b-1) x^-b / (c^(1-b) - U_d^(1-b)), U_d its largest
+    level, which needs only the day's user count, sum n log x and maximum.
+    No level may lie below c.
+    """
+    a = 1.0 - _BETA_GRID
+    integer = np.array([day.levels.dtype.kind in "iu" for day in snapshots])
+    # U_d: the maximum, plus 1 for floored levels.
+    upper = np.array([day.f_max for day in snapshots]) + integer
+    users = np.array([day.population for day in snapshots], dtype=float)[:, None]
+    loglik = np.zeros((len(snapshots), len(a)))
+    # A float day whose every level is c has U_d = c: a point mass that no
+    # b changes, so its row stays 0.
+    spread = upper > c
+    # log(c^a - U^a), kept to the last digits as b nears 1.
+    loglik[spread] = -users[spread] * (
+        a * math.log(c) + np.log(-np.expm1(np.log(upper[spread] / c)[:, None] * a)))
+    rows = np.flatnonzero(integer)
+    if len(rows):
+        days = [snapshots[row] for row in rows]
+        levels, column = np.unique(np.concatenate([day.levels for day in days]),
+                                   return_inverse=True)
+        counts = np.zeros((len(days), len(levels)))
+        counts[np.repeat(np.arange(len(days)), [len(day.levels) for day in days]),
+               column] = np.concatenate([day.counts for day in days])
+        k = levels.astype(float)[:, None]
+        # log(k^a - (k+1)^a), one row per distinct level.
+        log_mass = a * np.log(k) + np.log(-np.expm1(a * np.log1p(1.0 / k)))
+        loglik[rows] += counts @ log_mass
+    rows = np.flatnonzero(~integer & spread)
+    log_sums = np.array([(snapshots[row].counts * np.log(snapshots[row].levels)).sum()
+                         for row in rows]).reshape(-1, 1)
+    loglik[rows] += users[rows] * np.log(-a) + (a - 1.0) * log_sums
+    return loglik
+
+
+def fit_beta_likelihood(snapshots: Sequence[DailySnapshot]) -> BetaFit:
+    """Activity exponent by maximum likelihood over all days at once.
+
+    The model is the one the sampler draws: a power law ~ x^-beta on
+    [c, U_d], floored for integer levels, with c the smallest level in the
+    data and U_d each day's own truncation point read from its maximum
+    (see _beta_loglik). The day likelihoods are summed on a grid of beta
+    in (1, 3) at 0.01 steps; beta is the vertex of the parabola through
+    the grid maximum and its two neighbours, and the 95% CI is the profile
+    interval beta -+ 1.96 / sqrt(-L''), L'' the parabola's curvature. An
+    empty list raises DomainError; a maximum on the edge of the grid,
+    which a flat likelihood (every user at c) gives too, raises
+    EstimationError.
+    """
+    snapshots = list(snapshots)
+    if not snapshots:
+        raise DomainError("need at least one day to fit beta")
+    c = min(float(day.levels[0]) for day in snapshots)
+    pooled = _beta_loglik(snapshots, c).sum(axis=0)
+    peak = int(np.argmax(pooled))
+    if not 0 < peak < len(_BETA_GRID) - 1:
+        raise EstimationError(
+            f"the likelihood peaks at the edge of the beta grid "
+            f"[{_fmt(_BETA_GRID[0])}, {_fmt(_BETA_GRID[-1])}]")
+    left, top, right = pooled[peak - 1:peak + 2]
+    # Negative: the first maximum is above its left neighbour.
+    bend = left - 2.0 * top + right
+    step = _BETA_GRID[1] - _BETA_GRID[0]
+    beta = float(_BETA_GRID[peak] + step * (left - right) / (2.0 * bend))
+    half_width = float(1.96 * step / math.sqrt(-bend))
+    return BetaFit(
+        beta=beta,
+        ci95_beta=(beta - half_width, beta + half_width),
+        adjusted_r2=math.nan,
+        method="likelihood",
+        n_points_or_samples=sum(day.population for day in snapshots),
+    )
+
+
 def fit_beta_mle(samples: Iterable[float], x_min: float = 1.0) -> BetaFit:
     """Closed-form continuous power-law MLE: beta = 1 + n / sum ln(x/x_min).
 
-    Valid for unbounded samples with density ~ x^(-beta) on [x_min, inf);
-    applied to truncated data it overestimates beta (the compressed tail
-    mimics faster decay), so cross-checks against the collapse fit must use
-    unbounded draws. The 95% CI is the asymptotic normal interval with
-    standard error (beta - 1)/sqrt(n). Samples all equal to x_min would
-    push beta to infinity and raise EstimationError instead.
+    Valid for unbounded samples with density ~ x^(-beta) on [x_min, inf):
+    continuous draws with no upper cutoff. Applied to truncated data it
+    overestimates beta (the compressed tail mimics faster decay); for
+    truncated or floored days use fit_beta_likelihood, whose model is
+    truncated at each day's maximum. The 95% CI is the asymptotic normal
+    interval with standard error (beta - 1)/sqrt(n). Samples all equal to
+    x_min would push beta to infinity and raise EstimationError instead.
     """
     x = np.asarray(list(samples), dtype=float)
     if x.size < 2:

@@ -9,13 +9,15 @@ claim passes when at least 90% of all runs, and at least 80% of each
 cell's, cover the target.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from calibration import hits_per_cell
-from growthlab import (SamplerConfig, collapse_check, fit_gamma_tls,
-                       log_uniform_schedule, seeding, series_totals,
-                       synthesize_series)
+from growthlab import (SamplerConfig, collapse_check, fit_beta_likelihood,
+                       fit_gamma_tls, log_uniform_schedule, seeding,
+                       series_totals, synthesize_series)
 
 GRID = [(beta, c) for beta in (1.2, 1.5, 1.8) for c in (1.0, 3.0)]
 DAYS = 30
@@ -59,6 +61,14 @@ def collapse_interval_covers(cell, seed):
     return low <= beta <= high
 
 
+def likelihood_interval_covers(cell, seed, integerize):
+    beta, c = cell
+    config = SamplerConfig(beta=beta, lower_cutoff=c, integerize=integerize, seed=seed)
+    days = synthesize_series(_schedule(seed), config).days
+    low, high = fit_beta_likelihood(days).ci95_beta
+    return low <= beta <= high
+
+
 def _assert_covers(hits, seeds):
     detail = ", ".join(f"(beta={beta}, C={c:g}) {h}/{seeds}"
                        for (beta, c), h in zip(GRID, hits))
@@ -85,9 +95,19 @@ def test_tls_interval_covers_the_finite_size_slope():
 
 
 @pytest.mark.calibration
+@pytest.mark.parametrize("integerize", [True, False], ids=["integer", "continuous"])
+def test_likelihood_interval_covers_the_true_beta(integerize):
+    seeds = 40
+    covers = functools.partial(likelihood_interval_covers, integerize=integerize)
+    _assert_covers(hits_per_cell(covers, GRID, seeds, 0), seeds)
+
+
+@pytest.mark.calibration
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: the collapse fit assumes n(k) ~ k^-beta, but floored "
-    "draws follow about (k + 1/2)^-beta, so beta comes out 0.07-0.17 low"))
+    "the collapse fit keeps its n(k) ~ k^-beta model by design (ROADMAP, "
+    "'Not now'), while floored draws follow about (k + 1/2)^-beta, so beta "
+    "comes out 0.07-0.17 low; test_likelihood_interval_covers_the_true_beta "
+    "checks the fit whose model is the sampler's"))
 def test_collapse_interval_covers_the_true_beta():
     seeds = 40
     _assert_covers(hits_per_cell(collapse_interval_covers, GRID, seeds, 0), seeds)

@@ -895,6 +895,21 @@ class TestBootstrapRepsOption:
         assert stdout == ""
 
 
+class TestSeedOption:
+    @pytest.mark.parametrize("subcommand", ["simulate", "fit", "predict",
+                                            "collapse", "sweep"])
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_a_usage_error(self, tmp_path, capsys,
+                                                   subcommand, value):
+        target = {"simulate": ["--beta", "1.5", "--out", str(tmp_path / "out")],
+                  "sweep": ["--out", str(tmp_path / "out")]}.get(
+            subcommand, ["--input", str(tmp_path / "events.csv")])
+        code, stdout, stderr = _run(capsys, subcommand, *target, "--seed", value)
+        assert code == 1
+        assert stdout == ""
+        assert "argument --seed" in stderr
+
+
 class TestManifest:
     def test_manifest_file_only_with_out(self, tmp_path, capsys):
         path = tmp_path / "noiseless.tsv"

@@ -711,7 +711,9 @@ class TestCrossEstimatorAgreement:
         day-bootstrap cannot see the shared flooring bias (-0.04 at this
         configuration) and its band is a few thousandths wide, so the
         assertion is point agreement at the measured scale (observed gaps
-        0.043 to 0.067) plus MLE coverage of the truth.
+        0.043 to 0.067) plus MLE coverage of the truth. The likelihood fit
+        reads the same integerized days as floored draws, and its interval
+        covers the truth (observed 1.20006, 1.41008, 1.58008, 1.80010).
         """
         cfg = SamplerConfig(beta=beta, lower_cutoff=3.0, integerize=True,
                             seed=0)
@@ -728,6 +730,72 @@ class TestCrossEstimatorAgreement:
         assert abs(collapse.beta - mle.beta) < 0.08
         assert abs(collapse.beta - beta) < 0.06
         assert mle.ci95_beta[0] <= beta <= mle.ci95_beta[1]
+        likelihood = gl.fit_beta_likelihood(series.days)
+        assert likelihood.ci95_beta[0] <= beta <= likelihood.ci95_beta[1]
+
+
+class TestFitBetaLikelihood:
+    def test_readme_series_is_pinned(self):
+        """The days of `simulate --beta 1.5 --days 100 --integerize --seed 0`,
+        on which the collapse fit reads 1.39504 [1.38854, 1.40092]."""
+        schedule = gl.log_uniform_schedule(
+            seeding.generator(0, seeding.STREAM_SCHEDULE), 100, (1000, 100000))
+        series = gl.synthesize_series(
+            schedule, SamplerConfig(beta=1.5, integerize=True, seed=0))
+        fit = gl.fit_beta_likelihood(series.days)
+        assert [f"{value:.6g}" for value in (fit.beta, *fit.ci95_beta)] == [
+            "1.50054", "1.4997", "1.50139"]
+        assert (fit.method, fit.n_points_or_samples) == ("likelihood", 2376126)
+        assert math.isnan(fit.adjusted_r2)
+
+    @pytest.mark.parametrize("levels,counts", [
+        ([3, 4, 9, 20], [40, 25, 6, 1]),
+        ([3.25, 4.5, 9.0, 20.75], [1, 1, 2, 1]),
+    ], ids=["integer", "float"])
+    def test_rows_are_the_day_log_likelihoods(self, levels, counts):
+        """Each row is sum n log p(level) over the day, p the floored pmf
+        (k^(1-b) - (k+1)^(1-b)) / (c^(1-b) - U^(1-b)), U the maximum plus 1,
+        for integer levels, and the density (b-1) x^-b / (c^(1-b) - U^(1-b)),
+        U the maximum, for float levels."""
+        level_array = np.array(levels)
+        total = float(level_array @ np.array(counts))
+        day = DailySnapshot(0, total, level_array, np.array(counts))
+        c = 3.0
+        grid = estimators._BETA_GRID[[0, 49, 198]]
+        a = 1.0 - grid
+        x = level_array.astype(float)[:, None]
+        if level_array.dtype.kind == "i":
+            norm = c**a - (x[-1] + 1.0) ** a
+            log_p = np.log((x**a - (x + 1.0) ** a) / norm)
+        else:
+            norm = c**a - x[-1] ** a
+            log_p = np.log(-a * x ** (a - 1.0) / norm)
+        rows = estimators._beta_loglik([day, day], c)
+        np.testing.assert_allclose(rows[:, [0, 49, 198]],
+                                   np.tile(np.array(counts) @ log_p, (2, 1)),
+                                   rtol=1e-10)
+
+    def test_a_float_day_all_at_c_adds_nothing(self):
+        # Truncated at its own maximum c, such a day has probability 1.
+        config = SamplerConfig(beta=1.5, lower_cutoff=2.0, seed=4)
+        days = gl.synthesize_series([2000] * 5, config).days
+        lowest = min(float(day.levels[0]) for day in days)
+        point = DailySnapshot(5, 3 * lowest, np.array([lowest]), np.array([3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gl.fit_beta_likelihood([*days, point]).beta == \
+                gl.fit_beta_likelihood(days).beta
+
+    def test_no_days_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^need at least one day to fit beta$"):
+            gl.fit_beta_likelihood([])
+
+    def test_days_all_at_level_one_have_no_peak(self):
+        # Every level-1 day has probability 1 whatever beta: a flat likelihood.
+        days = [DailySnapshot(day, float(users), np.array([1]), np.array([users]))
+                for day, users in enumerate((5, 50, 500))]
+        with pytest.raises(EstimationError, match="edge of the beta grid"):
+            gl.fit_beta_likelihood(days)
 
 
 class TestFitTypes:
