@@ -11,11 +11,14 @@ the law, and confront the prediction with the directly fitted exponent.
 
 Every cell derives its RNG streams from (seed, cell index) alone, so a
 cell's result never depends on the cells run before it, nor on the
-process it runs in. run_sweep therefore runs its cells on a pool of worker
-processes, one per usable CPU, started with fork: a worker inherits the
-imported modules instead of importing numpy again. The output is the same
-bytes as a serial run. multiprocessing and concurrent.futures are imported
-inside _map_cells, so importing the CLI does not pay for them.
+process it runs in. run_sweep therefore runs its cells on worker
+processes, one per usable CPU, forked with os.fork: a worker inherits the
+imported modules and the cell function instead of importing numpy again,
+takes every W-th cell of the grid and sends its results back through a
+pipe. There is no executor and no task queue. The output is the same
+bytes as a serial run. multiprocessing, which only tells whether this
+process may fork, is imported inside _pool_workers, so importing the CLI
+does not pay for it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 import functools
 import math
 import os
+import pickle
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,11 +122,6 @@ def default_beta_grid() -> list[float]:
 # fixed-truncation needs an upper cutoff, which no sweep cell sets.
 _SWEEP_PROTOCOLS = tuple(p for p in PROTOCOLS if p != "fixed-truncation")
 
-# About this many chunks of cells go to each pool worker: enough that a
-# worker whose cells are cheap (a failed cell draws nothing) takes more
-# chunks, few enough that the cost of sending each chunk stays small.
-_CHUNKS_PER_WORKER = 8
-
 
 def _sweep_cell(index: int, c: float, beta: float, *, days_per_cell: int,
                 population_range: tuple[float, float], protocol: str,
@@ -129,7 +129,6 @@ def _sweep_cell(index: int, c: float, beta: float, *, days_per_cell: int,
     """Cell `index` of a sweep, drawn from the streams of (seed, index) alone.
 
     A GrowthlabError becomes a failed cell; any other exception propagates.
-    Module-level, so that worker processes can be sent it by name.
     """
     cell_seed = seeding.derive_seed(seed, seeding.STREAM_CELL, index)
     try:
@@ -173,22 +172,85 @@ def _pool_workers(cells: int) -> int:
 
 def _map_cells(fn, columns: Sequence[Sequence]) -> list:
     """fn(*row) for each row of zip(*columns), in order, from columns of
-    equal length: on forked worker processes in chunks of consecutive rows,
-    or in this process when _pool_workers says so. A worker is sent fn and
-    its rows by pickle, so fn is a module-level function or a partial of
-    one. An exception raised by fn propagates; a worker that dies raises
-    BrokenProcessPool here.
-    """
-    workers = _pool_workers(len(columns[0]))
-    if not workers:
-        return list(map(fn, *columns))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    equal length: on forked worker processes, or in this process when
+    _pool_workers says so.
 
-    chunk = math.ceil(len(columns[0]) / (_CHUNKS_PER_WORKER * workers))
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, *columns, chunksize=chunk))
+    Of W workers, worker w computes rows w, w + W, w + 2W, ..., so cheap
+    and dear rows (a failed sweep cell draws nothing) spread evenly, and
+    sends its list of results, or the exception fn raised, back through a
+    pipe by pickle; so fn returns picklable results. Every pipe is read and
+    every worker reaped before anything is raised here. Then, taking the
+    workers in order, the first one that failed decides what is raised:
+    the exception fn raised there, or BrokenProcessPool for a worker that
+    ended without sending its results.
+    """
+    rows = list(zip(*columns))
+    workers = _pool_workers(len(rows))
+    if not workers:
+        return [fn(*row) for row in rows]
+    # A worker would write out again whatever is still buffered here.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, read end of its pipe), one per worker started
+    try:
+        for worker in range(workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_worker(fn, rows[worker::workers], write_fd,
+                            [read_fd] + [pipe.fileno() for _, pipe in children])
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    ordered = [None] * len(rows)
+    for worker, ((pid, _), status, payload) in enumerate(
+            zip(children, statuses, payloads)):
+        if status != 0:
+            from concurrent.futures.process import BrokenProcessPool
+
+            raise BrokenProcessPool(
+                f"worker process {pid} ended with exit code "
+                f"{os.waitstatus_to_exitcode(status)} before sending its results")
+        outcome = pickle.loads(payload)
+        if isinstance(outcome, Exception):
+            raise outcome
+        ordered[worker::workers] = outcome
+    return ordered
+
+
+def _run_worker(fn, rows, write_fd: int, other_fds: Sequence[int]):
+    """The body of a forked _map_cells worker; it never returns.
+
+    It leaves by os._exit, running none of the parent's exit handlers, with
+    status 0 only once its results (or fn's exception) are all written.
+    """
+    status = 1
+    try:
+        for fd in other_fds:
+            os.close(fd)
+        try:
+            outcome = [fn(*row) for row in rows]
+        except Exception as exc:  # sent to the parent, which raises it
+            outcome = exc
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        status = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
 
 
 def run_sweep(c_values: Sequence[float] | None = None,
@@ -211,7 +273,8 @@ def run_sweep(c_values: Sequence[float] | None = None,
     outer.
 
     The grid is checked here; the cells then run through _map_cells, on
-    forked worker processes or in this process, with equal results. A
+    forked worker processes that take the cells in strides (worker w of W
+    runs cells w, w + W, ...) or in this process, with equal results. A
     worker that dies raises BrokenProcessPool here.
     """
     protocol = canonical_protocol(protocol)

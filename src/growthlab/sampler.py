@@ -96,12 +96,13 @@ class SyntheticSeries:
         lambda self: tuple(day.population for day in self.days))
 
 
-def _inverse_cdf(beta: float, c: float, upper: float | None, u: np.ndarray):
-    exponent = -1.0 / (beta - 1.0)
-    if upper is None:
-        return c * (1.0 - u) ** exponent
-    ratio = (upper / c) ** (1.0 - beta)
-    return c * (1.0 - u * (1.0 - ratio)) ** exponent
+def _inverse_cdf(beta: float, c: float, upper: float | None, x: np.ndarray) -> None:
+    """Overwrite the float64 uniforms x with their activities, in place."""
+    if upper is not None:
+        x *= 1.0 - (upper / c) ** (1.0 - beta)
+    np.subtract(1.0, x, out=x)
+    np.power(x, -1.0 / (beta - 1.0), out=x)
+    x *= c
 
 
 def sample_activity(config: SamplerConfig, u):
@@ -114,17 +115,18 @@ def sample_activity(config: SamplerConfig, u):
     when unbounded). Accepts scalars or arrays and returns the same shape;
     an array u is left unchanged.
     """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(~((u_arr >= 0.0) & (u_arr < 1.0))):  # also true for nan
+    x = np.array(u, dtype=float)
+    if np.any(~((x >= 0.0) & (x < 1.0))):  # also true for nan
         raise DomainError("u must lie in [0, 1)")
-    x = _inverse_cdf(config.beta, config.lower_cutoff, config.upper_cutoff, u_arr)
+    _inverse_cdf(config.beta, config.lower_cutoff, config.upper_cutoff, x)
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(x)
     return x
 
 
 def _draw(rng: np.random.Generator, day_index: int, population: int,
-          config: SamplerConfig, upper: float | None) -> tuple[np.ndarray, float]:
+          config: SamplerConfig, upper: float | None,
+          buffer: np.ndarray) -> tuple[np.ndarray, float]:
     """The one draw pipeline: day `day_index`'s activities below cutoff `upper`
     and their total F.
 
@@ -136,6 +138,12 @@ def _draw(rng: np.random.Generator, day_index: int, population: int,
     entered np.errstate(over="ignore"), once per public call rather than
     once per day. rng.random() lies in [0, 1), so u needs no range check.
 
+    The draws are made in buffer[:population], a float64 buffer the caller
+    owns and reuses from day to day, and the inverse CDF is applied there in
+    place. So continuous draws come back as a view of that buffer: use them
+    before the next day is drawn into it, as seeding.generators says of its
+    generator.
+
     Each day is reduced once: the float sum is a bound on every draw, since
     a sum of positive terms is never below its largest one. Only a sum that
     is not finite (or reaches 2^63 for integerized draws) pays for x.max(),
@@ -143,9 +151,10 @@ def _draw(rng: np.random.Generator, day_index: int, population: int,
     Integerized draws come back as int64: draws are at least C >= 1, so the
     truncating cast is the floor, and their F is the exact integer sum.
     """
-    x = _inverse_cdf(config.beta, config.lower_cutoff, upper,
-                     rng.random(int(population)))
-    total = float(x.sum())
+    x = buffer[:population]
+    rng.random(out=x)
+    _inverse_cdf(config.beta, config.lower_cutoff, upper, x)
+    total = float(np.add.reduce(x))
     if not total < (2.0**63 if config.integerize else math.inf):
         top = float(x.max())
         if top == math.inf:
@@ -186,7 +195,8 @@ def synthesize_day(day_index: int, population: int,
     population = check_integer(population, "population", 1)
     rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
     with np.errstate(over="ignore"):
-        x, total = _draw(rng, day_index, population, config, config.upper_cutoff)
+        x, total = _draw(rng, day_index, population, config, config.upper_cutoff,
+                         np.empty(population))
     return _snapshot(day_index, x, total)
 
 
@@ -243,19 +253,21 @@ def _schedule_draws(schedule: Sequence[int], config: SamplerConfig, protocol: st
     Every day's population and cutoff are checked, in day order, before
     any day is drawn, so a schedule that fails on a late day draws nothing.
     The days' streams come from one seeding.generators pass, each used up
-    before the next is taken.
+    before the next is taken. Every day is drawn into one float64 buffer
+    sized to the largest population, so a day's continuous draws are a view
+    of it: use them before taking the next day, which overwrites them.
     """
     if len(schedule) == 0:
         raise DomainError("schedule must contain at least one day")
-    uppers = []
+    days = []
     for day_index, population in enumerate(schedule):
-        check_integer(population, f"day {day_index}: population", 1)
-        uppers.append(_day_cutoff(config, protocol, day_index, population))
-    rngs = seeding.generators(config.seed, seeding.STREAM_DAY, len(schedule))
-    for (day_index, population), upper, rng in zip(enumerate(schedule), uppers, rngs):
-        population = int(population)
+        population = check_integer(population, f"day {day_index}: population", 1)
+        days.append((population, _day_cutoff(config, protocol, day_index, population)))
+    buffer = np.empty(max(population for population, _ in days))
+    rngs = seeding.generators(config.seed, seeding.STREAM_DAY, len(days))
+    for day_index, ((population, upper), rng) in enumerate(zip(days, rngs)):
         yield (day_index, population,
-               *_draw(rng, day_index, population, config, upper))
+               *_draw(rng, day_index, population, config, upper, buffer))
 
 
 def synthesize_series(schedule: Sequence[int], config: SamplerConfig,

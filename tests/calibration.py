@@ -6,8 +6,8 @@ fn(cell, seed) for `seeds` runs of every cell of a grid and counts the
 runs whose result is true. Run s of cell i gets the seed
 seeding.derive_seed(base, i, s), so no two runs share a stream. The runs
 go through experiment._map_cells, the sweep's cell runner: on forked
-worker processes, one per usable CPU, or in this process. fn is sent to
-the workers by name, so it must be a module-level function.
+worker processes, one per usable CPU, or in this process. The workers
+inherit fn and send back its results by pickle, so those must pickle.
 """
 
 from growthlab import experiment, seeding

@@ -656,6 +656,18 @@ class TestSweep:
         assert hashlib.sha256((out / "cells.tsv").read_bytes()).hexdigest() == (
             "e50f9d04761b9d29474e9b2ad71b83e5dbbd87c22f19e97beb6b36735d779637")
 
+    @pytest.mark.parametrize("protocol, digest", [
+        ("coupled", "8ee6495ef1fa82c46ab501818ac076ff362c96b7ec3ee31e68565af9addd1234"),
+        ("unbounded", "499b65d8731effc4359ad79a15ee60893c1c02c773d46b88f417dc51f1924903"),
+    ])
+    def test_default_grid_bytes_are_pinned(self, tmp_path, capsys, protocol, digest):
+        # The whole default 400-cell grid, so that no change to the draws or
+        # to how the cells are run moves a bit of the sweep's table.
+        out = tmp_path / "sweep"
+        assert _run(capsys, "sweep", "--seed", "0", "--protocol", protocol,
+                    "--out", str(out))[0] == 0
+        assert hashlib.sha256((out / "cells.tsv").read_bytes()).hexdigest() == digest
+
     def test_small_grid_text_is_pinned(self, tmp_path, capsys):
         # The full table, ok rows and failed rows with their messages alike.
         out = tmp_path / "sweep"
@@ -978,6 +990,21 @@ class TestEntryPoints:
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                 text=True, timeout=120, env=_source_env())
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+    def test_bootstrap_fits_leave_numpy_ma_unimported(self):
+        # np.percentile imports numpy.ma, several milliseconds of every
+        # bootstrapping command; the bootstrap intervals do without it.
+        probe = (
+            "import sys, growthlab as gl\n"
+            "cfg = gl.SamplerConfig(beta=1.5, integerize=True, seed=0)\n"
+            "series = gl.synthesize_series([300, 1000, 3000, 600, 2000], cfg)\n"
+            "gl.compare_prediction(series, bootstrap_reps=50)\n"
+            "gl.collapse_check(series, bootstrap_reps=50)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, timeout=120, env=_source_env())
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
     def test_version_flag(self, capsys):
         assert _run(capsys, "--version")[0] == 0

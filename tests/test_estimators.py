@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import growthlab as gl
@@ -592,6 +592,32 @@ class TestBootstrapReps:
             assert row.tolist() == np.bincount(rng.integers(0, 7, size=7),
                                                minlength=7).tolist()
         assert not weights.flags.writeable
+
+
+class TestPercentileCi:
+    @given(values=st.one_of(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=80),
+        st.lists(st.integers(min_value=-3, max_value=3).map(float),
+                 min_size=1, max_size=80),
+    ))
+    @settings(max_examples=300, deadline=None)
+    @example(values=[1.25])
+    @example(values=[2.0, 1.0])
+    @example(values=[3.0, 3.0, 3.0])
+    @example(values=[1.0, 1.0, 2.0, 2.0, 2.0])
+    @example(values=np.linspace(-1.0, 1.0, 41).tolist())
+    @example(values=[float(v) for v in range(1000, 0, -1)])
+    def test_equals_numpy_percentile_bit_for_bit(self, values):
+        expected = np.percentile(values, [2.5, 97.5])
+        # A nan center widens nothing: min and max keep their first argument.
+        got = estimators._percentile_ci(np.array(values), math.nan)
+        assert np.array(got).tobytes() == expected.tobytes()
+
+    def test_center_outside_the_percentiles_widens_the_interval(self):
+        values = np.arange(1.0, 101.0)
+        assert estimators._percentile_ci(values, 0.5)[0] == 0.5
+        assert estimators._percentile_ci(values, 200.0)[1] == 200.0
+        assert estimators._percentile_ci(np.array([]), 3.0) == (3.0, 3.0)
 
 
 class TestBinsPerDecade:

@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import re
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -187,6 +189,26 @@ def _row_and_process(*row):
     return row, os.getpid()
 
 
+def _exit_at_row_two(index):
+    if index == 2:
+        os._exit(3)
+    return index
+
+
+def _raise_at_row_zero_or_mark(index, directory):
+    """Row 0 raises at once; every other row writes its mark after a pause."""
+    if index == 0:
+        raise RuntimeError("row 0 failed")
+    time.sleep(0.2)
+    (directory / str(index)).write_text("")
+    return index
+
+
+def _assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _process_rows(rows):
     """_map_cells over `rows` of _row_and_process: (rows back, process ids)."""
     results = experiment._map_cells(_row_and_process, (range(rows), "x" * rows))
@@ -238,6 +260,25 @@ class TestSweepPool:
             experiment._map_cells(_raise_naming_the_process, (range(6),))
         in_this_process = str(raised.value) == f"raised in process {os.getpid()}"
         assert in_this_process == (cpus == 1 or not FORK)
+
+    @pytest.mark.skipif(not FORK, reason="needs the fork start method")
+    def test_a_worker_that_dies_raises_broken_process_pool(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        with pytest.raises(BrokenProcessPool, match="exit code 3"):
+            experiment._map_cells(_exit_at_row_two, (range(6),))
+        _assert_no_child_is_left()
+
+    @pytest.mark.skipif(not FORK, reason="needs the fork start method")
+    def test_an_exception_is_raised_after_every_worker_ends(self, monkeypatch,
+                                                             tmp_path):
+        # Worker 0 raises on its first row; worker 1 (rows 1, 3, 5) is still
+        # working then, and finishes before the exception reaches here.
+        _usable_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="^row 0 failed$"):
+            experiment._map_cells(_raise_at_row_zero_or_mark,
+                                  (range(6), [tmp_path] * 6))
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["1", "3", "5"]
+        _assert_no_child_is_left()
 
     def test_no_fork_runs_the_cells_here(self, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])

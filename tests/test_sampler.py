@@ -7,12 +7,13 @@ bands, both at frozen seeds recorded next to the observed statistics.
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -365,6 +366,30 @@ class TestSynthesizeSeries:
         build([10**5, 10**5], cfg)
         assert drawn == [0, 1]
 
+    @pytest.mark.parametrize("integerize", [False, True])
+    def test_days_share_no_memory(self, integerize):
+        # All days are drawn into one reused buffer; none may keep a view of it.
+        cfg = SamplerConfig(beta=1.5, integerize=integerize, seed=2)
+        days = gl.synthesize_series([700, 50, 900], cfg, "unbounded").days
+        arrays = [array for day in days for array in (day.levels, day.counts)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+
+    @pytest.mark.parametrize("protocol", ["coupled", "unbounded"])
+    def test_totals_hold_one_day_of_draws_at_a_time(self, protocol):
+        # One float64 buffer of the largest day, reused: no per-day draws or
+        # temporaries of the inverse CDF stay allocated or add up.
+        schedule = [20_000, 100, 50_000, 7, 30_000]
+        cfg = SamplerConfig(beta=1.5, seed=4)
+        gl.series_totals([1], cfg, "unbounded")  # import numpy.random first
+        tracemalloc.start()
+        try:
+            gl.series_totals(schedule, cfg, protocol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * max(schedule)
+
     def test_schedule_recorded_on_the_series(self):
         cfg = SamplerConfig(beta=1.5, seed=1)
         series = gl.synthesize_series([300, 800], cfg)
@@ -476,6 +501,12 @@ class TestFoldedPathMatchesPerDayReference:
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
     @settings(max_examples=300, deadline=None)
+    # Every day is drawn into one buffer: a day smaller than the one before
+    # must read only its own draws, and a larger one must not outgrow it.
+    @example(protocol="fixed", integerize=False, beta=1.5, lower=1.0,
+             upper_factor=1e3, schedule=[3000, 10, 2500, 1], seed=7)
+    @example(protocol="unbounded", integerize=True, beta=2.5, lower=2.0,
+             upper_factor=None, schedule=[3000, 10, 2500, 1], seed=7)
     def test_series_and_totals_equal_the_reference(
             self, protocol, integerize, beta, lower, upper_factor, schedule, seed):
         upper = None if upper_factor is None else lower * upper_factor
