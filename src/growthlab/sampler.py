@@ -5,6 +5,9 @@ p(x) ~ x^(-beta) on [C, infinity) or, truncated, on [C, U] via the
 inverse-CDF transform. A day is P iid draws; a series is a schedule of
 days, each with its own derived RNG stream so that day k's data never
 depends on how many days preceded it or on the order days are drawn in.
+Consecutive days are drawn in runs of at most _RUN draws into one reused
+float64 buffer, so a day's draws are a view of it, valid until the next
+run is drawn.
 
 The essential modelling choice lives in synthesize_series' protocol:
 
@@ -96,10 +99,20 @@ class SyntheticSeries:
         lambda self: tuple(day.population for day in self.days))
 
 
-def _inverse_cdf(beta: float, c: float, upper: float | None, x: np.ndarray) -> None:
-    """Overwrite the float64 uniforms x with their activities, in place."""
+# Draws per run: consecutive days of a schedule share one float64 buffer of
+# this many values (256 KiB), which stays in cache; a whole cell does not.
+_RUN = 1 << 15
+
+
+def _scale_uniforms(beta: float, c: float, upper: float | None,
+                    x: np.ndarray) -> None:
+    """Scale the float64 uniforms x in place onto cutoff `upper`'s range."""
     if upper is not None:
         x *= 1.0 - (upper / c) ** (1.0 - beta)
+
+
+def _activities(beta: float, c: float, x: np.ndarray) -> None:
+    """Overwrite the scaled uniforms x with their activities, in place."""
     np.subtract(1.0, x, out=x)
     np.power(x, -1.0 / (beta - 1.0), out=x)
     x *= c
@@ -118,31 +131,31 @@ def sample_activity(config: SamplerConfig, u):
     x = np.array(u, dtype=float)
     if np.any(~((x >= 0.0) & (x < 1.0))):  # also true for nan
         raise DomainError("u must lie in [0, 1)")
-    _inverse_cdf(config.beta, config.lower_cutoff, config.upper_cutoff, x)
+    _scale_uniforms(config.beta, config.lower_cutoff, config.upper_cutoff, x)
+    _activities(config.beta, config.lower_cutoff, x)
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(x)
     return x
 
 
-def _draw(rng: np.random.Generator, day_index: int, population: int,
-          config: SamplerConfig, upper: float | None,
-          buffer: np.ndarray) -> tuple[np.ndarray, float]:
-    """The one draw pipeline: day `day_index`'s activities below cutoff `upper`
-    and their total F.
+def _draw(rng: np.random.Generator, day_index: int, config: SamplerConfig,
+          upper: float | None, x: np.ndarray) -> None:
+    """Fill x with day `day_index`'s uniforms, scaled below cutoff `upper`.
 
-    Snapshots and totals, single days and whole series all run through
-    here. `rng` must be positioned at the start of the day's stream:
-    seeding.generator(config.seed, STREAM_DAY, day_index) for a single day,
-    or the same stream from seeding.generators for a whole schedule. So
-    they agree to the last bit. The caller has checked the population and
-    entered np.errstate(over="ignore"), once per public call rather than
-    once per day. rng.random() lies in [0, 1), so u needs no range check.
+    Every day the package draws passes through here once. `rng` must be at
+    the start of the day's stream, seeding.generator(config.seed,
+    STREAM_DAY, day_index) or the same stream from seeding.generators, so
+    single days and series agree to the last bit. rng.random() lies in
+    [0, 1), so u needs no range check. x is the day's slice of its run's
+    buffer, where _draw_run finishes the inverse CDF.
+    """
+    rng.random(out=x)
+    _scale_uniforms(config.beta, config.lower_cutoff, upper, x)
 
-    The draws are made in buffer[:population], a float64 buffer the caller
-    owns and reuses from day to day, and the inverse CDF is applied there in
-    place. So continuous draws come back as a view of that buffer: use them
-    before the next day is drawn into it, as seeding.generators says of its
-    generator.
+
+def _total(day_index: int, x: np.ndarray,
+           config: SamplerConfig) -> tuple[np.ndarray, float]:
+    """Day `day_index`'s activities x and their total F, checked.
 
     Each day is reduced once: the float sum is a bound on every draw, since
     a sum of positive terms is never below its largest one. Only a sum that
@@ -151,9 +164,6 @@ def _draw(rng: np.random.Generator, day_index: int, population: int,
     Integerized draws come back as int64: draws are at least C >= 1, so the
     truncating cast is the floor, and their F is the exact integer sum.
     """
-    x = buffer[:population]
-    rng.random(out=x)
-    _inverse_cdf(config.beta, config.lower_cutoff, upper, x)
     total = float(np.add.reduce(x))
     if not total < (2.0**63 if config.integerize else math.inf):
         top = float(x.max())
@@ -177,6 +187,31 @@ def _draw(rng: np.random.Generator, day_index: int, population: int,
     return x, float(sum(x.tolist()))
 
 
+def _draw_run(days, rngs, config: SamplerConfig, buffer: np.ndarray):
+    """(day_index, population, draws, total) for each day of a run, in order.
+
+    `days` holds consecutive (day_index, population, upper) whose
+    populations fit in buffer together; `rngs` yields their streams in
+    turn. The rest of the inverse CDF, after _draw, has the same exponent
+    and C for every day, so it runs once over the run: it is elementwise,
+    so the bits are those of one day at a time. The days are then summed
+    and checked in day order, so the first bad day raises what it raises
+    alone and no later day is returned. A day's draws are a view of
+    buffer, valid until the next run is drawn into it. The caller has
+    checked the populations and entered np.errstate(over="ignore").
+    """
+    end = 0
+    for (day_index, population, upper), rng in zip(days, rngs):
+        _draw(rng, day_index, config, upper, buffer[end:end + population])
+        end += population
+    _activities(config.beta, config.lower_cutoff, buffer[:end])
+    end = 0
+    for day_index, population, _ in days:
+        x = buffer[end:end + population]
+        end += population
+        yield (day_index, population, *_total(day_index, x, config))
+
+
 def _snapshot(day_index: int, x: np.ndarray, total: float) -> DailySnapshot:
     levels, counts = np.unique(x, return_counts=True)
     return DailySnapshot(day=day_index, total_activity=total,
@@ -195,8 +230,8 @@ def synthesize_day(day_index: int, population: int,
     population = check_integer(population, "population", 1)
     rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
     with np.errstate(over="ignore"):
-        x, total = _draw(rng, day_index, population, config, config.upper_cutoff,
-                         np.empty(population))
+        [(_, _, x, total)] = _draw_run([(day_index, population, config.upper_cutoff)],
+                                       [rng], config, np.empty(population))
     return _snapshot(day_index, x, total)
 
 
@@ -253,21 +288,28 @@ def _schedule_draws(schedule: Sequence[int], config: SamplerConfig, protocol: st
     Every day's population and cutoff are checked, in day order, before
     any day is drawn, so a schedule that fails on a late day draws nothing.
     The days' streams come from one seeding.generators pass, each used up
-    before the next is taken. Every day is drawn into one float64 buffer
-    sized to the largest population, so a day's continuous draws are a view
-    of it: use them before taking the next day, which overwrites them.
+    before the next is taken. Consecutive days are drawn in runs of at most
+    _RUN draws (a larger day is a run alone) by _draw_run, into one float64
+    buffer that holds the largest run. So a day's continuous draws are a
+    view of it, valid until the next run is drawn into it.
     """
     if len(schedule) == 0:
         raise DomainError("schedule must contain at least one day")
     days = []
     for day_index, population in enumerate(schedule):
         population = check_integer(population, f"day {day_index}: population", 1)
-        days.append((population, _day_cutoff(config, protocol, day_index, population)))
-    buffer = np.empty(max(population for population, _ in days))
+        days.append((day_index, population,
+                     _day_cutoff(config, protocol, day_index, population)))
+    sizes = [population for _, population, _ in days]
+    buffer = np.empty(max(max(sizes), min(_RUN, sum(sizes))))
     rngs = seeding.generators(config.seed, seeding.STREAM_DAY, len(days))
-    for day_index, ((population, upper), rng) in enumerate(zip(days, rngs)):
-        yield (day_index, population,
-               *_draw(rng, day_index, population, config, upper, buffer))
+    start = size = 0
+    for stop, population in enumerate(sizes):
+        if size and size + population > _RUN:
+            yield from _draw_run(days[start:stop], rngs, config, buffer)
+            start, size = stop, 0
+        size += population
+    yield from _draw_run(days[start:], rngs, config, buffer)
 
 
 def synthesize_series(schedule: Sequence[int], config: SamplerConfig,

@@ -157,12 +157,14 @@ def generators(seed: int, stream: int, count: int) -> Iterator[np.random.Generat
     seeds ^= np.uint64(seed & _MASK64)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
+    # Setting .state copies the values out, so one dict serves every stream.
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for s_hi, s_lo, i_hi, i_lo in zip(*_pcg64_words(seeds)):
         # pcg64_set_seed: inc = 2 * initseq + 1, then two steps around
         # adding initstate to the state.
         inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = state
         yield rng

@@ -390,6 +390,28 @@ class TestSynthesizeSeries:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * max(schedule)
 
+    @pytest.mark.parametrize("protocol", ["coupled", "unbounded"])
+    def test_runs_hold_at_most_a_run_of_draws(self, protocol):
+        # 100,000 draws over 1,000 days, drawn in runs of at most _RUN draws
+        # into one buffer. Each day also keeps some 350 bytes of its own at any
+        # run size (its checked population and cutoff, its stream's seed
+        # words, its (P, F) pair), so those are measured on as many days of
+        # ten users, whose draws fit one 80 KB run, and taken off.
+        schedule, small = [100] * 1000, [10] * 1000
+        cfg = SamplerConfig(beta=1.5, seed=4)
+        gl.series_totals([1], cfg, "unbounded")  # import numpy.random first
+
+        def peak(schedule):
+            tracemalloc.start()
+            try:
+                gl.series_totals(schedule, cfg, protocol)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra = peak(schedule) - peak(small)
+        assert extra < 1.5 * 8 * min(gl.sampler._RUN, sum(schedule))
+
     def test_schedule_recorded_on_the_series(self):
         cfg = SamplerConfig(beta=1.5, seed=1)
         series = gl.synthesize_series([300, 800], cfg)
@@ -489,6 +511,22 @@ def _reference_series(schedule, config, protocol):
     return totals, snapshots
 
 
+# Schedules that cross the sampler's runs of _RUN = 2^15 draws: a day larger
+# than a run, many small days over two runs, and a run that ends exactly at
+# _RUN. At beta 2.5 even a one-user day has a coupled cutoff above C = 1.
+_RUN_SCHEDULES = ([40_000, 3, 20_000, 20_000, 1], [700] * 60, [2**14, 2**14, 5])
+
+
+def _across_runs(test):
+    for schedule in _RUN_SCHEDULES:
+        for protocol in ("coupled", "fixed", "unbounded"):
+            for integerize in (False, True):
+                test = example(protocol=protocol, integerize=integerize, beta=2.5,
+                               lower=1.0, upper_factor=1e3, schedule=schedule,
+                               seed=7)(test)
+    return test
+
+
 class TestFoldedPathMatchesPerDayReference:
     @given(
         protocol=st.sampled_from(["coupled", "fixed", "unbounded"]),
@@ -507,6 +545,7 @@ class TestFoldedPathMatchesPerDayReference:
              upper_factor=1e3, schedule=[3000, 10, 2500, 1], seed=7)
     @example(protocol="unbounded", integerize=True, beta=2.5, lower=2.0,
              upper_factor=None, schedule=[3000, 10, 2500, 1], seed=7)
+    @_across_runs
     def test_series_and_totals_equal_the_reference(
             self, protocol, integerize, beta, lower, upper_factor, schedule, seed):
         upper = None if upper_factor is None else lower * upper_factor
@@ -565,6 +604,28 @@ class TestOverflowingDraws:
                 build([10, 20, 100_000], cfg, "unbounded")
         with pytest.raises(DomainError, match=r"^day 3: .* overflows to inf"):
             gl.synthesize_day(3, 100_000, cfg)
+
+    @pytest.mark.parametrize("integerize, beta, bad, message", [
+        (False, 1.01, 2, "an activity draw overflows to inf"),
+        (True, 1.2, 3, r"an integerized activity draw .* exceeds 2\^63 - 1$"),
+    ])
+    def test_a_bad_day_inside_a_run_is_named(self, integerize, beta, bad, message):
+        # The five days are one run, all drawn before any is summed. The
+        # first bad day raises what the per-day reference names, once the
+        # days before it are returned; no day after it is.
+        schedule = [200, 300, 4000, 4000, 300]
+        assert sum(schedule) <= gl.sampler._RUN
+        cfg = SamplerConfig(beta=beta, integerize=integerize, seed=0)
+        assert _reference_series(schedule, cfg, "unbounded") == f"day {bad}: "
+        returned = []
+        with np.errstate(over="ignore"), \
+                pytest.raises(DomainError, match=f"^day {bad}: {message}"):
+            for day_index, *_ in gl.sampler._schedule_draws(schedule, cfg, "unbounded"):
+                returned.append(day_index)
+        assert returned == list(range(bad))
+        for build in (gl.series_totals, gl.synthesize_series):
+            with pytest.raises(DomainError, match=f"^day {bad}: {message}"):
+                build(schedule, cfg, "unbounded")
 
     @pytest.mark.parametrize("upper, floor", [(1e15, 2**53), (9e18, 2**63)])
     def test_integer_totals_are_exact_sums(self, upper, floor):
