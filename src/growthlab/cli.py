@@ -139,6 +139,11 @@ def _emit_manifest(args: argparse.Namespace, subcommand: str,
     print(f"# manifest {text}")
 
 
+def _write_figure(path: str, svg: str) -> None:
+    _write_text(path, svg)
+    print(f"# wrote {path}")
+
+
 def _read_input(args: argparse.Namespace, parse) -> tuple:
     """parse(stream, format) of --input, opened once and read in the format
     _sniff_format decides, and {path: SHA-256}, hashed from byte 0 of the
@@ -155,12 +160,18 @@ def _read_input(args: argparse.Namespace, parse) -> tuple:
     return parsed, {args.input: sha.hexdigest()}
 
 
+def _read_days(args: argparse.Namespace) -> tuple:
+    """The aggregated days of the event log --input, and its digests."""
+    events, inputs = _read_input(args, parse_events)
+    return aggregate(events), inputs
+
+
 def _print_table(header: list[str], row: list[str]) -> None:
     print("\t".join(header))
     print("\t".join(row))
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> dict:
     if args.pmax <= args.pmin:
         raise _UsageError("--pmax must exceed --pmin")
     protocol = canonical_protocol(args.protocol)
@@ -190,11 +201,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("# continuous activities: events.csv skipped "
               "(event counts are integers; use --integerize)")
     print(f"# wrote {', '.join(written)} ({len(series.days)} days)")
-    _emit_manifest(args, "simulate", {})
-    return EXIT_OK
+    return {}
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace) -> dict:
     pairs, inputs = _read_input(args, parse_pairs)
     fit = fit_gamma_tls(pairs, bootstrap_reps=args.bootstrap_reps, seed=args.seed)
     low, high = fit.ci95_slope
@@ -204,15 +214,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
          _fmt(fit.adjusted_r2), str(fit.n_points)],
     )
     if args.svg:
-        _write_text(args.svg, growth_scatter_svg(pairs, fit.slope, fit.intercept))
-        print(f"# wrote {args.svg}")
-    _emit_manifest(args, "fit", inputs)
-    return EXIT_OK
+        _write_figure(args.svg, growth_scatter_svg(pairs, fit.slope, fit.intercept))
+    return inputs
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    events, inputs = _read_input(args, parse_events)
-    snapshots = aggregate(events)
+def cmd_predict(args: argparse.Namespace) -> dict:
+    snapshots, inputs = _read_days(args)
     prediction = compare_prediction(
         snapshots, bins_per_decade=args.bins_per_decade,
         bootstrap_reps=args.bootstrap_reps, seed=args.seed,
@@ -227,11 +234,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
          _fmt(gamma_low), _fmt(gamma_high),
          "true" if prediction.consistent else "false"],
     )
-    _emit_manifest(args, "predict", inputs)
-    return EXIT_OK
+    return inputs
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> dict:
     if args.pmax <= args.pmin:
         raise _UsageError("--pmax must exceed --pmin")
     betas = args.beta_grid
@@ -270,15 +276,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"predicts gamma {_fmt(iid_sum_exponent(beta))}"
             )
     if args.svg:
-        _write_text(args.svg, sweep_svg(cells))
-        print(f"# wrote {args.svg}")
-    _emit_manifest(args, "sweep", {})
-    return EXIT_OK
+        _write_figure(args.svg, sweep_svg(cells))
+    return {}
 
 
-def cmd_collapse(args: argparse.Namespace) -> int:
-    events, inputs = _read_input(args, parse_events)
-    snapshots = aggregate(events)
+def cmd_collapse(args: argparse.Namespace) -> dict:
+    snapshots, inputs = _read_days(args)
     quality, fit = collapse_check(
         snapshots, beta_hypothesis=args.beta,
         bins_per_decade=args.bins_per_decade,
@@ -295,10 +298,8 @@ def cmd_collapse(args: argparse.Namespace) -> int:
     if args.svg:
         rescaled = [rescale_histogram(s) for s in snapshots]
         cloud = binned_cloud(rescaled, args.bins_per_decade)
-        _write_text(args.svg, collapse_svg(snapshots, cloud, fit.beta))
-        print(f"# wrote {args.svg}")
-    _emit_manifest(args, "collapse", inputs)
-    return EXIT_OK
+        _write_figure(args.svg, collapse_svg(snapshots, cloud, fit.beta))
+    return inputs
 
 
 def build_parser() -> _Parser:
@@ -307,8 +308,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"growthlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    # Flags that several subcommands share, each declared once.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed_value, default=0)
+    resampled = argparse.ArgumentParser(add_help=False)
+    resampled.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
+    binned = argparse.ArgumentParser(add_help=False)
+    binned.add_argument("--bins-per-decade", type=_positive_int, default=5)
 
-    simulate = sub.add_parser("simulate", help="synthesize an activity series")
+    simulate = sub.add_parser("simulate", parents=[seeded],
+                              help="synthesize an activity series")
     simulate.add_argument("--beta", type=_beta_value, required=True)
     simulate.add_argument("--c", type=_cutoff_value, default=1.0,
                           help="lower activity cutoff (default 1)")
@@ -319,32 +328,27 @@ def build_parser() -> _Parser:
     simulate.add_argument("--days", type=_positive_int, default=100)
     simulate.add_argument("--pmin", type=_positive_int, default=1000)
     simulate.add_argument("--pmax", type=_positive_int, default=100000)
-    simulate.add_argument("--seed", type=_seed_value, default=0)
     simulate.add_argument("--integerize", action="store_true",
                           help="floor activities to integers; also writes events.csv")
     simulate.add_argument("--out", required=True, help="output directory")
     simulate.set_defaults(func=cmd_simulate)
 
-    fit = sub.add_parser("fit", help="fit the growth exponent gamma")
+    fit = sub.add_parser("fit", parents=[resampled, seeded],
+                         help="fit the growth exponent gamma")
     fit.add_argument("--input", required=True,
                      help="snapshot TSV or event log (csv/jsonl)")
-    fit.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
-    fit.add_argument("--seed", type=_seed_value, default=0)
     fit.add_argument("--svg", default=None, help="write a scatter+fit figure here")
     fit.add_argument("--out", default=None, help="directory for the manifest")
     fit.set_defaults(func=cmd_fit)
 
-    predict = sub.add_parser(
-        "predict", help="predict gamma from measured heterogeneity"
-    )
+    predict = sub.add_parser("predict", parents=[binned, resampled, seeded],
+                             help="predict gamma from measured heterogeneity")
     predict.add_argument("--input", required=True, help="event log (csv/jsonl)")
-    predict.add_argument("--bins-per-decade", type=_positive_int, default=5)
-    predict.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
-    predict.add_argument("--seed", type=_seed_value, default=0)
     predict.add_argument("--out", default=None)
     predict.set_defaults(func=cmd_predict)
 
-    sweep = sub.add_parser("sweep", help="Monte Carlo sweep over (C, beta)")
+    sweep = sub.add_parser("sweep", parents=[seeded],
+                           help="Monte Carlo sweep over (C, beta)")
     sweep.add_argument("--c-values", type=_list_of(_cutoff_value), default=None,
                        help="comma-separated cutoffs (default 1..10)")
     sweep.add_argument("--beta-grid", type=_list_of(_beta_value), default=None,
@@ -354,20 +358,15 @@ def build_parser() -> _Parser:
     sweep.add_argument("--pmax", type=_positive_int, default=10000)
     sweep.add_argument("--protocol", default="coupled", choices=sorted(
         name for name, p in _PROTOCOL_ALIASES.items() if p in _SWEEP_PROTOCOLS))
-    sweep.add_argument("--seed", type=_seed_value, default=0)
     sweep.add_argument("--svg", default=None)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 
-    collapse = sub.add_parser(
-        "collapse", help="fit beta from rescaled daily distributions"
-    )
+    collapse = sub.add_parser("collapse", parents=[binned, resampled, seeded],
+                              help="fit beta from rescaled daily distributions")
     collapse.add_argument("--input", required=True, help="event log (csv/jsonl)")
-    collapse.add_argument("--bins-per-decade", type=_positive_int, default=5)
-    collapse.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
     collapse.add_argument("--beta", type=_beta_value, default=None,
                           help="score the collapse against this fixed beta")
-    collapse.add_argument("--seed", type=_seed_value, default=0)
     collapse.add_argument("--svg", default=None)
     collapse.add_argument("--out", default=None)
     collapse.set_defaults(func=cmd_collapse)
@@ -392,10 +391,11 @@ def main(argv=None) -> int:
             # Before any work, so an unusable --out fails first and every
             # output (an --svg inside it too) has its directory.
             os.makedirs(args.out, exist_ok=True)
-        code = args.func(args)
+        inputs = args.func(args)
+        _emit_manifest(args, args.subcommand, inputs)
         # Flush here, not at interpreter exit, so a closed pipe lands below.
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # The reader of stdout has gone (`growthlab ... | head -1`): not a
         # data error. Point stdout at devnull so the exit-time flush of
@@ -405,10 +405,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"growthlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GrowthlabError as exc:
-        print(f"growthlab: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (GrowthlabError, OSError) as exc:
         print(f"growthlab: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -16,9 +16,8 @@ processes, one per usable CPU, forked with os.fork: a worker inherits the
 imported modules and the cell function instead of importing numpy again,
 takes every W-th cell of the grid and sends its results back through a
 pipe. There is no executor and no task queue. The output is the same
-bytes as a serial run. multiprocessing, which only tells whether this
-process may fork, is imported inside _pool_workers, so importing the CLI
-does not pay for it.
+bytes as a serial run. Whether this process may fork is asked of os, so
+neither importing the CLI nor running a sweep imports multiprocessing.
 """
 
 from __future__ import annotations
@@ -152,8 +151,8 @@ def _pool_workers(cells: int) -> int:
 
     One worker per CPU this process may run on, capped at `cells`. The
     cells run here when that leaves fewer than 2 workers, when the
-    platform cannot fork, or when this process is daemonic and so may not
-    start children.
+    platform has no os.fork, or when this process is daemonic and so may
+    not start children.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -162,10 +161,11 @@ def _pool_workers(cells: int) -> int:
     workers = min(cpus, cells)
     if workers < 2:
         return 0
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
+    # Only a process that multiprocessing started can be daemonic, and such
+    # a process has imported it.
+    multiprocessing = sys.modules.get("multiprocessing")
+    if not hasattr(os, "fork") or (
+            multiprocessing is not None and multiprocessing.current_process().daemon):
         return 0
     return workers
 

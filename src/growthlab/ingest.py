@@ -453,9 +453,10 @@ def _parse_snapshots(text: IO[str]) -> list[tuple[float, float]]:
 
 
 def _decoded(stream: IO, parse, newline: str):
-    """parse(text), with bytes decoded as UTF-8 while they are read."""
+    """parse(text), with bytes decoded as UTF-8 while they are read; a
+    leading byte-order mark is dropped."""
     text = stream if isinstance(stream.read(0), str) \
-        else io.TextIOWrapper(stream, encoding="utf-8", newline=newline)
+        else io.TextIOWrapper(stream, encoding="utf-8-sig", newline=newline)
     try:
         return parse(text)
     except UnicodeDecodeError as exc:
@@ -468,10 +469,11 @@ def _decoded(stream: IO, parse, newline: str):
 def parse_events(stream: IO, format: str = "csv") -> EventTable:
     """Parse an event log from a byte or text stream.
 
-    format is "csv" or "jsonl". Bytes are decoded as UTF-8 while rows are
-    read, so the log is never held whole as text. Events are returned in
-    input order; empty input yields an empty table. Malformed rows raise
-    DataError naming the line number. A byte stream is left open.
+    format is "csv" or "jsonl". Bytes are decoded as UTF-8, less a leading
+    byte-order mark, while rows are read, so the log is never held whole
+    as text. Events are returned in input order; empty input yields an
+    empty table. Malformed rows raise DataError naming the line number. A
+    byte stream is left open.
     """
     if format == "csv":
         return _decoded(stream, _parse_csv, "")
@@ -501,7 +503,7 @@ def _sniff_format(path: str, stream: io.BufferedReader) -> str:
     suffix = os.path.splitext(path)[1].lower()
     if suffix in _FORMAT_BY_SUFFIX:
         return _FORMAT_BY_SUFFIX[suffix]
-    head = stream.peek().decode("utf-8", errors="replace").lstrip()
+    head = stream.peek().decode("utf-8-sig", errors="replace").lstrip()
     if head.startswith("day\t"):
         return "snapshot"
     return "jsonl" if head.startswith("{") else "csv"

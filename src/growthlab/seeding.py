@@ -10,9 +10,9 @@ on evaluation order, thread schedule or call history.
 generator() builds one stream's PCG64 generator the way numpy does.
 generators() yields the streams (seed, stream, k) for k = 0, 1, ... from
 one pass: it derives the seeds, runs numpy's SeedSequence hash and PCG64
-seeding on all of them as array arithmetic, and moves a single generator
-from stream to stream, so stream k is bit for bit generator(seed, stream,
-k) without building a generator per stream.
+seeding on them as array arithmetic, 1,024 streams at a time, and moves a
+single generator from stream to stream, so stream k is bit for bit
+generator(seed, stream, k) without building a generator per stream.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# generators() hashes this many streams' seeds at a time, so its memory
+# does not grow with the stream count.
+_CHUNK = 1024
 
 
 def check_seed(seed) -> int:
@@ -146,25 +149,28 @@ def _pcg64_words(seeds: np.ndarray) -> list[list[int]]:
 def generators(seed: int, stream: int, count: int) -> Iterator[np.random.Generator]:
     """Generators for the streams (seed, stream, k), k = 0 .. count - 1.
 
-    Stream k draws exactly what generator(seed, stream, k) draws. All
-    `count` seeds are derived and hashed at once; each stream is then one
-    state update of a single PCG64 generator, which is yielded again and
-    again. So each yielded generator must be used before the next one is
-    taken: taking the next one moves the generator already in hand.
+    Stream k draws exactly what generator(seed, stream, k) draws. The
+    seeds are derived and hashed 1,024 at a time, as the iteration reaches
+    them; each stream is then one state update of a single PCG64
+    generator, which is yielded again and again. So each yielded generator
+    must be used before the next one is taken: taking the next one moves
+    the generator already in hand.
     """
-    first = splitmix64(_MIX_START ^ (stream & _MASK64))
-    seeds = _splitmix64_array(np.arange(count, dtype=np.uint64) ^ np.uint64(first))
-    seeds ^= np.uint64(seed & _MASK64)
+    first = np.uint64(splitmix64(_MIX_START ^ (stream & _MASK64)))
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     # Setting .state copies the values out, so one dict serves every stream.
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, i_hi, i_lo in zip(*_pcg64_words(seeds)):
-        # pcg64_set_seed: inc = 2 * initseq + 1, then two steps around
-        # adding initstate to the state.
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        pcg["inc"] = inc
-        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = state
-        yield rng
+    for start in range(0, count, _CHUNK):
+        ks = np.arange(start, min(start + _CHUNK, count), dtype=np.uint64)
+        seeds = _splitmix64_array(ks ^ first)
+        seeds ^= np.uint64(seed & _MASK64)
+        for s_hi, s_lo, i_hi, i_lo in zip(*_pcg64_words(seeds)):
+            # pcg64_set_seed: inc = 2 * initseq + 1, then two steps around
+            # adding initstate to the state.
+            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+            pcg["inc"] = inc
+            pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = state
+            yield rng

@@ -127,6 +127,16 @@ def _polyline(points: Sequence[tuple[float, float]], color: str,
             f'stroke="{color}" stroke-width="{width:g}"/>')
 
 
+def _fit_line(frame: _Frame, intercept: float, slope: float) -> str:
+    """The fitted line log10 y = intercept + slope * log10 x across a
+    log-log frame."""
+    line = []
+    for t in range(51):
+        lx = frame.x0 + (frame.x1 - frame.x0) * t / 50
+        line.append((frame.px(10**lx), frame.py(10 ** (intercept + slope * lx))))
+    return _polyline(line, "#c44e52", "fit")
+
+
 def _padded_log_range(values: Sequence[float]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if lo == hi:
@@ -143,11 +153,7 @@ def growth_scatter_svg(pairs: Sequence[tuple[float, float]], slope: float,
                    _padded_log_range([f for _, f in pairs]),
                    x_log=True, y_log=True)
     elements = _axes(frame, "population P", "total activity F", "Daily growth")
-    line = []
-    for t in range(51):
-        lx = frame.x0 + (frame.x1 - frame.x0) * t / 50
-        line.append((frame.px(10**lx), frame.py(10 ** (intercept + slope * lx))))
-    elements.append(_polyline(line, "#c44e52", "fit"))
+    elements.append(_fit_line(frame, intercept, slope))
     for p, f in pairs:
         elements.append(_dot(frame.px(p), frame.py(f), _PALETTE[0]))
     return _document(elements)
@@ -211,12 +217,7 @@ def collapse_svg(snapshots, cloud: tuple, beta: float) -> str:
     elements += _axes(right, "relative activity f/f_max", "users n", "rescaled")
     mean_x = sum(log_centers) / len(log_centers)
     mean_y = sum(log_values) / len(log_values)
-    intercept = mean_y + beta * mean_x
-    line = []
-    for t in range(51):
-        lx = right.x0 + (right.x1 - right.x0) * t / 50
-        line.append((right.px(10**lx), right.py(10 ** (intercept - beta * lx))))
-    elements.append(_polyline(line, "#c44e52", "fit"))
+    elements.append(_fit_line(right, mean_y + beta * mean_x, -beta))
     for x, y in zip(xs, ys):
         elements.append(_dot(right.px(x), right.py(y), _PALETTE[0]))
     return _document(elements)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import growthlab
-from growthlab import aggregate, load_events
+from growthlab import aggregate, ingest, load_events
 from growthlab.cli import main
 
 
@@ -218,6 +218,12 @@ class TestSimulate:
                                         *flags, "--out", out)
             assert (code, stdout) == (1, "")
             assert stderr == f"growthlab: error: {message}\n"
+
+    def test_beta_that_is_not_a_number_is_a_usage_error(self, tmp_path, capsys):
+        code, stdout, stderr = _run(capsys, "simulate", "--beta", "abc",
+                                    "--out", str(tmp_path / "x"))
+        assert (code, stdout) == (1, "")
+        assert stderr == "growthlab: error: argument --beta: 'abc' is not a number\n"
 
     @pytest.mark.parametrize("protocol, ok", [
         ("coupled", True), ("fixed", True), ("unbounded", True),
@@ -499,6 +505,43 @@ class TestLibraryAndCliAgreeOnFormat:
         code, stdout, stderr = _run(capsys, "fit", "--input", str(path),
                                     "--bootstrap-reps", "0")
         assert (code, stdout, stderr) == (2, "", f"growthlab: {raised.value}\n")
+
+    @pytest.mark.parametrize("name, kind", [
+        ("log.csv", "csv"), ("log", "csv"), ("log.jsonl", "jsonl"),
+        ("log", "jsonl"), ("log.tsv", "snapshot"), ("log", "snapshot"),
+    ])
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path, capsys, name,
+                                                  kind):
+        plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+        plain.parent.mkdir()
+        marked.parent.mkdir()
+        if kind == "snapshot":
+            _write_noiseless_snapshots(plain)
+        else:
+            plain.write_text(_AGREEMENT_TEXTS[kind])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+
+        def read(path):
+            with open(path, "rb") as stream:
+                format = ingest._sniff_format(str(path), stream)
+                if format == "snapshot":
+                    return format, ingest.parse_pairs(stream, format)
+                return format, _rows(ingest.parse_events(stream, format))
+
+        assert read(marked) == read(plain)
+        assert read(plain)[0] == kind
+        tables = []
+        for path in (marked, plain):
+            code, stdout, stderr = _run(capsys, "fit", "--input", str(path),
+                                        "--bootstrap-reps", "0")
+            assert (code, stderr) == (0, "")
+            tables.append([line for line in stdout.splitlines()
+                           if not line.startswith("#")])
+            # The digest is of the file's bytes, a mark included.
+            manifest = json.loads(stdout.split("# manifest ", 1)[1])
+            assert manifest["inputs"] == {
+                str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+        assert tables[0] == tables[1]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("kind", ["csv", "jsonl"])
@@ -809,6 +852,12 @@ class TestSweep:
             assert stderr == f"growthlab: error: argument {flag}: {message}\n"
         assert not os.path.exists(os.path.join(out, "cells.tsv"))
 
+    def test_cutoff_list_of_no_values_is_a_usage_error(self, tmp_path, capsys):
+        code, stdout, stderr = _run(capsys, "sweep", "--c-values", ",",
+                                    "--out", str(tmp_path / "sweep"))
+        assert (code, stdout) == (1, "")
+        assert stderr == "growthlab: error: --c-values must name at least one cutoff\n"
+
     @pytest.mark.parametrize("flags, message", [
         (["--pmin", "5"], "argument --pmin: '5' must be >= 10"),
         (["--days", "5"], "argument --days: '5' must be >= 10"),
@@ -1005,6 +1054,24 @@ class TestEntryPoints:
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                 text=True, timeout=120, env=_source_env())
         assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_pooled_sweep_leaves_multiprocessing_unimported(self, tmp_path):
+        # The sweep forks its workers with os.fork and asks os whether it
+        # may; multiprocessing would add several milliseconds of import.
+        probe = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from growthlab import experiment\n"
+            "from growthlab.cli import main\n"
+            "code = main(['sweep', '--c-values', '1', '--beta-grid', '1.5,2.5',\n"
+            f"             '--days', '10', '--out', {str(tmp_path)!r}])\n"
+            "print(code, experiment._pool_workers(2), 'multiprocessing' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, timeout=120, env=_source_env())
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[-1] == "0 2 False"
 
     def test_version_flag(self, capsys):
         assert _run(capsys, "--version")[0] == 0

@@ -147,13 +147,18 @@ class TestFitGammaTls:
         assert "bracket" not in str(caught.value)
 
 
-    @pytest.mark.parametrize("bad", [[(1, 2), (3,)], [(1, 2), (3, 4), ("a", 5)]],
-                             ids=["ragged", "text"])
+    @pytest.mark.parametrize("bad", [[(1, 2), (3,)], [(1, 2), (3, 4), ("a", 5)],
+                                     [(1, 2, 3), (4, 5, 6), (7, 8, 9)], [1, 2, 3]],
+                             ids=["ragged", "text", "triples", "flat"])
     def test_malformed_pairs_are_rejected(self, bad):
         for fit in (gl.fit_gamma_tls, gl.fit_gamma_ols):
             with pytest.raises(DomainError, match=re.escape(
                     "expected a sequence of (population, activity) pairs")):
                 fit(bad)
+
+    def test_flat_activity_gives_slope_zero_and_a_perfect_fit(self):
+        fit = gl.fit_gamma_tls([(10, 5), (100, 5), (1000, 5)], bootstrap_reps=20)
+        assert (fit.slope, fit.adjusted_r2) == (0.0, 1.0)
 
     def test_vertical_principal_axis_is_rejected(self):
         # log coordinates (0, 0), (1, 3), (2, 0): Sxy = 0 and Syy > Sxx
@@ -350,6 +355,10 @@ class TestBinnedCloud:
         day = _rescaled({900: 5, 1000: 1})
         with pytest.raises(DomainError, match="decade"):
             gl.binned_cloud([day])
+
+    def test_rejects_no_days(self):
+        with pytest.raises(DomainError, match="^need at least one rescaled histogram$"):
+            gl.binned_cloud([])
 
     def test_rejects_sparse_clouds(self):
         day = _rescaled({1: 5, 1000: 1})

@@ -281,7 +281,7 @@ class TestSweepPool:
         _assert_no_child_is_left()
 
     def test_no_fork_runs_the_cells_here(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork", raising=False)
         _usable_cpus(monkeypatch, 2)
         assert experiment._pool_workers(6) == 0
         with pytest.raises(RuntimeError, match=f"^raised in process {os.getpid()}$"):

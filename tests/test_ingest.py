@@ -128,6 +128,11 @@ class TestParsePairs:
         assert gl.parse_pairs(io.BytesIO(text.encode()), format) == [
             (s.population, s.total_activity) for s in snapshots]
 
+    def test_short_snapshot_row_names_its_line(self):
+        with pytest.raises(DataError) as raised:
+            gl.parse_pairs(io.BytesIO(b"day\tP\tF\tf_max\n0\t10\t20\n"), "snapshot")
+        assert str(raised.value) == "line 2: expected 4 fields, got 3"
+
     def test_non_utf8_table_is_a_data_error(self):
         with pytest.raises(DataError, match="not valid UTF-8"):
             gl.parse_pairs(io.BytesIO(b"day\tP\tF\tf_max\n0\t1\xff\t2\t2\n"),
@@ -197,6 +202,20 @@ class TestEventTableConstructor:
     def test_rejects_bad_user_ids(self, users, message):
         with pytest.raises(DataError) as raised:
             EventTable([0], users, [0], [0], [1])
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("columns, message", [
+        (([0, 0], ["a"], [0, 1], [0, 0], [1, 1]), "days must be distinct"),
+        (([0], ["a"], [0, 0], [0], [1]),
+         "day_codes, user_codes and counts must be 1-D and of one length"),
+        (([0], ["a"], [1], [0], [1]), "day_codes must lie in [0, 1)"),
+        (([0], ["a"], [0], [0], [0]), "count must be >= 1, got 0"),
+        (([0], ["a"], [0], [0], [2**64]), "codes and counts must fit in 64 bits"),
+    ], ids=["repeated-days", "lengths", "code-out-of-range", "zero-count",
+            "count-2^64"])
+    def test_rejects_inconsistent_columns(self, columns, message):
+        with pytest.raises(DataError) as raised:
+            EventTable(*columns)
         assert str(raised.value) == message
 
     def test_str_subclass_ids_are_strings(self):
@@ -271,6 +290,10 @@ class TestAggregate:
 
     def test_empty_input(self):
         assert gl.aggregate(_events()) == []
+
+    def test_a_day_without_rows_is_left_out(self):
+        table = EventTable([0, 1, 2], ["u1"], [0, 2], [0, 0], [1, 3])
+        assert [s.day for s in gl.aggregate(table)] == [0, 2]
 
 
 class TestExportEventsCsv:
@@ -558,6 +581,7 @@ class TestBadRowsKeepTheirMessages:
          "line 1: count must be an integer, got 1.5"),
         ('{"user_id": "u", "day": 0, "count": 9223372036854775808}\n',
          "line 1: count 9223372036854775808 does not fit in 64 bits"),
+        ('[1, 2]\n', "line 1: expected an object"),
     ])
     def test_jsonl(self, text, message):
         with pytest.raises(DataError) as raised:

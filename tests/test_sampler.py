@@ -432,6 +432,12 @@ class TestEventsFromSeries:
             assert levels.tolist() == snap.levels.tolist()
             assert counts.tolist() == snap.counts.tolist()
 
+    def test_a_series_without_days_gives_an_empty_table(self):
+        cfg = SamplerConfig(beta=1.41, lower_cutoff=1.0, integerize=True, seed=10)
+        series = replace(gl.synthesize_series([100], cfg), days=())
+        events = gl.events_from_series(series)
+        assert (len(events), events.days, events.users) == (0, (), ())
+
     def test_requires_integerized_series(self):
         cfg = SamplerConfig(beta=1.41, lower_cutoff=1.0, integerize=False, seed=10)
         series = gl.synthesize_series([100], cfg)
@@ -477,7 +483,8 @@ def _reference_draw_day(day_index, population, config):
 def _reference_snapshot(day_index, x, integerize):
     if integerize:
         levels, counts = np.unique(x.astype(np.int64), return_counts=True)
-        total = float(int(levels @ counts))
+        # In Python ints: a day's int64 sum can wrap past 2^63 - 1.
+        total = float(sum(map(int.__mul__, levels.tolist(), counts.tolist())))
     else:
         levels, counts = np.unique(x, return_counts=True)
         total = float(x.sum())
@@ -501,7 +508,7 @@ def _reference_series(schedule, config, protocol):
             if top == math.inf or (config.integerize and top >= 2.0**63):
                 return f"day {day_index}: "
             if config.integerize:
-                total = float(int(x.astype(np.int64).sum()))
+                total = float(sum(x.astype(np.int64).tolist()))
             else:
                 total = float(x.sum())
             totals.append((int(population), total))

@@ -6,6 +6,8 @@ point that takes a seed accepts a numpy integer as its int and rejects
 what is not an integer in [0, 2^64) with DomainError.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,30 @@ class TestGenerators:
             assert (rng.integers(0, 1000, 4).tolist()
                     == reference.integers(0, 1000, 4).tolist())
         assert k == count - 1
+
+    def test_streams_on_both_sides_of_a_chunk_boundary(self):
+        # Seeds are hashed a chunk at a time; streams 1023 | 1024 and
+        # 2047 | 2048 come from different chunks.
+        chunk = seeding._CHUNK
+        for k, rng in enumerate(seeding.generators(CELL_SEED, seeding.STREAM_DAY,
+                                                   2 * chunk + 1)):
+            if k % chunk in (0, chunk - 1):
+                reference = seeding.generator(CELL_SEED, seeding.STREAM_DAY, k)
+                assert rng.integers(0, 2**63, 4).tolist() == \
+                    reference.integers(0, 2**63, 4).tolist()
+        assert k == 2 * chunk
+
+    def test_many_streams_peak_below_one_megabyte(self):
+        for _ in seeding.generators(0, seeding.STREAM_BOOTSTRAP, 2):
+            pass  # numpy's first-use allocations stay out of the count
+        tracemalloc.start()
+        try:
+            for _ in seeding.generators(0, seeding.STREAM_BOOTSTRAP, 20_000):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_other_stream_tags_and_empty_count(self):
         rngs = seeding.generators(5, seeding.STREAM_BOOTSTRAP, 3)
