@@ -39,8 +39,10 @@ from .sampler import (
     log_uniform_schedule,
     synthesize_series,
 )
-from .svg import collapse_svg, growth_scatter_svg, sweep_svg
 from .theory import gamma_of_beta, iid_sum_exponent
+
+# svg is imported in the three --svg branches, so a run without a figure
+# does not compile or load it.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -214,6 +216,7 @@ def cmd_fit(args: argparse.Namespace) -> dict:
          _fmt(fit.adjusted_r2), str(fit.n_points)],
     )
     if args.svg:
+        from .svg import growth_scatter_svg
         _write_figure(args.svg, growth_scatter_svg(pairs, fit.slope, fit.intercept))
     return inputs
 
@@ -276,6 +279,7 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
                 f"predicts gamma {_fmt(iid_sum_exponent(beta))}"
             )
     if args.svg:
+        from .svg import sweep_svg
         _write_figure(args.svg, sweep_svg(cells))
     return {}
 
@@ -296,6 +300,7 @@ def cmd_collapse(args: argparse.Namespace) -> dict:
     if args.beta is not None:
         print(f"# hypothesis beta {_fmt(args.beta)}: adj_r2 {_fmt(quality)}")
     if args.svg:
+        from .svg import collapse_svg
         rescaled = [rescale_histogram(s) for s in snapshots]
         cloud = binned_cloud(rescaled, args.bins_per_decade)
         _write_figure(args.svg, collapse_svg(snapshots, cloud, fit.beta))

@@ -316,12 +316,18 @@ def _add_plain_block(block: str, builder: _TableBuilder,
     cells = block.replace("\n", ",").split(",")
     cells.pop()  # the empty text after the last newline
     user_texts, day_texts, count_texts = cells[0::3], cells[1::3], cells[2::3]
+    # Most blocks bring no new day or count text: one lookup pass per
+    # column, and the parse pass below only for a column that misses.
+    day_codes = _cached(day_by_text, day_texts)
+    counts = _cached(count_by_text, count_texts)
     try:
         # In order of first use, so that new days get the row loop's codes.
-        new_days = [(text, _parse_day(text)) for text in dict.fromkeys(day_texts)
-                    if text not in day_by_text]
-        new_counts = {text: _parse_count(text)
-                      for text in set(count_texts).difference(count_by_text)}
+        new_days = [] if day_codes is not None else [
+            (text, _parse_day(text)) for text in dict.fromkeys(day_texts)
+            if text not in day_by_text]
+        new_counts = {} if counts is not None else {
+            text: _parse_count(text)
+            for text in set(count_texts).difference(count_by_text)}
     except DataError:
         return False
     users = builder.users
@@ -336,10 +342,18 @@ def _add_plain_block(block: str, builder: _TableBuilder,
         day_by_text[text] = builder.day_code(day)
     count_by_text.update(new_counts)
     # array() fills from a list faster than extend() from an iterator.
-    builder.day_codes.extend(array("q", list(map(day_by_text.__getitem__, day_texts))))
+    builder.day_codes.extend(array("q", day_codes or _cached(day_by_text, day_texts)))
     builder.user_codes.extend(array("q", user_codes))
-    builder.counts.extend(array("q", list(map(count_by_text.__getitem__, count_texts))))
+    builder.counts.extend(array("q", counts or _cached(count_by_text, count_texts)))
     return True
+
+
+def _cached(cache: dict[str, int], texts: list[str]) -> list[int] | None:
+    """cache[text] for every text in texts, or None if one is missing."""
+    try:
+        return list(map(cache.__getitem__, texts))
+    except KeyError:
+        return None
 
 
 def _csv_table(lines: Iterable[str], first_line: int, builder: _TableBuilder,
@@ -453,11 +467,14 @@ def _parse_snapshots(text: IO[str]) -> list[tuple[float, float]]:
 
 
 def _decoded(stream: IO, parse, newline: str):
-    """parse(text), with bytes decoded as UTF-8 while they are read; a
-    leading byte-order mark is dropped."""
+    """parse(text), with bytes decoded as UTF-8 while they are read; one
+    leading byte-order mark is dropped, from bytes by the codec and from
+    text by _skip_mark."""
     text = stream if isinstance(stream.read(0), str) \
         else io.TextIOWrapper(stream, encoding="utf-8-sig", newline=newline)
     try:
+        if text is stream:
+            _skip_mark(text)
         return parse(text)
     except UnicodeDecodeError as exc:
         raise DataError(f"input is not valid UTF-8: {exc.reason}") from None
@@ -466,14 +483,26 @@ def _decoded(stream: IO, parse, newline: str):
             text.detach()
 
 
+def _skip_mark(text: IO[str]) -> None:
+    """Read past a leading U+FEFF of text, which must be able to say where
+    it is so that any other first character can be put back; a pipe, or a
+    file being iterated, cannot, and keeps its mark."""
+    try:
+        start = text.tell()
+    except OSError:
+        return
+    if text.read(1) != "\ufeff":
+        text.seek(start)
+
+
 def parse_events(stream: IO, format: str = "csv") -> EventTable:
     """Parse an event log from a byte or text stream.
 
-    format is "csv" or "jsonl". Bytes are decoded as UTF-8, less a leading
-    byte-order mark, while rows are read, so the log is never held whole
-    as text. Events are returned in input order; empty input yields an
-    empty table. Malformed rows raise DataError naming the line number. A
-    byte stream is left open.
+    format is "csv" or "jsonl". Bytes are decoded as UTF-8 while rows are
+    read, so the log is never held whole as text. One leading byte-order
+    mark is dropped, also from text that can seek. Events are returned in
+    input order; empty input yields an empty table. Malformed rows raise
+    DataError naming the line number. A byte stream is left open.
     """
     if format == "csv":
         return _decoded(stream, _parse_csv, "")

@@ -6,6 +6,7 @@ the `[project.scripts]` entry in pyproject.toml and runs it in a
 subprocess to prove the packaging wiring.
 """
 
+import gc
 import json
 import hashlib
 import os
@@ -147,6 +148,27 @@ class TestSimulate:
                        "62b6701f7e9ebb7cde48b65db8860929",
             "collapse.svg": "66e90d7b3e92eee038c7548781343e31"
                             "31ce5bc00cfd73e55c60e667e7e33cf1",
+        }
+
+    def test_fit_and_sweep_figures_are_pinned(self, tmp_path, capsys):
+        # Digests of the figures these flags drew when cli.py imported svg
+        # at start-up; the collapse figure is pinned above.
+        out = tmp_path / "run"
+        assert _run(capsys, "simulate", "--beta", "1.6", "--days", "6",
+                    "--pmin", "1000", "--pmax", "10000", "--seed", "11",
+                    "--integerize", "--out", str(out))[0] == 0
+        assert _run(capsys, "fit", "--input", str(out / "events.csv"),
+                    "--svg", str(out / "fit.svg"))[0] == 0
+        assert _run(capsys, "sweep", "--c-values", "1,3", "--beta-grid", "1.5,2.5",
+                    "--days", "10", "--out", str(out),
+                    "--svg", str(out / "sweep.svg"))[0] == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("fit.svg", "sweep.svg")}
+        assert digests == {
+            "fit.svg": "9e0850861f33a5155e23d161b5cb75d1"
+                       "3801a336aac73097503fbb38a9864d97",
+            "sweep.svg": "966068e8e0bbb9a215615eef6363d4a2"
+                         "00e6917d75f4440332b399910143b492",
         }
 
     def test_hypothesis_scores_are_pinned(self, tmp_path, capsys):
@@ -1072,6 +1094,57 @@ class TestEntryPoints:
                                 text=True, timeout=120, env=_source_env())
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout.splitlines()[-1] == "0 2 False"
+
+    def test_a_run_without_a_figure_leaves_svg_unimported(self, tmp_path, capsys):
+        # Only --svg draws, so only --svg pays for compiling svg.py.
+        assert _run(capsys, "simulate", "--beta", "1.6", "--days", "5", "--pmin",
+                    "100", "--pmax", "1000", "--integerize",
+                    "--out", str(tmp_path))[0] == 0
+        path = tmp_path / "events.csv"
+        probe = (
+            "import sys, growthlab.cli\n"
+            "imported = 'growthlab.svg' in sys.modules\n"
+            f"code = growthlab.cli.main(['predict', '--input', {str(path)!r},\n"
+            "                            '--bootstrap-reps', '10'])\n"
+            "print(code, imported, 'growthlab.svg' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, timeout=120, env=_source_env())
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[-1] == "0 False False"
+
+    def test_main_in_process_leaves_the_collector_as_it_was(self, tmp_path, capsys):
+        path = tmp_path / "noiseless.tsv"
+        _write_noiseless_snapshots(path)
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert _run(capsys, "fit", "--input", str(path))[0] == 0
+        assert _run(capsys, "fit")[0] == 1
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    def test_the_module_launcher_freezes_the_collector_after_main(self, tmp_path):
+        # python -m growthlab exits with main's code, and the objects still
+        # alive then are frozen, out of the shutdown collections' walk.
+        path = tmp_path / "noiseless.tsv"
+        _write_noiseless_snapshots(path)
+        probe = (
+            "import gc, sys\n"
+            "from growthlab.__main__ import run\n"
+            f"sys.argv = ['growthlab', 'fit', '--input', {str(path)!r}]\n"
+            "before = gc.get_freeze_count()\n"
+            "code = run()\n"
+            "print(code, before, gc.get_freeze_count() > 0)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, timeout=120, env=_source_env())
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[-1] == "0 0 True"
+        for argv, code in [(["fit", "--input", str(path)], 0), (["fit"], 1),
+                           (["fit", "--input", str(tmp_path / "missing.tsv")], 2)]:
+            result = subprocess.run([sys.executable, "-m", "growthlab", *argv],
+                                    capture_output=True, text=True, timeout=120,
+                                    env=_source_env())
+            assert result.returncode == code
+        assert result.stderr.startswith("growthlab: ")
 
     def test_version_flag(self, capsys):
         assert _run(capsys, "--version")[0] == 0

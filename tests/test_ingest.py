@@ -133,6 +133,29 @@ class TestParsePairs:
             gl.parse_pairs(io.BytesIO(b"day\tP\tF\tf_max\n0\t10\t20\n"), "snapshot")
         assert str(raised.value) == "line 2: expected 4 fields, got 3"
 
+    @pytest.mark.parametrize("format, text", [
+        ("csv", CSV_SAMPLE), ("jsonl", JSONL_SAMPLE),
+        ("snapshot", "day\tP\tF\tf_max\n0\t10\t20\t5\n")],
+        ids=["csv", "jsonl", "snapshot"])
+    def test_a_text_stream_drops_one_leading_byte_order_mark(self, format, text):
+        # As the UTF-8 codec does for bytes: one mark goes, a second is text.
+        assert gl.parse_pairs(io.StringIO("\ufeff" + text), format) \
+            == gl.parse_pairs(io.StringIO(text), format)
+        if format != "snapshot":
+            _assert_same_table(gl.parse_events(io.StringIO("\ufeff" + text), format),
+                               gl.parse_events(io.StringIO(text), format))
+        with pytest.raises(DataError, match="^line 1: "):
+            gl.parse_pairs(io.StringIO("\ufeff\ufeff" + text), format)
+
+    def test_a_text_file_being_iterated_is_read_from_where_it_is(self, tmp_path):
+        # It cannot tell where it is, so it is not looked at for a mark.
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"skipped": true}\n' + JSONL_SAMPLE, encoding="utf-8")
+        with open(path, encoding="utf-8") as stream:
+            next(stream)
+            assert _rows(gl.parse_events(stream, "jsonl")) == [("alice", 5, 3),
+                                                               ("bob", 5, 1)]
+
     def test_non_utf8_table_is_a_data_error(self):
         with pytest.raises(DataError, match="not valid UTF-8"):
             gl.parse_pairs(io.BytesIO(b"day\tP\tF\tf_max\n0\t1\xff\t2\t2\n"),
@@ -719,6 +742,36 @@ class TestCsvBlockReader:
             with pytest.raises(DataError) as raised:
                 gl.parse_events(io.BytesIO(text.encode()))
         assert str(raised.value) == f"line {604 + quoted_break}: {message}"
+
+    def test_later_blocks_that_bring_new_day_or_count_texts(self):
+        # Blocks of 32 characters, five rows and then two, each missing the
+        # caches in the columns marked; "00" is a new text for a known day.
+        rows = [("u1", "0", "1"), ("u2", "0", "1"), ("u3", "1", "1"),
+                ("u1", "2", "1"), ("u4", "0", "1"),  # both columns miss
+                ("u2", "3", "1"), ("u5", "1", "1"), ("u3", "00", "1"),
+                ("u1", "2", "1"), ("u6", "0", "1"),  # the day column misses
+                ("u7", "1", "7"), ("u2", "0", "9"), ("u3", "3", "1"),
+                ("u1", "2", "07"), ("u4", "0", "1"),  # the count column misses
+                ("u5", "1", "7"), ("u6", "3", "9")]  # neither misses
+        text = HEADER + "".join(",".join(row) + "\n" for row in rows)
+        with mock.patch.object(ingest, "_CSV_BLOCK", 32):
+            table = gl.parse_events(io.StringIO(text))
+        _assert_same_table(table, EventTable.from_rows(
+            (user, int(day), int(count)) for user, day, count in rows))
+
+    @pytest.mark.parametrize("new_user", [" pad", ""])
+    def test_a_block_refused_for_a_user_id_changes_nothing(self, new_user):
+        # The new day and count texts parse, but a new id is padded or
+        # empty: the row loop gets the block and the builder as they were.
+        builder = ingest._TableBuilder()
+        day_by_text, count_by_text = {}, {}
+        assert ingest._add_plain_block("u1,0,1\n", builder, day_by_text, count_by_text)
+        block = f"u1,5,3\n{new_user},6,4\n"
+        assert not ingest._add_plain_block(block, builder, day_by_text, count_by_text)
+        assert (day_by_text, count_by_text) == ({"0": 0}, {"1": 1})
+        assert (builder.days, builder.users) == ({0: 0}, {"u1": 0})
+        assert [builder.day_codes.tolist(), builder.user_codes.tolist(),
+                builder.counts.tolist()] == [[0], [0], [1]]
 
     def test_a_surrogate_in_a_text_stream_is_an_id(self):
         text = HEADER + "\ud800,0,1\nu,0,2\n"
