@@ -157,7 +157,7 @@ def _line_sums(x: np.ndarray, y: np.ndarray, weights: np.ndarray
     with one row per weight row.
     """
     totals = weights.sum(axis=1)
-    mean_x = weights @ x / totals
+    mean_x = (weights * x).sum(axis=1) / totals
     mean_y = (weights * y).sum(axis=1) / totals
     dx = x - mean_x[:, None]
     dy = y - mean_y[:, None]
@@ -340,8 +340,8 @@ def _day_bin_matrices(rescaled: Sequence[RescaledHistogram], bins_per_decade: in
 
     M holds the day's mean count in the bin and I is 1 where the day has a
     point there. For day multiplicities w, the binned cloud of the
-    resampled days averages (w @ M) / (w @ I) over the bins where
-    w @ I > 0; binned_cloud is the row w = 1. Raises DomainError unless
+    resampled days averages (w M) / (w I) over the bins where
+    w I > 0; binned_cloud is the row w = 1. Raises DomainError unless
     bins_per_decade is an integer >= 1 and the days span a decade and
     populate at least 3 bins.
     """
@@ -395,7 +395,7 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
     units. A replicate is the vector w of day multiplicities, one row of
     the reps x days matrix W that fit_gamma_tls reads too. With the row of
     ones stacked on top of W and each day binned once into the day x bin
-    matrices (M, I), every row's cloud is a row of (W @ M) / (W @ I) on its
+    matrices (M, I), every row's cloud is a row of (W M) / (W I) on its
     populated bins, and one OLS over the populated bins fits them all: row
     0, binned_cloud's cloud, is the point fit and the rest are replicates.
     A replicate is skipped, as binned_cloud would reject it, when none of
@@ -413,12 +413,12 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
     n_days = len(rescaled)
     weights = np.vstack([np.ones((1, n_days)),
                          _bootstrap_weights(n_days, bootstrap_reps, seed)])
-    sums = weights @ day_values
-    totals = weights @ day_weights
+    sums = np.einsum("rd,db->rb", weights, day_values)
+    totals = np.einsum("rd,db->rb", weights, day_weights)
     populated = totals > 0
-    # A replicate's days span a decade when one of them does. Row 0, the
-    # point fit, is kept: _day_bin_matrices checked all days.
-    kept = (weights @ (day_min_rel <= 0.1) > 0) & (populated.sum(axis=1) >= 3)
+    # A replicate spans a decade if one of its days does; row 0 always does.
+    kept = (((weights * (day_min_rel <= 0.1)).sum(axis=1) > 0)
+            & (populated.sum(axis=1) >= 3))
     mask = populated[kept]
     y = np.log10(np.divide(sums[kept], totals[kept],
                            out=np.ones(mask.shape), where=mask))
@@ -489,7 +489,7 @@ def _beta_loglik(snapshots: Sequence[DailySnapshot], c: float) -> np.ndarray:
         k = levels.astype(float)[:, None]
         # log(k^a - (k+1)^a), one row per distinct level.
         log_mass = a * np.log(k) + np.log(-np.expm1(a * np.log1p(1.0 / k)))
-        loglik[rows] += counts @ log_mass
+        loglik[rows] += np.einsum("dl,lb->db", counts, log_mass)
     rows = np.flatnonzero(~integer & spread)
     log_sums = np.array([(snapshots[row].counts * np.log(snapshots[row].levels)).sum()
                          for row in rows]).reshape(-1, 1)

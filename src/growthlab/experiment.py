@@ -182,7 +182,9 @@ def _map_cells(fn, columns: Sequence[Sequence]) -> list:
     every worker reaped before anything is raised here. Then, taking the
     workers in order, the first one that failed decides what is raised:
     the exception fn raised there, or BrokenProcessPool for a worker that
-    ended without sending its results.
+    ended without sending its results. No growthlab routine calls BLAS (@,
+    np.dot, np.linalg, einsum with optimize): each forked worker would
+    start its own BLAS thread pool, one thread per CPU.
     """
     rows = list(zip(*columns))
     workers = _pool_workers(len(rows))

@@ -111,9 +111,7 @@ class DailySnapshot:
             raise DomainError("activity levels must be strictly increasing")
         if counts.min() < 1:
             raise DomainError(f"user count must be >= 1, got {counts.min()}")
-        # In floats: an int64 product could wrap. Not a BLAS dot: its
-        # threads, one set per forked worker of experiment._map_cells,
-        # oversubscribe the CPUs on days of many float levels.
+        # In floats: an int64 product could wrap.
         total = float((levels * counts.astype(float)).sum())
         if not math.isclose(total, self.total_activity, rel_tol=1e-9, abs_tol=1e-6):
             raise DomainError(

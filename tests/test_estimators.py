@@ -810,6 +810,30 @@ class TestFitBetaLikelihood:
                                    np.tile(np.array(counts) @ log_p, (2, 1)),
                                    rtol=1e-10)
 
+    def test_mixed_days_match_a_per_level_loop(self):
+        """Floored and continuous days in one call, each row against a loop
+        over the day's levels in math: floored levels k have the mass
+        (k^a - (k+1)^a) / (c^a - U^a), U the maximum plus 1, and continuous
+        levels x the density (b-1) x^-b / (c^a - U^a), U the maximum, a = 1-b."""
+        histograms = [([3, 6], [1, 1]), ([3.25, 4.5, 9.0, 20.75], [1, 3, 2, 1]),
+                      ([3, 4, 9, 20], [20, 15, 6, 1]), ([5.5], [2]),
+                      ([3, 5, 7, 40], [9, 3, 1, 1])]
+        days = [DailySnapshot(index, float(np.dot(levels, counts)), np.array(levels),
+                              np.array(counts))
+                for index, (levels, counts) in enumerate(histograms)]
+        c = 3.0
+        rows = estimators._beta_loglik(days, c)
+        for row, day in zip(rows, days):
+            floored = day.levels.dtype.kind == "i"
+            for b, value in zip(estimators._BETA_GRID.tolist(), row.tolist()):
+                a = 1.0 - b
+                norm = c**a - (day.f_max + floored) ** a
+                expected = 0.0
+                for x, n in zip(day.levels.tolist(), day.counts.tolist()):
+                    p = (x**a - (x + 1) ** a if floored else (b - 1) * x**-b) / norm
+                    expected += n * math.log(p)
+                assert value == pytest.approx(expected, rel=1e-9), (day.day, b)
+
     def test_a_float_day_all_at_c_adds_nothing(self):
         # Truncated at its own maximum c, such a day has probability 1.
         config = SamplerConfig(beta=1.5, lower_cutoff=2.0, seed=4)

@@ -1,11 +1,15 @@
 """Tests for the sweep driver and single-series consistency checks."""
 
+import ast
 import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from growthlab import (
     TlsFit,
     collapse_check,
     compare_prediction,
+    fit_beta_likelihood,
     fit_gamma_tls,
     log_uniform_schedule,
     pool_and_fit_beta,
@@ -222,6 +227,16 @@ SMALL_GRID = dict(c_values=(1.0, 8.0), beta_values=(1.3, 2.5, 6.0),
                   days_per_cell=20, population_range=(100.0, 10_000.0), seed=3)
 
 
+def _likelihood_fit(seed):
+    """fit_beta_likelihood's (beta, CI) on a 30-day series, floored on odd
+    seeds and continuous on even ones."""
+    schedule = log_uniform_schedule(
+        seeding.generator(seed, seeding.STREAM_SCHEDULE), 30, (1e3, 3e4))
+    config = SamplerConfig(beta=1.5, integerize=seed % 2 == 1, seed=seed)
+    fit = fit_beta_likelihood(synthesize_series(schedule, config).days)
+    return fit.beta, fit.ci95_beta
+
+
 class TestSweepPool:
     @pytest.mark.parametrize("protocol", ["coupled-truncation", "unbounded"])
     def test_pooled_cells_equal_serial_cells(self, monkeypatch, protocol):
@@ -233,6 +248,13 @@ class TestSweepPool:
         assert repr(pooled) == repr(serial)
         if protocol == "coupled-truncation":
             assert {cell.status for cell in serial} == {"ok", "failed"}
+
+    def test_pooled_likelihood_fits_equal_serial_fits(self, monkeypatch):
+        _usable_cpus(monkeypatch, 1)
+        serial = experiment._map_cells(_likelihood_fit, (range(6),))
+        _usable_cpus(monkeypatch, 2)
+        pooled = experiment._map_cells(_likelihood_fit, (range(6),))
+        assert repr(pooled) == repr(serial)
 
     @pytest.mark.parametrize("protocol", ["fixed-truncation", "fixed"])
     def test_fixed_protocol_raises_before_any_cell_runs(self, monkeypatch,
@@ -308,6 +330,85 @@ class TestSweepPool:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert experiment._pool_workers(400) == 0
         assert _process_rows(3)[1] == {os.getpid()}
+
+
+_BLAS_FUNCTIONS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def _blas_sites(source):
+    """(line, call) for each place in `source` that can reach BLAS: an @
+    product, a numpy dot-family or np.linalg call, or an einsum given
+    optimize=, which may hand its contraction to BLAS."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            sites.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            parts = name.split(".")
+            if (parts[-1] in _BLAS_FUNCTIONS or "linalg" in parts
+                    or parts[-1] == "einsum"
+                    and any(keyword.arg == "optimize" for keyword in node.keywords)):
+                sites.append((node.lineno, name))
+    return sites
+
+
+# Seed 1's fit: its last digits moved with the BLAS thread count while the
+# likelihood summed each day's levels by a BLAS product.
+_FIT_SEED_1 = """
+from growthlab import (SamplerConfig, fit_beta_likelihood, log_uniform_schedule,
+                       seeding, synthesize_series)
+schedule = log_uniform_schedule(
+    seeding.generator(1, seeding.STREAM_SCHEDULE), 30, (1e3, 1e5))
+days = synthesize_series(schedule, SamplerConfig(beta=1.5, integerize=True, seed=1)).days
+fit = fit_beta_likelihood(days)
+print(repr(fit.beta), repr(fit.ci95_beta))
+"""
+
+
+class TestNoBlas:
+    """No growthlab routine calls BLAS: each forked _map_cells worker would
+    start a BLAS thread pool of its own, and a BLAS product's last digits
+    depend on how many threads split it."""
+
+    def test_no_module_reaches_blas(self):
+        package = Path(experiment.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert package / "estimators.py" in modules
+        found = [f"{path.name}:{line} {call}" for path in modules
+                 for line, call in _blas_sites(path.read_text())]
+        assert found == []
+
+    @pytest.mark.parametrize("source,call", [
+        ("w @ x", "@"),
+        ("w @= x", "@"),
+        ("np.dot(w, x)", "np.dot"),
+        ("w.dot(x)", "w.dot"),
+        ("np.tensordot(w, x, 1)", "np.tensordot"),
+        ("np.linalg.norm(w)", "np.linalg.norm"),
+        ("np.einsum('ij,jk->ik', w, x, optimize=False)", "np.einsum"),
+    ])
+    def test_each_route_to_blas_is_caught(self, source, call):
+        assert _blas_sites(source) == [(1, call)]
+
+    def test_a_plain_einsum_and_an_elementwise_sum_pass(self):
+        assert _blas_sites("np.einsum('ij,jk->ik', w, x)\n(w * x).sum(axis=1)") == []
+
+    def test_a_fit_does_not_depend_on_the_blas_thread_count(self):
+        source_root = Path(experiment.__file__).resolve().parents[1]
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(source_root), env.get("PYTHONPATH")]))
+            result = subprocess.run([sys.executable, "-c", _FIT_SEED_1],
+                                    capture_output=True, text=True, timeout=120,
+                                    env=env, check=True)
+            printed.append(result.stdout)
+        assert printed[0] == printed[1]
+        assert printed[0].startswith("1.50101913862")
 
 
 class TestCutoffInvariance:
