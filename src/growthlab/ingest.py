@@ -2,24 +2,24 @@
 
 The on-disk interchange formats are deliberately tiny. CSV files carry a
 header ``user_id,day,count``; JSONL files carry one object per line with
-the same three keys. ``day`` is either an ISO-8601 calendar date or an
+the same three keys. ``day`` is either an ISO ``YYYY-MM-DD`` date or an
 integer day index, ``count`` a positive integer that fits in 64 bits. A
 snapshot table is tab-separated with the header ``day P F f_max``, one
 row per day; it holds each day's (P, F) pair but no per-user histogram.
-Parsing is strict and error messages name the offending line, because
-silent coercion of a malformed activity log poisons every estimate
-downstream.
+Parsing is strict, numbers in ASCII without ``_``, and error messages
+name the offending line, because silent coercion of a malformed
+activity log poisons every estimate downstream.
 
 A log is read as a stream into an ``EventTable``: the distinct day values,
 the distinct user ids, and per-row int64 arrays of day code, user code and
 count. Each distinct day text is parsed once, and day texts naming the
 same day (``5``, `` 5``, ``05``) share a code. A CSV log is read in blocks
-of whole lines, about 64 KiB each. A plain block, whose every line is
-three unquoted cells without ``\\r`` and whose day and count texts parse,
-is split at its commas and coded a column at a time. At the first block
-that is not plain, csv.reader takes over and reads that block and the
-rest of the stream row by row: it is the one path for quoted cells,
-carriage returns, blank lines, padded user ids and every error.
+of whole lines, about 64 KiB each. A plain block (every line three
+unquoted cells without ``\\r``, every day and count text parses, no user
+id is empty or padded) is split at its commas and coded a column at a
+time. At the first block that is not plain, csv.reader reads that block
+and the rest of the stream row by row: it is the one path for quoted
+cells, carriage returns, blank lines, padded or empty ids and every error.
 ``aggregate`` sums and histograms those arrays with numpy into one
 ``DailySnapshot`` per day, whose histogram is two arrays, ``levels`` and
 ``counts``. ``EventTable.from_rows`` builds a table from hand-written
@@ -69,6 +69,11 @@ _FORMAT_BY_SUFFIX = {".tsv": "snapshot", ".csv": "csv", ".jsonl": "jsonl",
                      ".ndjson": "jsonl"}
 
 _INT64_MAX = 2**63 - 1
+
+# int(), float() and date.fromisoformat() alone also read "1_0", digits of
+# other scripts and, from Python 3.11, week dates such as 2009-W01-1.
+_NUMBER = re.compile(r"\s*[!-^`-~]+\s*")  # printable ASCII but "_"
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # The CSV block reader reads this many characters, then the rest of the line.
 _CSV_BLOCK = 1 << 16
@@ -223,15 +228,20 @@ class _TableBuilder:
                           self.user_codes, self.counts)
 
 
+def _ascii_number(parse, text: str):
+    """parse(text) if text is printable ASCII but "_", else ValueError."""
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(text)
+    return parse(text)
+
+
 def _parse_day(text: str) -> Day:
     """ISO date if it looks like one, else integer index."""
     text = text.strip()
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return dt.date.fromisoformat(text)
+        if _ISO_DATE.fullmatch(text):
+            return dt.date.fromisoformat(text)
+        return _ascii_number(int, text)
     except ValueError:
         raise DataError(f"day {text!r} is neither an ISO date nor an integer") from None
 
@@ -261,7 +271,7 @@ def _check_count(count: object) -> int:
 def _parse_count(raw: object) -> int:
     if isinstance(raw, str):
         try:
-            raw = int(raw)  # int() itself ignores surrounding whitespace
+            raw = _ascii_number(int, raw)  # int() ignores surrounding whitespace
         except ValueError:
             raise DataError(f"count {raw!r} is not an integer") from None
     return _check_count(raw)
@@ -298,12 +308,12 @@ def _parse_csv(text: IO[str]) -> EventTable:
 def _add_plain_block(block: str, builder: _TableBuilder,
                      day_by_text: dict[str, int], count_by_text: dict[str, int]) -> bool:
     """Add a block of whole lines to builder and return True if the block
-    is plain; else return False with builder and both caches untouched.
+    is plain, else False; it writes nothing before its last check.
 
     Plain: at most csv.field_size_limit() characters, no " or \\r, two
-    commas on every line, every new day and count text parses, and no new
-    user id is empty or has surrounding whitespace. csv.reader splits such
-    a line at its commas alone, and the row loop would accept every row.
+    commas on every line, every new day and count text parses, and no
+    user id is empty or padded. csv.reader splits such a line at its
+    commas alone, and the row loop would accept every row.
     """
     if not block.endswith("\n"):  # the input's last line
         block += "\n"
@@ -328,21 +338,15 @@ def _add_plain_block(block: str, builder: _TableBuilder,
             for text in set(count_texts).difference(count_by_text)}
     except DataError:
         return False
-    users = builder.users
-    known = len(users)
-    user_codes = [users.setdefault(text, len(users)) for text in user_texts]
-    new_users = list(itertools.islice(reversed(users), len(users) - known))
-    if "" in new_users or list(map(str.strip, new_users)) != new_users:
-        for text in new_users:
-            del users[text]
+    if "" in user_texts or list(map(str.strip, user_texts)) != user_texts:
         return False
     for text, day in new_days:
         day_by_text[text] = builder.day_code(day)
     count_by_text.update(new_counts)
-    # array() fills from a list faster than extend() from an iterator.
-    builder.day_codes.extend(array("q", day_codes or _cached(day_by_text, day_texts)))
-    builder.user_codes.extend(array("q", user_codes))
-    builder.counts.extend(array("q", counts or _cached(count_by_text, count_texts)))
+    users = builder.users
+    builder.day_codes.fromlist(day_codes or _cached(day_by_text, day_texts))
+    builder.user_codes.fromlist([users.setdefault(text, len(users)) for text in user_texts])
+    builder.counts.fromlist(counts or _cached(count_by_text, count_texts))
     return True
 
 
@@ -448,7 +452,8 @@ def _parse_snapshots(text: IO[str]) -> list[tuple[float, float]]:
             raise DataError(f"line {lineno}: day {_format_day(day)} repeats")
         days.add(day)
         try:
-            population, activity, f_max = map(float, cells[1:])
+            population, activity, f_max = (_ascii_number(float, cell)
+                                           for cell in cells[1:])
         except ValueError:
             raise DataError(f"line {lineno}: P, F and f_max must be numeric") from None
         # Also false for nan, which no comparison admits.

@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import io
+import json
 import re
 import tracemalloc
 from unittest import mock
@@ -285,6 +286,12 @@ class TestDailySnapshot:
         assert snap != _snapshot(1, {1: 2, 5: 1})
         with pytest.raises(TypeError):
             hash(snap)
+
+    def test_a_snapshot_is_not_equal_to_a_tuple_of_its_fields(self):
+        snap = _snapshot(0, {1: 2, 5: 1})
+        fields = (snap.day, snap.total_activity, snap.levels, snap.counts)
+        assert snap.__eq__(fields) is NotImplemented
+        assert snap != fields and not snap == fields
 
 
 class TestAggregate:
@@ -777,6 +784,93 @@ class TestCsvBlockReader:
         text = HEADER + "\ud800,0,1\nu,0,2\n"
         assert _rows(gl.parse_events(io.StringIO(text))) == [("\ud800", 0, 1),
                                                              ("u", 0, 2)]
+
+
+# Spellings that int(), float() or date.fromisoformat() read but a log may
+# not hold: "_" between digits, digits of another script, and a week date,
+# which Python 3.11 reads as 2008-12-29 and Python 3.10 refuses.
+BAD_DAYS = ["1_0", "\u0663", "2009-W01-1"]
+BAD_COUNTS = ["1_0", "\u0663"]
+BAD_NUMBERS = ["1_000", "1_0", "\u0663"]
+DAY_ERROR = "day {!r} is neither an ISO date nor an integer"
+COUNT_ERROR = "count {!r} is not an integer"
+
+
+def _csv_lines(bad, column):
+    """A CSV line with bad in its day or count column, and its message."""
+    if column == "day":
+        return f"u2,{bad},1\n", DAY_ERROR.format(bad)
+    return f"u2,0,{bad}\n", COUNT_ERROR.format(bad)
+
+
+CSV_CASES = [(bad, "day") for bad in BAD_DAYS] + [(bad, "count") for bad in BAD_COUNTS]
+
+
+class TestStrictNumbersAndDates:
+    """Numbers and dates are read the same way on every supported Python:
+    integers as ASCII [+-]?[0-9]+, dates as ASCII YYYY-MM-DD, snapshot
+    numbers as ASCII without "_", each after the strip."""
+
+    @pytest.mark.parametrize("bad, column", CSV_CASES)
+    def test_a_plain_block_refuses_it(self, bad, column):
+        line, _ = _csv_lines(bad, column)
+        builder = ingest._TableBuilder()
+        assert not ingest._add_plain_block(line, builder, {}, {})
+        assert not builder.users and not builder.counts
+
+    @pytest.mark.parametrize("bad, column", CSV_CASES)
+    @pytest.mark.parametrize("quoted_break", [False, True])
+    def test_the_row_loop_names_its_line(self, bad, column, quoted_break):
+        # Blocks of 8 characters. Without a quoted line break, the rows
+        # before the bad one make a plain block; with one, the row loop
+        # takes over at line 2. The bad row starts on line 4 or 5.
+        line, message = _csv_lines(bad, column)
+        lead = '"a\nb",0,1\n' if quoted_break else "a,0,1\n"
+        text = HEADER + "u1,0,1\n" + lead + line + "u3,0,1\n"
+        with mock.patch.object(ingest, "_CSV_BLOCK", 8):
+            with pytest.raises(DataError) as raised:
+                gl.parse_events(io.BytesIO(text.encode()))
+        assert str(raised.value) == f"line {4 + quoted_break}: {message}"
+
+    @pytest.mark.parametrize("bad, column", CSV_CASES)
+    def test_a_jsonl_string_is_refused(self, bad, column):
+        cells = {"user_id": "u", "day": 0, "count": 1, column: bad}
+        text = '{"user_id": "u", "day": 0, "count": 1}\n' + json.dumps(cells) + "\n"
+        _, message = _csv_lines(bad, column)
+        with pytest.raises(DataError) as raised:
+            gl.parse_events(io.StringIO(text), format="jsonl")
+        assert str(raised.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("bad", BAD_DAYS)
+    def test_a_snapshot_day_is_refused(self, bad):
+        text = f"day\tP\tF\tf_max\n0\t10\t20\t5\n{bad}\t10\t20\t5\n"
+        with pytest.raises(DataError) as raised:
+            gl.parse_pairs(io.StringIO(text), "snapshot")
+        assert str(raised.value) == f"line 3: {DAY_ERROR.format(bad)}"
+
+    @pytest.mark.parametrize("bad", BAD_NUMBERS)
+    @pytest.mark.parametrize("column", [1, 2, 3], ids=["P", "F", "f_max"])
+    def test_a_snapshot_number_is_refused(self, bad, column):
+        cells = ["1", "10", "20", "5"]
+        cells[column] = bad
+        text = "day\tP\tF\tf_max\n0\t10\t20\t5\n" + "\t".join(cells) + "\n"
+        with pytest.raises(DataError) as raised:
+            gl.parse_pairs(io.StringIO(text), "snapshot")
+        assert str(raised.value) == "line 3: P, F and f_max must be numeric"
+
+    def test_ascii_spellings_still_read(self):
+        text = HEADER + "u, +5 ,03 \nv,-2,+4\nw,2009-01-05,\u00a07\n"
+        assert _rows(gl.parse_events(io.StringIO(text))) == [
+            ("u", 5, 3), ("v", -2, 4), ("w", dt.date(2009, 1, 5), 7)]
+        table = "day\tP\tF\tf_max\n 2009-01-05\t1e3\t 4.5E3 \t+9.0\n"
+        assert gl.parse_pairs(io.StringIO(table), "snapshot") == [(1e3, 4.5e3)]
+
+    def test_an_integer_past_the_digit_limit_is_a_data_error(self):
+        digits = "1" * 5000
+        with pytest.raises(DataError, match="^line 2: count '1{5000}' is not"):
+            gl.parse_events(io.StringIO(HEADER + f"u,0,{digits}\n"))
+        with pytest.raises(DataError, match="^line 2: day '1{5000}' is neither"):
+            gl.parse_events(io.StringIO(HEADER + f"u,{digits},1\n"))
 
 
 class TestSumsDoNotWrap:

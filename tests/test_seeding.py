@@ -65,6 +65,14 @@ class TestGenerators:
             assert rng.random() == reference.random()
         assert list(seeding.generators(5, seeding.STREAM_DAY, 0)) == []
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["zero", "2^64-1"])
+    def test_no_indices_seed_pcg64_with_the_seed_itself(self, seed):
+        rng = seeding.generator(seed)
+        reference = np.random.Generator(np.random.PCG64(seed))
+        assert rng.integers(0, 2**63, 4).tolist() == \
+            reference.integers(0, 2**63, 4).tolist()
+        assert rng.random(3).tolist() == reference.random(3).tolist()
+
 
 BAD_SEEDS = [True, 1.5, 3.0, "3", None, -1, 2**64, np.int64(-1)]
 BAD_IDS = ["bool", "float", "integral-float", "str", "none", "negative",

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from growthlab import (
+    DailySnapshot,
     SamplerConfig,
     SweepCell,
     binned_cloud,
@@ -109,6 +110,18 @@ class TestCollapseFigure:
     def test_rejects_empty_input(self):
         with pytest.raises(DomainError, match="at least one day"):
             collapse_svg([], ([0.0], [1.0]), beta=1.5)
+
+    def test_days_with_one_user_per_level_are_well_formed(self):
+        # Every drawn count is 1, so the left panel's count range is one
+        # value and is padded around it.
+        days = [DailySnapshot(day=d, total_activity=25.0 + d, levels=[1, 4, 20 + d],
+                              counts=[1, 1, 1]) for d in range(3)]
+        cloud = binned_cloud([rescale_histogram(s) for s in days], 3)
+        svg = collapse_svg(days, cloud, beta=1.5)
+        counts = _inventory(svg)
+        assert counts[("polyline", "fit")] == 1
+        assert counts[("circle", "dot")] == 9 + len(cloud[0])
+        assert "nan" not in svg and "inf" not in svg
 
 
 class TestCliFigures:
