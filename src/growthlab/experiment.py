@@ -320,11 +320,8 @@ def compare_prediction(series, bins_per_decade: int = 5,
     snapshots = _snapshots(series)
     if len(snapshots) < 3:
         raise DomainError("need at least 3 days to compare growth against theory")
-    rescaled = [rescale_histogram(s) for s in snapshots]
-    beta_fit = pool_and_fit_beta(
-        rescaled, bins_per_decade=bins_per_decade,
-        bootstrap_reps=bootstrap_reps, seed=seed,
-    )
+    _, beta_fit = collapse_check(snapshots, bins_per_decade=bins_per_decade,
+                                 bootstrap_reps=bootstrap_reps, seed=seed)
     gamma_fit = fit_gamma_tls(
         [(s.population, s.total_activity) for s in snapshots],
         bootstrap_reps=bootstrap_reps, seed=seed,

@@ -375,14 +375,12 @@ def _csv_table(lines: Iterable[str], first_line: int, builder: _TableBuilder,
     try:
         for row in reader:
             lineno, start = start, first_line + reader.line_num
+            if not row:
+                continue
             try:
+                if len(row) != 3:
+                    raise DataError(f"expected 3 fields, got {len(row)}")
                 user_text, day_text, count_text = row
-            except ValueError:
-                if not row:
-                    continue
-                raise DataError(
-                    f"line {lineno}: expected 3 fields, got {len(row)}") from None
-            try:
                 day = day_by_text.get(day_text)
                 if day is None:
                     day = day_by_text[day_text] = builder.day_code(_parse_day(day_text))
@@ -407,19 +405,23 @@ def _parse_jsonl(text: IO[str]) -> EventTable:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(record, dict):
-            raise DataError(f"line {lineno}: expected an object")
-        missing = [key for key in _CSV_HEADER if key not in record]
-        if missing:
-            raise DataError(f"line {lineno}: missing key(s) {', '.join(missing)}")
-        day_raw = record["day"]
-        try:
-            if isinstance(day_raw, bool):
-                raise DataError(f"day {day_raw!r} is neither an ISO date nor an integer")
-            day = day_raw if isinstance(day_raw, int) else _parse_day(str(day_raw))
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"invalid JSON ({exc.msg})") from None
+            except ValueError:  # an integer past int()'s digit limit
+                raise DataError("invalid JSON (number has too many digits)") from None
+            except RecursionError:
+                raise DataError("invalid JSON (nested too deeply)") from None
+            if not isinstance(record, dict):
+                raise DataError("expected an object")
+            if missing := [key for key in _CSV_HEADER if key not in record]:
+                raise DataError(f"missing key(s) {', '.join(missing)}")
+            day = record["day"]
+            if isinstance(day, str):
+                day = _parse_day(day)
+            elif isinstance(day, bool) or not isinstance(day, int):
+                raise DataError(f"day {day!r} is neither an ISO date nor an integer")
             builder.add(day, _check_user_id(record["user_id"]),
                         _parse_count(record["count"]))
         except DataError as exc:
@@ -442,29 +444,25 @@ def _parse_snapshots(text: IO[str]) -> list[tuple[float, float]]:
         if not line.strip():
             continue
         cells = line.split("\t")
-        if len(cells) != 4:
-            raise DataError(f"line {lineno}: expected 4 fields, got {len(cells)}")
         try:
+            if len(cells) != 4:
+                raise DataError(f"expected 4 fields, got {len(cells)}")
             day = _parse_day(cells[0])
+            if day in days:
+                raise DataError(f"day {_format_day(day)} repeats")
+            days.add(day)
+            try:
+                population, activity, f_max = [_ascii_number(float, c) for c in cells[1:]]
+            except ValueError:
+                raise DataError("P, F and f_max must be numeric") from None
+            # Also false for nan, which no comparison admits.
+            if not (1.0 <= population < math.inf and 1.0 <= activity < math.inf):
+                raise DataError(f"P and F must be finite and >= 1, got "
+                                f"{cells[1].strip()!r} and {cells[2].strip()!r}")
+            if not 1.0 <= f_max < math.inf:
+                raise DataError(f"f_max must be finite and >= 1, got {cells[3].strip()!r}")
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
-        if day in days:
-            raise DataError(f"line {lineno}: day {_format_day(day)} repeats")
-        days.add(day)
-        try:
-            population, activity, f_max = (_ascii_number(float, cell)
-                                           for cell in cells[1:])
-        except ValueError:
-            raise DataError(f"line {lineno}: P, F and f_max must be numeric") from None
-        # Also false for nan, which no comparison admits.
-        if not (1.0 <= population < math.inf and 1.0 <= activity < math.inf):
-            raise DataError(
-                f"line {lineno}: P and F must be finite and >= 1, "
-                f"got {cells[1].strip()!r} and {cells[2].strip()!r}"
-            )
-        if not 1.0 <= f_max < math.inf:
-            raise DataError(f"line {lineno}: f_max must be finite and >= 1, "
-                            f"got {cells[3].strip()!r}")
         pairs.append((population, activity))
     return pairs
 

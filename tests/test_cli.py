@@ -684,6 +684,21 @@ class TestPredict:
         assert "internal error" not in stderr
         assert stdout == ""
 
+    @pytest.mark.parametrize("subcommand", ["predict", "fit"])
+    @pytest.mark.parametrize("line", [
+        '{"user_id": "a", "day": %s, "count": 1}\n' % ("1" * 5000),
+        '{"user_id": "a", "day": 1, "count": %s}\n' % ("1" * 5000),
+        '{"user_id": ' + "[" * 100_000 + "]" * 100_000 + ', "day": 1, "count": 1}\n',
+    ], ids=["day-digits", "count-digits", "nesting"])
+    def test_a_line_the_json_decoder_refuses_exits_two(self, tmp_path, capsys,
+                                                       subcommand, line):
+        path = tmp_path / "big.jsonl"
+        path.write_text(line)
+        code, stdout, stderr = _run(capsys, subcommand, "--input", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("growthlab: line 1: invalid JSON (")
+        assert "internal error" not in stderr
+
     def test_snapshot_input_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "sim"
         _run(capsys, "simulate", "--beta", "1.5", "--days", "5",

@@ -486,6 +486,25 @@ class TestComparePrediction:
         assert prediction.beta_fit.ci95_beta == beta_alone.ci95_beta
         assert not estimators._bootstrap_weights(10, 300, 7).flags.writeable
 
+    def test_beta_fit_is_the_collapse_fit(self):
+        series = _coupled_series(1.5, 1.0, 12, (1e3, 1e4), 3)
+        prediction = compare_prediction(series, bootstrap_reps=200, seed=5)
+        _, fit = collapse_check(series, bootstrap_reps=200, seed=5)
+        assert prediction.beta_fit == fit
+        assert fit.ci95_beta[0] < fit.beta < fit.ci95_beta[1]
+
+    def test_continuous_draws_fail_as_the_collapse_fit_does(self):
+        # Every continuous level is held by one user, so the pooled cloud
+        # is flat and the collapse fit refuses it.
+        schedule = log_uniform_schedule(
+            seeding.generator(3, seeding.STREAM_SCHEDULE), 12, (1e3, 1e4))
+        series = synthesize_series(schedule, SamplerConfig(beta=1.5, seed=3))
+        with pytest.raises(EstimationError) as collapse:
+            collapse_check(series, bootstrap_reps=200, seed=5)
+        with pytest.raises(EstimationError) as prediction:
+            compare_prediction(series, bootstrap_reps=200, seed=5)
+        assert str(prediction.value) == str(collapse.value)
+
     def test_requires_three_days(self):
         series = _coupled_series(1.5, 1.0, 10, (1e3, 1e4), 0)
         with pytest.raises(DomainError, match="3 days"):

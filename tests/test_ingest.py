@@ -612,11 +612,38 @@ class TestBadRowsKeepTheirMessages:
         ('{"user_id": "u", "day": 0, "count": 9223372036854775808}\n',
          "line 1: count 9223372036854775808 does not fit in 64 bits"),
         ('[1, 2]\n', "line 1: expected an object"),
+        ('{"user_id": %s, "day": 1, "count": 1}\n' % ("[" * 50 + "]" * 50),
+         "line 1: user_id must be a string, got " + "[" * 50 + "]" * 50),
+        ('{"user_id": "u", "day": null, "count": 1}\n',
+         "line 1: day None is neither an ISO date nor an integer"),
+        ('{"user_id": "u", "day": 5.0, "count": 1}\n',
+         "line 1: day 5.0 is neither an ISO date nor an integer"),
+        ('{"user_id": "u", "day": [1], "count": 1}\n',
+         "line 1: day [1] is neither an ISO date nor an integer"),
+        ('{"user_id": "u", "day": {"x": 1}, "count": 1}\n',
+         "line 1: day {'x': 1} is neither an ISO date nor an integer"),
     ])
     def test_jsonl(self, text, message):
         with pytest.raises(DataError) as raised:
             gl.parse_events(io.StringIO(text), format="jsonl")
         assert str(raised.value) == message
+
+    # json.loads refuses these with no JSONDecodeError: an integer past
+    # int()'s 4,300-digit limit, and nesting past the decoder's depth.
+    @pytest.mark.parametrize("line, reason", [
+        ('{"user_id": "a", "day": %s, "count": 1}\n' % ("1" * 5000),
+         "number has too many digits"),
+        ('{"user_id": "a", "day": 1, "count": %s}\n' % ("1" * 5000),
+         "number has too many digits"),
+        ('{"user_id": ' + "[" * 100_000 + "]" * 100_000 + ', "day": 1, "count": 1}\n',
+         "nested too deeply"),
+    ], ids=["day-digits", "count-digits", "nesting"])
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["text", "bytes"])
+    def test_jsonl_past_a_decoder_limit(self, line, reason, as_bytes):
+        text = '{"user_id": "u", "day": 0, "count": 1}\n' + line
+        stream = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        with pytest.raises(DataError, match=rf"^line 2: invalid JSON \({reason}\)$"):
+            gl.parse_events(stream, format="jsonl")
 
     def test_largest_int64_count_is_accepted(self):
         table = gl.parse_events(io.StringIO(HEADER + "u1,0,9223372036854775807\n"))
