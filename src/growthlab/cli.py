@@ -67,18 +67,26 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
 
 
-def _bounded_int(low: int):
-    """An argparse type for integers of at least low."""
+# The largest --days, --bootstrap-reps or --bins-per-decade. numpy refuses
+# an array of 2^63 bytes or more, and the largest array two such flags size
+# together, bootstrap replicates by collapse bins (19 decades of int64
+# counts), stays below it: 10^8 x 1.9e9 bins x 8 B = 1.5e18 B.
+_MAX_SIZE = 10**8
+
+
+def _bounded_int(low: int, high: int | None = None):
+    """An argparse type for integers of at least low and at most high."""
     def parse(text: str) -> int:
         value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{text!r} must be >= {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{text!r} must be <= {high}")
         return value
     return parse
 
 
 _positive_int = _bounded_int(1)
-_nonnegative_int = _bounded_int(0)
 
 
 def _seed_value(text: str) -> int:
@@ -317,9 +325,11 @@ def build_parser() -> _Parser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_seed_value, default=0)
     resampled = argparse.ArgumentParser(add_help=False)
-    resampled.add_argument("--bootstrap-reps", type=_nonnegative_int, default=1000)
+    resampled.add_argument("--bootstrap-reps", type=_bounded_int(0, _MAX_SIZE),
+                           default=1000)
     binned = argparse.ArgumentParser(add_help=False)
-    binned.add_argument("--bins-per-decade", type=_positive_int, default=5)
+    binned.add_argument("--bins-per-decade", type=_bounded_int(1, _MAX_SIZE),
+                        default=5)
 
     simulate = sub.add_parser("simulate", parents=[seeded],
                               help="synthesize an activity series")
@@ -330,7 +340,7 @@ def build_parser() -> _Parser:
                           default="coupled")
     simulate.add_argument("--upper-cutoff", type=_cutoff_value, default=None,
                           help="cutoff for --protocol fixed")
-    simulate.add_argument("--days", type=_positive_int, default=100)
+    simulate.add_argument("--days", type=_bounded_int(1, _MAX_SIZE), default=100)
     simulate.add_argument("--pmin", type=_positive_int, default=1000)
     simulate.add_argument("--pmax", type=_positive_int, default=100000)
     simulate.add_argument("--integerize", action="store_true",
@@ -358,7 +368,7 @@ def build_parser() -> _Parser:
                        help="comma-separated cutoffs (default 1..10)")
     sweep.add_argument("--beta-grid", type=_list_of(_beta_value), default=None,
                        help="comma-separated betas (default 40 values in (1,10])")
-    sweep.add_argument("--days", type=_bounded_int(10), default=100)
+    sweep.add_argument("--days", type=_bounded_int(10, _MAX_SIZE), default=100)
     sweep.add_argument("--pmin", type=_bounded_int(10), default=100)
     sweep.add_argument("--pmax", type=_positive_int, default=10000)
     sweep.add_argument("--protocol", default="coupled", choices=sorted(
@@ -412,6 +422,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (GrowthlabError, OSError) as exc:
         print(f"growthlab: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        # An allocation the machine refused, such as data too large for it;
+        # numpy's message names the size.
+        print(f"growthlab: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive
         print(f"growthlab: internal error: {exc!r}", file=sys.stderr)

@@ -31,13 +31,17 @@ class EstimationError(GrowthlabError, ValueError):
     """An estimator cannot produce a valid result from the given data."""
 
 
-def check_integer(value, name: str, minimum: int | None = None) -> int:
-    """`value` as an int if it is an int or numpy integer, not a bool, and
-    at least `minimum` when one is given; else DomainError naming `name`."""
+def check_integer(value, name: str, minimum: int | None = None,
+                  maximum: int | None = None) -> int:
+    """`value` as an int if it is an int or numpy integer, not a bool, at
+    least `minimum` and at most `maximum` when they are given; else
+    DomainError naming `name`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
 
 

@@ -99,6 +99,10 @@ class SyntheticSeries:
         lambda self: tuple(day.population for day in self.days))
 
 
+# The most draws one day may have: numpy sizes an array in bytes, below
+# np.intp's largest value, so one float64 array holds 2^60 - 1 of them.
+_MAX_POPULATION = np.iinfo(np.intp).max // 8
+
 # Draws per run: consecutive days of a schedule share one float64 buffer of
 # this many values (256 KiB), which stays in cache; a whole cell does not.
 _RUN = 1 << 15
@@ -153,9 +157,8 @@ def _draw(rng: np.random.Generator, day_index: int, config: SamplerConfig,
     _scale_uniforms(config.beta, config.lower_cutoff, upper, x)
 
 
-def _total(day_index: int, x: np.ndarray,
-           config: SamplerConfig) -> tuple[np.ndarray, float]:
-    """Day `day_index`'s activities x and their total F, checked.
+def _total(x: np.ndarray, config: SamplerConfig) -> tuple[np.ndarray, float]:
+    """A day's activities x and their total F, checked.
 
     Each day is reduced once: the float sum is a bound on every draw, since
     a sum of positive terms is never below its largest one. Only a sum that
@@ -169,14 +172,12 @@ def _total(day_index: int, x: np.ndarray,
         top = float(x.max())
         if top == math.inf:
             raise DomainError(
-                f"day {day_index}: an activity draw overflows to inf; beta "
-                f"{config.beta} is too close to 1 for this cutoff"
+                f"an activity draw overflows to inf; beta {config.beta} is "
+                f"too close to 1 for this cutoff"
             )
         if config.integerize and top >= 2.0**63:
             raise DomainError(
-                f"day {day_index}: an integerized activity draw {top:.6g} "
-                f"exceeds 2^63 - 1"
-            )
+                f"an integerized activity draw {top:.6g} exceeds 2^63 - 1")
     if not config.integerize:
         return x, total
     x = x.astype(np.int64)
@@ -196,9 +197,9 @@ def _draw_run(days, rngs, config: SamplerConfig, buffer: np.ndarray):
     and C for every day, so it runs once over the run: it is elementwise,
     so the bits are those of one day at a time. The days are then summed
     and checked in day order, so the first bad day raises what it raises
-    alone and no later day is returned. A day's draws are a view of
-    buffer, valid until the next run is drawn into it. The caller has
-    checked the populations and entered np.errstate(over="ignore").
+    alone, under its day's name, and no later day is returned. A day's
+    draws are a view of buffer, valid until the next run is drawn. The
+    caller has checked the populations and entered np.errstate(over="ignore").
     """
     end = 0
     for (day_index, population, upper), rng in zip(days, rngs):
@@ -209,7 +210,11 @@ def _draw_run(days, rngs, config: SamplerConfig, buffer: np.ndarray):
     for day_index, population, _ in days:
         x = buffer[end:end + population]
         end += population
-        yield (day_index, population, *_total(day_index, x, config))
+        try:
+            x, total = _total(x, config)
+        except DomainError as exc:
+            raise DomainError(f"day {day_index}: {exc}") from None
+        yield day_index, population, x, total
 
 
 def _snapshot(day_index: int, x: np.ndarray, total: float) -> DailySnapshot:
@@ -227,7 +232,7 @@ def synthesize_day(day_index: int, population: int,
     regardless of call order.
     """
     day_index = check_integer(day_index, "day_index")
-    population = check_integer(population, "population", 1)
+    population = check_integer(population, "population", 1, _MAX_POPULATION)
     rng = seeding.generator(config.seed, seeding.STREAM_DAY, day_index)
     with np.errstate(over="ignore"):
         [(_, _, x, total)] = _draw_run([(day_index, population, config.upper_cutoff)],
@@ -260,23 +265,17 @@ def canonical_protocol(name: str) -> str:
         ) from None
 
 
-def _day_cutoff(config: SamplerConfig, protocol: str, day_index: int,
-                population: int) -> float | None:
-    """Day `day_index`'s upper cutoff under `protocol`; None is unbounded."""
+def _day_cutoff(config: SamplerConfig, protocol: str, population: int) -> float | None:
+    """A day's upper cutoff under `protocol`, or None for unbounded."""
     if protocol == "coupled-truncation":
-        try:
-            cutoff = cutoff_for_population(float(population), config.beta)
-        except DomainError as exc:
-            raise DomainError(f"day {day_index}: {exc}") from None
+        cutoff = cutoff_for_population(float(population), config.beta)
         if cutoff <= config.lower_cutoff:
             raise DomainError(
-                f"day {day_index}: population {population} gives cutoff "
-                f"{cutoff:.6g} at or below the lower cutoff {config.lower_cutoff}"
+                f"population {population} gives cutoff {cutoff:.6g} at or "
+                f"below the lower cutoff {config.lower_cutoff}"
             )
         return cutoff
     if protocol == "fixed-truncation":
-        if config.upper_cutoff is None:
-            raise DomainError("fixed-truncation requires config.upper_cutoff")
         return config.upper_cutoff
     # Unbounded overrides any configured cutoff.
     return None
@@ -295,11 +294,17 @@ def _schedule_draws(schedule: Sequence[int], config: SamplerConfig, protocol: st
     """
     if len(schedule) == 0:
         raise DomainError("schedule must contain at least one day")
+    if protocol == "fixed-truncation" and config.upper_cutoff is None:
+        raise DomainError("fixed-truncation requires config.upper_cutoff")
     days = []
     for day_index, population in enumerate(schedule):
-        population = check_integer(population, f"day {day_index}: population", 1)
-        days.append((day_index, population,
-                     _day_cutoff(config, protocol, day_index, population)))
+        try:
+            population = check_integer(population, "population", 1,
+                                       _MAX_POPULATION)
+            upper = _day_cutoff(config, protocol, population)
+        except DomainError as exc:
+            raise DomainError(f"day {day_index}: {exc}") from None
+        days.append((day_index, population, upper))
     sizes = [population for _, population, _ in days]
     buffer = np.empty(max(max(sizes), min(_RUN, sum(sizes))))
     rngs = seeding.generators(config.seed, seeding.STREAM_DAY, len(days))

@@ -74,6 +74,9 @@ class MomentPair:
     f_max: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.population) and math.isfinite(self.total_activity)):
+            raise DomainError(f"moments must be finite, got P {self.population} "
+                              f"and F {self.total_activity} at f_max {self.f_max}")
         if self.population < 0 or self.total_activity < 0:
             raise DomainError("moments must be nonnegative")
         # Every user produces at least one tag, so F >= P on f_max >= 1.
@@ -108,6 +111,11 @@ def _phi(x: float) -> float:
     return math.expm1(x) / x
 
 
+def _moment_overflow(f_max: float, beta: float) -> DomainError:
+    return DomainError(f"a moment at f_max {f_max} and beta {beta} passes "
+                       f"the float64 range")
+
+
 def exact_moments(f_max: float, beta: float) -> MomentPair:
     """P and F from exact integration of n(f) = (f/f_max)^(-beta) on [1, f_max].
 
@@ -123,8 +131,11 @@ def exact_moments(f_max: float, beta: float) -> MomentPair:
     """
     beta, f_max = check_beta(beta), check_cutoff(f_max, "f_max")
     log_cutoff = math.log(f_max)
-    population = f_max * log_cutoff * _phi((beta - 1.0) * log_cutoff)
-    total = f_max * f_max * log_cutoff * _phi((beta - 2.0) * log_cutoff)
+    try:
+        population = f_max * log_cutoff * _phi((beta - 1.0) * log_cutoff)
+        total = f_max * f_max * log_cutoff * _phi((beta - 2.0) * log_cutoff)
+    except OverflowError:
+        raise _moment_overflow(f_max, beta) from None
     return MomentPair(population=population, total_activity=total, f_max=f_max)
 
 
@@ -146,11 +157,14 @@ def approx_moments(f_max: float, beta: float) -> MomentPair:
     if beta == 2.0:
         square = f_max * f_max
         return MomentPair(population=square, total_activity=square, f_max=f_max)
-    population = f_max**beta / (beta - 1.0)
-    if beta < 2:
-        total = f_max * f_max / (2.0 - beta)
-    else:
-        total = f_max**beta / (beta - 2.0)
+    try:
+        population = f_max**beta / (beta - 1.0)
+        if beta < 2:
+            total = f_max * f_max / (2.0 - beta)
+        else:
+            total = f_max**beta / (beta - 2.0)
+    except OverflowError:
+        raise _moment_overflow(f_max, beta) from None
     return MomentPair(population=population, total_activity=total, f_max=f_max)
 
 
@@ -171,7 +185,11 @@ def cutoff_for_population(population: float, beta: float) -> float:
     beta = check_beta(beta)
     if not 0 < population < math.inf:  # also true for nan
         raise DomainError(f"population must be finite and positive, got {population}")
-    f_max = ((beta - 1.0) * population) ** (1.0 / beta)
+    product = (beta - 1.0) * population
+    if product < math.inf:
+        f_max = product ** (1.0 / beta)
+    else:  # the root in logs, for a product past the float64 range
+        f_max = math.exp((math.log(beta - 1.0) + math.log(population)) / beta)
     if _UNIT_CUTOFF_FLOOR <= f_max < 1.0:
         return 1.0
     if f_max < 1.0:

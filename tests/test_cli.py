@@ -22,7 +22,7 @@ import pytest
 
 import growthlab
 from growthlab import aggregate, ingest, load_events
-from growthlab.cli import main
+from growthlab.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -991,6 +991,99 @@ class TestBootstrapRepsOption:
         assert code == 1
         assert "--bootstrap-reps" in stderr
         assert stdout == ""
+
+
+_SIZE_FLAGS = [("simulate", "--days"), ("sweep", "--days"),
+               ("fit", "--bootstrap-reps"), ("predict", "--bootstrap-reps"),
+               ("collapse", "--bootstrap-reps"), ("predict", "--bins-per-decade"),
+               ("collapse", "--bins-per-decade")]
+
+
+def _size_flag_argv(tmp_path, subcommand, flag, value):
+    # Each command fails at once if the value gets past the parser: a
+    # missing --input, or --pmax below --pmin, so no test can start a run
+    # of that size.
+    out = ["--out", str(tmp_path / "out"), "--pmin", "5000", "--pmax", "100"]
+    target = {"simulate": ["--beta", "1.5", *out], "sweep": out}.get(
+        subcommand, ["--input", str(tmp_path / "events.csv")])
+    return [subcommand, *target, flag, str(value)]
+
+
+class TestSizeFlagBound:
+    """--days, --bootstrap-reps and --bins-per-decade stop at 10^8, so no
+    array numpy forms from two of them reaches 2^63 bytes."""
+
+    @pytest.mark.parametrize("subcommand, flag", _SIZE_FLAGS)
+    @pytest.mark.parametrize("value", [10**8 + 1, 2**61])
+    def test_a_value_past_the_bound_is_a_usage_error(self, tmp_path, capsys,
+                                                     subcommand, flag, value):
+        code, stdout, stderr = _run(
+            capsys, *_size_flag_argv(tmp_path, subcommand, flag, value))
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"growthlab: error: argument {flag}: '{value}' "
+                          f"must be <= 100000000\n")
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("subcommand, flag", _SIZE_FLAGS)
+    def test_the_bound_itself_is_accepted(self, tmp_path, subcommand, flag):
+        # Parsed only: a run at the bound could allocate gigabytes.
+        args = build_parser().parse_args(
+            _size_flag_argv(tmp_path, subcommand, flag, 10**8))
+        assert getattr(args, flag[2:].replace("-", "_")) == 10**8
+
+
+def _refused_allocation(*args, **kwargs):
+    raise MemoryError(f"Unable to allocate 8.00 EiB in process {os.getpid()}")
+
+
+class TestRefusedAllocation:
+    """An allocation the machine refuses is a data error carrying numpy's
+    message; the tests raise it rather than ask for memory."""
+
+    @pytest.mark.parametrize("subcommand, function", [
+        ("simulate", "synthesize_series"), ("fit", "fit_gamma_tls"),
+        ("predict", "compare_prediction"), ("collapse", "collapse_check")])
+    def test_in_process(self, tmp_path, capsys, monkeypatch, subcommand, function):
+        import growthlab.cli as cli_module
+
+        monkeypatch.setattr(cli_module, function, _refused_allocation)
+        if subcommand == "fit":
+            _write_noiseless_snapshots(tmp_path / "input")
+        else:
+            _write_model_events(tmp_path / "input")
+        target = (["--beta", "1.5", "--out", str(tmp_path / "out")]
+                  if subcommand == "simulate" else ["--input", str(tmp_path / "input")])
+        code, stdout, stderr = _run(capsys, subcommand, *target)
+        assert (code, stdout) == (2, "")
+        assert stderr == (f"growthlab: Unable to allocate 8.00 EiB in process "
+                          f"{os.getpid()}\n")
+
+    def test_in_a_forked_sweep_worker(self, tmp_path, capsys, monkeypatch):
+        from growthlab import experiment
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(experiment, "series_totals", _refused_allocation)
+        code, stdout, stderr = _run(capsys, "sweep", "--c-values", "1",
+                                    "--beta-grid", "1.5,2.5",
+                                    "--out", str(tmp_path / "sweep"))
+        assert (code, stdout) == (2, "")
+        match = re.fullmatch(r"growthlab: Unable to allocate 8\.00 EiB in "
+                             r"process (\d+)\n", stderr)
+        assert match and int(match[1]) != os.getpid()
+        assert not os.path.exists(tmp_path / "sweep" / "cells.tsv")
+
+    def test_an_empty_memory_error_still_says_what_failed(self, tmp_path, capsys,
+                                                          monkeypatch):
+        import growthlab.cli as cli_module
+
+        def bare(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, "synthesize_series", bare)
+        code, _, stderr = _run(capsys, "simulate", "--beta", "1.5",
+                               "--out", str(tmp_path / "out"))
+        assert (code, stderr) == (2, "growthlab: out of memory\n")
 
 
 class TestSeedOption:

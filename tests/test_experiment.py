@@ -158,6 +158,25 @@ class TestRunSweep:
             with pytest.raises(DomainError, match=f"lower cutoff must be >= 1, got {c}"):
                 run_sweep(c_values=(1.0, c), beta_values=(1.5,))
 
+    def test_a_beta_past_the_float_range_of_its_cutoff_fails_its_cell(self):
+        # At beta 1e308, (beta - 1) P overflows; the cutoff still comes out
+        # as 1, at the lower cutoff, so the cell fails as beta 1e300's does.
+        [high], [low] = (run_sweep(c_values=[1], beta_values=[beta])
+                         for beta in (1e308, 1e300))
+        assert (high.status, low.status) == ("failed", "failed")
+        assert high.message == low.message
+        assert re.match(r"^day 0: population \d+ gives cutoff 1 at or below "
+                        r"the lower cutoff 1\.0$", high.message)
+
+    def test_a_day_no_array_can_hold_fails_its_cell(self):
+        # Every day of this range is past 2^60 - 1 draws, so the cell is
+        # refused before any draw is made.
+        [cell] = run_sweep(c_values=[1], beta_values=[1.5], days_per_cell=10,
+                           population_range=(10**19, 10**23))
+        assert cell.status == "failed"
+        assert re.match(rf"^day 0: population must be <= {2**60 - 1}, got \d+$",
+                        cell.message)
+
     def test_grid_rejects_an_infinite_lower_cutoff(self):
         with pytest.raises(DomainError, match="^lower cutoff must be finite, got inf$"):
             run_sweep(c_values=(1.0, math.inf), beta_values=(1.5,))

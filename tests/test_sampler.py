@@ -195,6 +195,12 @@ class TestSynthesizeDay:
         with pytest.raises(DomainError):
             gl.synthesize_day(0, 2.5, cfg)
 
+    def test_rejects_a_population_no_array_can_hold(self):
+        # More float64 draws than numpy can size, refused before allocating.
+        with pytest.raises(DomainError, match=re.escape(
+                f"population must be <= {2**60 - 1}, got {2**63}")):
+            gl.synthesize_day(0, 2**63, SamplerConfig(beta=1.5))
+
     @pytest.mark.parametrize("day_index", [1.5, True, "1"])
     def test_rejects_a_non_integer_day_index(self, day_index):
         with pytest.raises(DomainError, match=re.escape(
@@ -348,6 +354,24 @@ class TestSynthesizeSeries:
         # Truncating 1000.9 would draw 1000 users below 1000.9's cutoff.
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             build(schedule, SamplerConfig(beta=1.5))
+
+    @pytest.mark.parametrize("build", [gl.synthesize_series, gl.series_totals])
+    @pytest.mark.parametrize("schedule, day", [([2**70], 0), ([1000, 2**60], 1)])
+    def test_a_population_no_array_can_hold_names_its_day(self, build,
+                                                          schedule, day):
+        assert gl.sampler._MAX_POPULATION == 2**60 - 1
+        message = (f"day {day}: population must be <= {2**60 - 1}, "
+                   f"got {schedule[day]}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build(schedule, SamplerConfig(beta=1.5))
+
+    @pytest.mark.parametrize("build", [gl.synthesize_series, gl.series_totals])
+    def test_fixed_truncation_without_a_cutoff_is_a_series_error(self, build):
+        # Checked once, before any day, so no day is named, not even a day
+        # that is bad on its own.
+        with pytest.raises(DomainError,
+                           match="^fixed-truncation requires config.upper_cutoff$"):
+            build([1.5, 1000], SamplerConfig(beta=1.5), "fixed")
 
     @pytest.mark.parametrize("build", [gl.synthesize_series, gl.series_totals])
     def test_a_failing_late_day_draws_nothing(self, build, monkeypatch):

@@ -6,6 +6,7 @@ closed-form relative errors rather than against hand-picked tolerances.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,31 @@ class TestMomentPair:
         # every user contributes at least one tag when levels start at 1
         with pytest.raises(DomainError):
             MomentPair(population=10.0, total_activity=5.0, f_max=10.0)
+
+    @pytest.mark.parametrize("population, total", [
+        (math.inf, math.inf), (1.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_a_moment_that_is_not_finite(self, population, total):
+        with pytest.raises(DomainError, match="^moments must be finite"):
+            MomentPair(population=population, total_activity=total, f_max=10.0)
+
+
+@pytest.mark.parametrize("moments, f_max, beta", [
+    (exact_moments, 10.0, 1000.0),
+    (approx_moments, 10.0, 1e308),
+    (approx_moments, 1e300, 1.5),
+])
+def test_a_moment_past_float64_is_a_domain_error(moments, f_max, beta):
+    # math.expm1 and float ** raise OverflowError here, which is no
+    # GrowthlabError.
+    message = f"a moment at f_max {f_max!r} and beta {beta!r} passes the float64 range"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        moments(f_max, beta)
+
+
+def test_a_moment_that_overflows_to_inf_is_a_domain_error():
+    # f_max * f_max overflows to inf silently; the pair refuses it.
+    with pytest.raises(DomainError, match="^moments must be finite"):
+        exact_moments(1e300, 1.5)
 
 
 class TestExactMoments:
@@ -226,6 +252,15 @@ class TestCutoffForPopulation:
         assert cutoff_for_population(2e6, 1.5) == pytest.approx(1e4, rel=1e-12)
         assert cutoff_for_population(1e3, 1.5) == pytest.approx(62.996, abs=1e-3)
         assert cutoff_for_population(1e5, 1.41) == pytest.approx(1868.4346, abs=1e-3)
+
+    def test_root_in_logs_when_the_product_overflows(self):
+        # (beta - 1) P is 1e310 here: the root is exp(log(1e310) / 1e306).
+        assert cutoff_for_population(1e4, 1e306) == 1.0
+        assert cutoff_for_population(100, 1e306) == 1.0
+        assert cutoff_for_population(1e300, 1e10) == pytest.approx(
+            math.exp((math.log(1e10 - 1) + math.log(1e300)) / 1e10), rel=1e-15)
+        # A finite product keeps the bits of the plain root.
+        assert cutoff_for_population(1e3, 1.5) == (0.5 * 1e3) ** (1 / 1.5)
 
     def test_rejects_population_too_small_for_unit_cutoff(self):
         with pytest.raises(DomainError):
