@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import hashlib
 import json
 import os
 import sys
 
 from . import __version__, seeding
-from .errors import DomainError, GrowthlabError, check_beta, check_cutoff
+from .errors import (DomainError, GrowthlabError, check_beta, check_cutoff,
+                     check_integer, read_number)
 from .estimators import binned_cloud, fit_gamma_tls, rescale_histogram
 from .experiment import _SWEEP_PROTOCOLS, collapse_check, compare_prediction, run_sweep
 from .ingest import (_fmt, _sniff_format, _snapshots_tsv, aggregate,
@@ -60,13 +62,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-
-
 # The largest --days, --bootstrap-reps or --bins-per-decade. numpy refuses
 # an array of 2^63 bytes or more, and the largest array two such flags size
 # together, bootstrap replicates by collapse bins (19 decades of int64
@@ -74,48 +69,21 @@ def _integer(text: str) -> int:
 _MAX_SIZE = 10**8
 
 
-def _bounded_int(low: int, high: int | None = None):
-    """An argparse type for integers of at least low and at most high."""
-    def parse(text: str) -> int:
-        value = _integer(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{text!r} must be >= {low}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"{text!r} must be <= {high}")
-        return value
+def _flag(kind: type, check, *rule):
+    """An argparse type: the text read as kind (int or float) by
+    read_number, then check(value, *rule), whose DomainError message
+    argparse prints. A text that is no number goes to check as it is, and
+    every check refuses a str."""
+    def parse(text: str):
+        try:
+            value = read_number(text, kind)
+        except ValueError:
+            value = text
+        try:
+            return check(value, *rule)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
-
-
-_positive_int = _bounded_int(1)
-
-
-def _seed_value(text: str) -> int:
-    try:
-        return seeding.check_seed(_integer(text))
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _number(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-
-
-def _beta_value(text: str) -> float:
-    try:
-        return check_beta(_number(text))
-    except DomainError:
-        raise argparse.ArgumentTypeError("beta must be finite and exceed 1") from None
-
-
-def _cutoff_value(text: str) -> float:
-    try:
-        return check_cutoff(_number(text), "cutoff")
-    except DomainError:
-        raise argparse.ArgumentTypeError(
-            f"cutoff must be finite and >= 1, got {text.strip()!r}") from None
 
 
 def _list_of(parse):
@@ -321,28 +289,32 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"growthlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    # Flag types: count(name, minimum, maximum) reads an int flag.
+    count = functools.partial(_flag, int, check_integer)
+    beta = _flag(float, check_beta)
+    cutoff = _flag(float, check_cutoff, "cutoff")
     # Flags that several subcommands share, each declared once.
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_seed_value, default=0)
+    seeded.add_argument("--seed", type=_flag(int, seeding.check_seed), default=0)
     resampled = argparse.ArgumentParser(add_help=False)
-    resampled.add_argument("--bootstrap-reps", type=_bounded_int(0, _MAX_SIZE),
-                           default=1000)
+    resampled.add_argument("--bootstrap-reps", default=1000,
+                           type=count("bootstrap_reps", 0, _MAX_SIZE))
     binned = argparse.ArgumentParser(add_help=False)
-    binned.add_argument("--bins-per-decade", type=_bounded_int(1, _MAX_SIZE),
-                        default=5)
+    binned.add_argument("--bins-per-decade", default=5,
+                        type=count("bins_per_decade", 1, _MAX_SIZE))
 
     simulate = sub.add_parser("simulate", parents=[seeded],
                               help="synthesize an activity series")
-    simulate.add_argument("--beta", type=_beta_value, required=True)
-    simulate.add_argument("--c", type=_cutoff_value, default=1.0,
+    simulate.add_argument("--beta", type=beta, required=True)
+    simulate.add_argument("--c", type=cutoff, default=1.0,
                           help="lower activity cutoff (default 1)")
     simulate.add_argument("--protocol", choices=sorted(_PROTOCOL_ALIASES),
                           default="coupled")
-    simulate.add_argument("--upper-cutoff", type=_cutoff_value, default=None,
+    simulate.add_argument("--upper-cutoff", type=cutoff, default=None,
                           help="cutoff for --protocol fixed")
-    simulate.add_argument("--days", type=_bounded_int(1, _MAX_SIZE), default=100)
-    simulate.add_argument("--pmin", type=_positive_int, default=1000)
-    simulate.add_argument("--pmax", type=_positive_int, default=100000)
+    simulate.add_argument("--days", type=count("days", 1, _MAX_SIZE), default=100)
+    simulate.add_argument("--pmin", type=count("pmin", 1), default=1000)
+    simulate.add_argument("--pmax", type=count("pmax", 1), default=100000)
     simulate.add_argument("--integerize", action="store_true",
                           help="floor activities to integers; also writes events.csv")
     simulate.add_argument("--out", required=True, help="output directory")
@@ -364,13 +336,13 @@ def build_parser() -> _Parser:
 
     sweep = sub.add_parser("sweep", parents=[seeded],
                            help="Monte Carlo sweep over (C, beta)")
-    sweep.add_argument("--c-values", type=_list_of(_cutoff_value), default=None,
+    sweep.add_argument("--c-values", type=_list_of(cutoff), default=None,
                        help="comma-separated cutoffs (default 1..10)")
-    sweep.add_argument("--beta-grid", type=_list_of(_beta_value), default=None,
+    sweep.add_argument("--beta-grid", type=_list_of(beta), default=None,
                        help="comma-separated betas (default 40 values in (1,10])")
-    sweep.add_argument("--days", type=_bounded_int(10, _MAX_SIZE), default=100)
-    sweep.add_argument("--pmin", type=_bounded_int(10), default=100)
-    sweep.add_argument("--pmax", type=_positive_int, default=10000)
+    sweep.add_argument("--days", type=count("days", 10, _MAX_SIZE), default=100)
+    sweep.add_argument("--pmin", type=count("pmin", 10), default=100)
+    sweep.add_argument("--pmax", type=count("pmax", 1), default=10000)
     sweep.add_argument("--protocol", default="coupled", choices=sorted(
         name for name, p in _PROTOCOL_ALIASES.items() if p in _SWEEP_PROTOCOLS))
     sweep.add_argument("--svg", default=None)
@@ -380,7 +352,7 @@ def build_parser() -> _Parser:
     collapse = sub.add_parser("collapse", parents=[binned, resampled, seeded],
                               help="fit beta from rescaled daily distributions")
     collapse.add_argument("--input", required=True, help="event log (csv/jsonl)")
-    collapse.add_argument("--beta", type=_beta_value, default=None,
+    collapse.add_argument("--beta", type=beta, default=None,
                           help="score the collapse against this fixed beta")
     collapse.add_argument("--svg", default=None)
     collapse.add_argument("--out", default=None)

@@ -2,15 +2,18 @@
 
 Every error raised on bad parameters or bad data derives from GrowthlabError,
 so callers (and the command line front end) can separate "your input is wrong"
-from genuine bugs. Each input rule is decided here alone: a count is an int
-(check_integer), beta a finite number above 1 (check_beta), a cutoff (C, U,
-f_max, x_min) a finite number of at least 1 (check_cutoff), and a population
-range finite with minimum <= low < high (check_population_range). A number
-is an int, float or numpy number, never a bool; a value that breaks its rule
-is a DomainError naming the argument.
+from genuine bugs. Each input rule is decided here alone: the text of a
+number, in a flag or a data cell, is printable ASCII without "_" that int()
+or float() reads (read_number); a count is an int (check_integer), beta a
+finite number above 1 (check_beta), a cutoff (C, U, f_max, x_min) or a
+snapshot's P and F a finite number of at least 1 (check_cutoff), and a
+population range finite with minimum <= low < high (check_population_range).
+A number is an int, float or numpy number, never a bool; a value that breaks
+its rule is a DomainError naming the argument.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -43,6 +46,18 @@ def check_integer(value, name: str, minimum: int | None = None,
     if maximum is not None and value > maximum:
         raise DomainError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
+
+
+# int() and float() alone also read "1_0" and digits of other scripts.
+_NUMBER_TEXT = re.compile(r"\s*[!-^`-~]+\s*")  # printable ASCII but "_"
+
+
+def read_number(text: str, kind: type = float):
+    """kind(text), kind int or float, if text is printable ASCII but "_"
+    within optional whitespace; else ValueError, as kind raises it too."""
+    if not _NUMBER_TEXT.fullmatch(text):
+        raise ValueError(text)
+    return kind(text)
 
 
 _NUMBER = (int, float, np.integer, np.floating)

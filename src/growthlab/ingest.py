@@ -6,7 +6,8 @@ the same three keys. ``day`` is either an ISO ``YYYY-MM-DD`` date or an
 integer day index, ``count`` a positive integer that fits in 64 bits. A
 snapshot table is tab-separated with the header ``day P F f_max``, one
 row per day; it holds each day's (P, F) pair but no per-user histogram.
-Parsing is strict, numbers in ASCII without ``_``, and error messages
+Parsing is strict, numbers in the grammar of ``errors.read_number``
+(ASCII without ``_``, as for the command line's flags), and error messages
 name the offending line, because silent coercion of a malformed
 activity log poisons every estimate downstream.
 
@@ -43,7 +44,7 @@ from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, check_cutoff, read_number
 
 __all__ = [
     "DailySnapshot",
@@ -70,9 +71,8 @@ _FORMAT_BY_SUFFIX = {".tsv": "snapshot", ".csv": "csv", ".jsonl": "jsonl",
 
 _INT64_MAX = 2**63 - 1
 
-# int(), float() and date.fromisoformat() alone also read "1_0", digits of
-# other scripts and, from Python 3.11, week dates such as 2009-W01-1.
-_NUMBER = re.compile(r"\s*[!-^`-~]+\s*")  # printable ASCII but "_"
+# date.fromisoformat() alone also reads digits of other scripts and, from
+# Python 3.11, week dates such as 2009-W01-1.
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # The CSV block reader reads this many characters, then the rest of the line.
@@ -228,20 +228,13 @@ class _TableBuilder:
                           self.user_codes, self.counts)
 
 
-def _ascii_number(parse, text: str):
-    """parse(text) if text is printable ASCII but "_", else ValueError."""
-    if not _NUMBER.fullmatch(text):
-        raise ValueError(text)
-    return parse(text)
-
-
 def _parse_day(text: str) -> Day:
     """ISO date if it looks like one, else integer index."""
     text = text.strip()
     try:
         if _ISO_DATE.fullmatch(text):
             return dt.date.fromisoformat(text)
-        return _ascii_number(int, text)
+        return read_number(text, int)
     except ValueError:
         raise DataError(f"day {text!r} is neither an ISO date nor an integer") from None
 
@@ -271,7 +264,7 @@ def _check_count(count: object) -> int:
 def _parse_count(raw: object) -> int:
     if isinstance(raw, str):
         try:
-            raw = _ascii_number(int, raw)  # int() ignores surrounding whitespace
+            raw = read_number(raw, int)  # int() ignores surrounding whitespace
         except ValueError:
             raise DataError(f"count {raw!r} is not an integer") from None
     return _check_count(raw)
@@ -452,16 +445,12 @@ def _parse_snapshots(text: IO[str]) -> list[tuple[float, float]]:
                 raise DataError(f"day {_format_day(day)} repeats")
             days.add(day)
             try:
-                population, activity, f_max = [_ascii_number(float, c) for c in cells[1:]]
+                values = [read_number(cell) for cell in cells[1:]]
             except ValueError:
                 raise DataError("P, F and f_max must be numeric") from None
-            # Also false for nan, which no comparison admits.
-            if not (1.0 <= population < math.inf and 1.0 <= activity < math.inf):
-                raise DataError(f"P and F must be finite and >= 1, got "
-                                f"{cells[1].strip()!r} and {cells[2].strip()!r}")
-            if not 1.0 <= f_max < math.inf:
-                raise DataError(f"f_max must be finite and >= 1, got {cells[3].strip()!r}")
-        except DataError as exc:
+            # Each finite and at least 1; a message names its column.
+            population, activity, _ = map(check_cutoff, values, _SNAPSHOT_HEADER[1:])
+        except (DataError, DomainError) as exc:
             raise DataError(f"line {lineno}: {exc}") from None
         pairs.append((population, activity))
     return pairs

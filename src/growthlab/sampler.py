@@ -268,7 +268,7 @@ def canonical_protocol(name: str) -> str:
 def _day_cutoff(config: SamplerConfig, protocol: str, population: int) -> float | None:
     """A day's upper cutoff under `protocol`, or None for unbounded."""
     if protocol == "coupled-truncation":
-        cutoff = cutoff_for_population(float(population), config.beta)
+        cutoff = cutoff_for_population(population, config.beta)
         if cutoff <= config.lower_cutoff:
             raise DomainError(
                 f"population {population} gives cutoff {cutoff:.6g} at or "

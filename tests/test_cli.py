@@ -9,6 +9,7 @@ subprocess to prove the packaging wiring.
 import gc
 import json
 import hashlib
+import io
 import os
 import re
 import shutil
@@ -22,7 +23,7 @@ import pytest
 
 import growthlab
 from growthlab import aggregate, ingest, load_events
-from growthlab.cli import build_parser, main
+from growthlab.cli import _UsageError, build_parser, main
 
 
 def _run(capsys, *argv):
@@ -220,15 +221,15 @@ class TestSimulate:
             code, _, stderr = _run(capsys, *argv)
             assert code == 1
             assert "error" in stderr
-        cutoff = "cutoff must be finite and >= 1, got"
         for flags, message in [
-            (["--c", "0.5"], f"argument --c: {cutoff} '0.5'"),
-            (["--c", "nan"], f"argument --c: {cutoff} 'nan'"),
-            (["--c", "inf"], f"argument --c: {cutoff} 'inf'"),
+            (["--c", "0.5"], "argument --c: cutoff must be >= 1, got 0.5"),
+            (["--c", "nan"], "argument --c: cutoff must be >= 1, got nan"),
+            (["--c", "inf"], "argument --c: cutoff must be finite, got inf"),
+            (["--c", "abc"], "argument --c: cutoff must be >= 1, got 'abc'"),
             (["--protocol", "fixed", "--upper-cutoff", "nan"],
-             f"argument --upper-cutoff: {cutoff} 'nan'"),
+             "argument --upper-cutoff: cutoff must be >= 1, got nan"),
             (["--protocol", "fixed", "--upper-cutoff", "0"],
-             f"argument --upper-cutoff: {cutoff} '0'"),
+             "argument --upper-cutoff: cutoff must be >= 1, got 0.0"),
             (["--protocol", "fixed", "--c", "3", "--upper-cutoff", "3"],
              "--upper-cutoff must exceed --c"),
             (["--c", "5", "--upper-cutoff", "2"], "--upper-cutoff must exceed --c"),
@@ -241,11 +242,20 @@ class TestSimulate:
             assert (code, stdout) == (1, "")
             assert stderr == f"growthlab: error: {message}\n"
 
+    def test_a_population_too_small_for_a_cutoff_is_a_data_error(self, tmp_path,
+                                                                  capsys):
+        code, stdout, stderr = _run(capsys, "simulate", "--beta", "1.0000001",
+                                    "--days", "2", "--out", str(tmp_path / "x"))
+        assert (code, stdout) == (2, "")
+        assert stderr == ("growthlab: day 0: population 88642 too small for a "
+                          "cutoff >= 1 at beta 1.0000001\n")
+
     def test_beta_that_is_not_a_number_is_a_usage_error(self, tmp_path, capsys):
         code, stdout, stderr = _run(capsys, "simulate", "--beta", "abc",
                                     "--out", str(tmp_path / "x"))
         assert (code, stdout) == (1, "")
-        assert stderr == "growthlab: error: argument --beta: 'abc' is not a number\n"
+        assert stderr == ("growthlab: error: argument --beta: beta must be finite "
+                          "and exceed 1, got 'abc'\n")
 
     @pytest.mark.parametrize("protocol, ok", [
         ("coupled", True), ("fixed", True), ("unbounded", True),
@@ -428,18 +438,24 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, stdout, stderr = _run(capsys, "fit", "--input", str(path))
-        assert code == 2
-        assert stderr.startswith("growthlab: line 4: P and F must be finite")
-        assert "RuntimeWarning" not in stderr and "bracket" not in stderr
-        assert stdout == ""
+        message = {
+            ("nan", "2000"): "P must be >= 1, got nan",
+            ("1000", "inf"): "F must be finite, got inf",
+            ("-inf", "2000"): "P must be >= 1, got -inf",
+            ("1000", "NaN"): "F must be >= 1, got nan",
+            ("0.5", "2000"): "P must be >= 1, got 0.5",
+            ("1000", "0"): "F must be >= 1, got 0.0",
+        }[population, activity]
+        assert (code, stdout) == (2, "")
+        assert stderr == f"growthlab: line 4: {message}\n"
 
     @pytest.mark.parametrize("row, message", [
         ("foo\t1000\t15000\tbar", "day 'foo' is neither an ISO date nor an integer"),
         ("2\t1000\t15000\tbar", "P, F and f_max must be numeric"),
-        ("2\t1000\t15000\t-5", "f_max must be finite and >= 1, got '-5'"),
-        ("2\t1000\t15000\tnan", "f_max must be finite and >= 1, got 'nan'"),
-        ("2\t1000\t15000\tinf", "f_max must be finite and >= 1, got 'inf'"),
-        ("2\t1000\t15000\t0.5", "f_max must be finite and >= 1, got '0.5'"),
+        ("2\t1000\t15000\t-5", "f_max must be >= 1, got -5.0"),
+        ("2\t1000\t15000\tnan", "f_max must be >= 1, got nan"),
+        ("2\t1000\t15000\tinf", "f_max must be finite, got inf"),
+        ("2\t1000\t15000\t0.5", "f_max must be >= 1, got 0.5"),
         ("1\t1000\t15000\t100", "day 1 repeats"),
         (" 01\t1000\t15000\t100", "day 1 repeats"),
     ], ids=["day-foo", "f_max-bar", "f_max-negative", "f_max-nan", "f_max-inf",
@@ -878,11 +894,11 @@ class TestSweep:
         assert code == 1
         assert "exceed 1" in stderr
         for flag, values, message in [
-            ("--beta-grid", "1.5,nan", "beta must be finite and exceed 1"),
-            ("--beta-grid", "inf", "beta must be finite and exceed 1"),
-            ("--c-values", "0.5", "cutoff must be finite and >= 1, got '0.5'"),
-            ("--c-values", "1,nan", "cutoff must be finite and >= 1, got 'nan'"),
-            ("--c-values", "inf", "cutoff must be finite and >= 1, got 'inf'"),
+            ("--beta-grid", "1.5,nan", "beta must be finite and exceed 1, got nan"),
+            ("--beta-grid", "inf", "beta must be finite and exceed 1, got inf"),
+            ("--c-values", "0.5", "cutoff must be >= 1, got 0.5"),
+            ("--c-values", "1,nan", "cutoff must be >= 1, got nan"),
+            ("--c-values", "inf", "cutoff must be finite, got inf"),
         ]:
             code, stdout, stderr = _run(capsys, "sweep", flag, values, "--out", out)
             assert (code, stdout) == (1, "")
@@ -896,8 +912,8 @@ class TestSweep:
         assert stderr == "growthlab: error: --c-values must name at least one cutoff\n"
 
     @pytest.mark.parametrize("flags, message", [
-        (["--pmin", "5"], "argument --pmin: '5' must be >= 10"),
-        (["--days", "5"], "argument --days: '5' must be >= 10"),
+        (["--pmin", "5"], "argument --pmin: pmin must be >= 10, got 5"),
+        (["--days", "5"], "argument --days: days must be >= 10, got 5"),
         (["--pmin", "5000", "--pmax", "5000"], "--pmax must exceed --pmin"),
     ], ids=["pmin", "days", "pmax-equals-pmin"])
     def test_population_and_day_flags_name_the_flag(self, tmp_path, capsys,
@@ -988,9 +1004,16 @@ class TestBootstrapRepsOption:
             else ["--input", str(tmp_path / "events.csv")]
         code, stdout, stderr = _run(capsys, subcommand, *target,
                                     "--bootstrap-reps", value)
-        assert code == 1
-        assert "--bootstrap-reps" in stderr
-        assert stdout == ""
+        assert (code, stdout) == (1, "")
+        if subcommand == "sweep":
+            # sweep draws no bootstrap: it has no such flag to read a count.
+            assert stderr == ("growthlab: error: unrecognized arguments: "
+                              f"--bootstrap-reps {value}\n")
+            return
+        rule = "must be >= 0, got -3" if value == "-3" \
+            else "must be an integer, got 'many'"
+        assert stderr == ("growthlab: error: argument --bootstrap-reps: "
+                          f"bootstrap_reps {rule}\n")
 
 
 _SIZE_FLAGS = [("simulate", "--days"), ("sweep", "--days"),
@@ -1020,8 +1043,9 @@ class TestSizeFlagBound:
         code, stdout, stderr = _run(
             capsys, *_size_flag_argv(tmp_path, subcommand, flag, value))
         assert (code, stdout) == (1, "")
-        assert stderr == (f"growthlab: error: argument {flag}: '{value}' "
-                          f"must be <= 100000000\n")
+        name = flag[2:].replace("-", "_")
+        assert stderr == (f"growthlab: error: argument {flag}: {name} "
+                          f"must be <= 100000000, got {value}\n")
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("subcommand, flag", _SIZE_FLAGS)
@@ -1030,6 +1054,85 @@ class TestSizeFlagBound:
         args = build_parser().parse_args(
             _size_flag_argv(tmp_path, subcommand, flag, 10**8))
         assert getattr(args, flag[2:].replace("-", "_")) == 10**8
+
+
+# Each numeric flag, and the message its check gives a text that is no
+# number; {!r} is the text.
+_NUMERIC_FLAGS = [
+    *[("simulate", flag) for flag in ("--beta", "--c", "--upper-cutoff",
+                                      "--days", "--pmin", "--pmax", "--seed")],
+    *[("sweep", flag) for flag in ("--c-values", "--beta-grid", "--days",
+                                   "--pmin", "--pmax", "--seed")],
+    *[(subcommand, flag) for subcommand in ("fit", "predict", "collapse")
+      for flag in ("--bootstrap-reps", "--seed")],
+    ("predict", "--bins-per-decade"), ("collapse", "--bins-per-decade"),
+    ("collapse", "--beta"),
+]
+_NOT_A_NUMBER = {
+    "--beta": "beta must be finite and exceed 1, got {!r}",
+    "--beta-grid": "beta must be finite and exceed 1, got {!r}",
+    "--c": "cutoff must be >= 1, got {!r}",
+    "--upper-cutoff": "cutoff must be >= 1, got {!r}",
+    "--c-values": "cutoff must be >= 1, got {!r}",
+    "--days": "days must be an integer, got {!r}",
+    "--pmin": "pmin must be an integer, got {!r}",
+    "--pmax": "pmax must be an integer, got {!r}",
+    "--seed": "seed must be an integer, got {!r}",
+    "--bootstrap-reps": "bootstrap_reps must be an integer, got {!r}",
+    "--bins-per-decade": "bins_per_decade must be an integer, got {!r}",
+}
+# The texts a data cell refuses as a number (test_ingest.BAD_NUMBERS), a
+# fullwidth digit one, and Arabic-Indic seven and one point five.
+_BAD_NUMBER_TEXTS = ["1_000", "1_0", "\u0663", "\uff11", "\u0667",
+                     "\u0661.\u0665"]
+
+
+def _flag_argv(tmp_path, subcommand, flag, text):
+    target = {"simulate": ["--beta", "1.5", "--out", str(tmp_path / "out")],
+              "sweep": ["--out", str(tmp_path / "out")]}.get(
+        subcommand, ["--input", str(tmp_path / "events.csv")])
+    return [subcommand, *target, flag, text]
+
+
+class TestFlagNumberGrammar:
+    """A flag reads a number as a data cell does (errors.read_number), and
+    its check's message names what is wrong."""
+
+    @pytest.mark.parametrize("subcommand, flag", _NUMERIC_FLAGS)
+    @pytest.mark.parametrize("text", _BAD_NUMBER_TEXTS)
+    def test_a_text_a_data_cell_refuses_is_a_usage_error(
+            self, tmp_path, capsys, subcommand, flag, text):
+        code, stdout, stderr = _run(
+            capsys, *_flag_argv(tmp_path, subcommand, flag, text))
+        assert (code, stdout) == (1, "")
+        message = _NOT_A_NUMBER[flag].format(text)
+        assert stderr == f"growthlab: error: argument {flag}: {message}\n"
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("text, value", [
+        (" 7 ", 7), ("+7", 7), ("07", 7), ("1_0", None), ("\u0663", None),
+        ("7.0", None), ("0", None), ("-7", None)])
+    def test_a_flag_and_a_count_cell_accept_the_same_texts(self, text, value):
+        argv = ["simulate", "--beta", "1.5", "--out", "out", "--pmin", text]
+        cell = io.BytesIO(f"user_id,day,count\nu,0,{text}\n".encode())
+        if value is None:
+            with pytest.raises(_UsageError, match="^argument --pmin: pmin must be "):
+                build_parser().parse_args(argv)
+            with pytest.raises(growthlab.DataError, match="^line 2: count "):
+                growthlab.parse_events(cell)
+        else:
+            assert build_parser().parse_args(argv).pmin == value
+            assert growthlab.parse_events(cell).counts.tolist() == [value]
+
+    def test_valid_flags_parse_to_the_values_of_before(self, tmp_path):
+        args = build_parser().parse_args(
+            ["simulate", "--beta", " 1.5", "--c", "2", "--protocol", "fixed",
+             "--upper-cutoff", "1e2", "--days", "+12", "--pmin", "010",
+             "--pmax", "2000", "--seed", "18446744073709551615", "--out", "o"])
+        parsed = (args.beta, args.c, args.upper_cutoff, args.days, args.pmin,
+                  args.pmax, args.seed)
+        assert parsed == (1.5, 2.0, 100.0, 12, 10, 2000, 2**64 - 1)
+        assert [type(value) for value in parsed] == [float] * 3 + [int] * 4
 
 
 def _refused_allocation(*args, **kwargs):

@@ -2,7 +2,9 @@
 
 beta, cutoffs and population ranges each have one check in errors; every
 entry point that takes one must reject a bad value with that check's
-DomainError, and no module may grow its own copy of the beta rule.
+DomainError, and no module may grow its own copy of the beta rule. The
+text of a number has one grammar there too, read_number, which the
+command line's flags and the data readers share.
 """
 
 import ast
@@ -34,6 +36,7 @@ from growthlab.errors import (
     check_beta,
     check_cutoff,
     check_population_range,
+    read_number,
 )
 
 _BAD_BETAS = [math.inf, math.nan, 1.0, True, "1.5", None]
@@ -230,3 +233,44 @@ def test_only_errors_decides_whether_a_beta_is_valid():
     copies = sorted(hit for hit in found if hit[:2] not in _ALLOWED_BETA_COMPARISONS)
     assert copies == [], "compare beta with 1 only in errors.check_beta"
     assert {hit[:2] for hit in found} == _ALLOWED_BETA_COMPARISONS
+
+
+class TestReadNumber:
+    @pytest.mark.parametrize("text, kind, value", [
+        ("7", int, 7), (" 7 ", int, 7), ("+7", int, 7), ("-3", int, -3),
+        ("07", int, 7), ("2.5", float, 2.5), (" 1e3\t", float, 1000.0),
+        ("7", float, 7.0), ("1e999", float, math.inf)])
+    def test_reads_an_ascii_number(self, text, kind, value):
+        number = read_number(text, kind)
+        assert type(number) is kind and number == value
+
+    @pytest.mark.parametrize("kind", [int, float])
+    @pytest.mark.parametrize("text", ["1_000", "1_0", "\u0663", "\uff11",
+                                      "\u0661.\u0665", "", " ", "abc", "7 7"])
+    def test_refuses_what_is_no_ascii_number(self, text, kind):
+        with pytest.raises(ValueError):
+            read_number(text, kind)
+
+    def test_an_int_is_digits_only(self):
+        with pytest.raises(ValueError):
+            read_number("7.0", int)
+
+    def test_float_is_the_default_kind(self):
+        assert read_number(" 3 ") == 3.0 and type(read_number("3")) is float
+
+
+def test_only_errors_reads_the_text_of_a_number():
+    package = pathlib.Path(growthlab.__file__).parent
+    grammar = "[!-^`-~]"  # the character class of errors._NUMBER_TEXT
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if grammar in path.read_text(encoding="utf-8")] == ["errors.py"]
+    # The command line converts no text itself and bounds no value itself.
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    conversions = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in ("int", "float")]
+    bounds = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+              and any(isinstance(operand, ast.Constant)
+                      and type(operand.value) in (int, float)
+                      for operand in (node.left, *node.comparators))]
+    assert (conversions, bounds) == ([], [])

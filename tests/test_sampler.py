@@ -295,6 +295,13 @@ class TestProtocols:
         with pytest.raises(DomainError, match="day 0"):
             gl.synthesize_series([100], cfg)
 
+    @pytest.mark.parametrize("build", [gl.synthesize_series, gl.series_totals])
+    def test_a_population_too_small_for_any_cutoff_prints_as_an_int(self, build):
+        # (beta - 1) * P = 5e-7, whose root is far below a cutoff of 1.
+        message = "day 0: population 5 too small for a cutoff >= 1 at beta 1.0000001"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build([5], SamplerConfig(beta=1.0000001))
+
     def test_fixed_truncation_requires_a_configured_cutoff(self):
         cfg = SamplerConfig(beta=1.5, lower_cutoff=1.0, seed=0)
         with pytest.raises(DomainError, match="fixed-truncation"):
@@ -476,7 +483,7 @@ class TestEventsFromSeries:
 def _reference_day_config(config, protocol, day_index, population):
     if protocol == "coupled-truncation":
         try:
-            cutoff = cutoff_for_population(float(population), config.beta)
+            cutoff = cutoff_for_population(population, config.beta)
         except DomainError as exc:
             raise DomainError(f"day {day_index}: {exc}") from None
         if cutoff <= config.lower_cutoff:
