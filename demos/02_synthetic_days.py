@@ -20,7 +20,6 @@ from growthlab import (
     collapse_check,
     fit_beta_likelihood,
     log_uniform_schedule,
-    rescale_histogram,
     score_against_beta,
     seeding,
     synthesize_series,
@@ -74,10 +73,10 @@ print(f"likelihood fit:      beta = {likelihood.beta:.4f}"
 
 # Scoring against a hypothesis pins the slope instead of fitting it:
 # the true exponent scores essentially as well as the free fit, a wrong
-# one visibly worse.
-rescaled = [rescale_histogram(s) for s in series.days]
+# one visibly worse. The collapse functions take the days as they are and
+# rescale each by its own f_max.
 for hypothesis in (BETA, BETA + 0.4):
-    score = score_against_beta(rescaled, hypothesis)
+    score = score_against_beta(series.days, hypothesis)
     print(f"score against fixed beta {hypothesis:.2f}: {score:.4f}")
 
 # Draw the two-panel figure: raw daily histograms fanning out left,
@@ -85,5 +84,5 @@ for hypothesis in (BETA, BETA + 0.4):
 out_dir = pathlib.Path(__file__).resolve().parent / "demo_output"
 out_dir.mkdir(exist_ok=True)
 figure = out_dir / "collapse.svg"
-figure.write_text(collapse_svg(series.days, binned_cloud(rescaled), fit.beta))
+figure.write_text(collapse_svg(series.days, binned_cloud(series.days), fit.beta))
 print(f"\nwrote {figure}")

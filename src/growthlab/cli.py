@@ -29,7 +29,7 @@ import sys
 from . import __version__, seeding
 from .errors import (DomainError, GrowthlabError, check_beta, check_cutoff,
                      check_integer, read_number)
-from .estimators import binned_cloud, fit_gamma_tls, rescale_histogram
+from .estimators import binned_cloud, fit_gamma_tls
 from .experiment import _SWEEP_PROTOCOLS, collapse_check, compare_prediction, run_sweep
 from .ingest import (_fmt, _sniff_format, _snapshots_tsv, aggregate,
                      parse_events, parse_pairs, write_events_csv)
@@ -277,8 +277,7 @@ def cmd_collapse(args: argparse.Namespace) -> dict:
         print(f"# hypothesis beta {_fmt(args.beta)}: adj_r2 {_fmt(quality)}")
     if args.svg:
         from .svg import collapse_svg
-        rescaled = [rescale_histogram(s) for s in snapshots]
-        cloud = binned_cloud(rescaled, args.bins_per_decade)
+        cloud = binned_cloud(snapshots, args.bins_per_decade)
         _write_figure(args.svg, collapse_svg(snapshots, cloud, fit.beta))
     return inputs
 

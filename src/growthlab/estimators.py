@@ -9,12 +9,15 @@ least squares is not attenuated on these data: fit_gamma_ols, kept
 alongside, gives slopes within 1e-3 of TLS on coupled series.
 
 pool_and_fit_beta measures the activity exponent beta from the daily
-histograms themselves: each day is rescaled by its own cutoff (f/f_max),
+histograms themselves, the DailySnapshots that aggregate and
+synthesize_series give: each day is rescaled by its own cutoff (f/f_max),
 all days are pooled onto the common master curve (f/f_max)^(-beta), the
 cloud is averaged in logarithmic bins (per contributing day, so a huge day
 cannot outvote a small one), and the exponent is the negative log-log
 slope. Its model is n(k) ~ k^-beta at integer k, which the floored draws
-of the sampler do not follow: on them it reads beta low.
+of the sampler do not follow: on them it reads beta low. A day that
+rescale_histogram has already rescaled has f_max 1.0 and gives the same
+bits.
 
 fit_beta_likelihood measures beta under the model the sampler draws, a
 power law on [C, U_d] truncated at each day's maximum and floored for
@@ -48,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,7 +63,6 @@ from .ingest import DailySnapshot, _fmt
 __all__ = [
     "TlsFit",
     "BetaFit",
-    "RescaledHistogram",
     "fit_gamma_tls",
     "fit_gamma_ols",
     "rescale_histogram",
@@ -111,39 +113,6 @@ class BetaFit:
         low, high = self.ci95_beta
         if not (low <= self.beta <= high):
             raise DomainError("ci95_beta must bracket beta")
-
-
-@dataclass(frozen=True, eq=False)
-class RescaledHistogram:
-    """One day's histogram in master-curve coordinates (f/f_max, n).
-
-    Held as read-only float arrays of one length, copied on construction:
-    rel, the relative activities f/f_max, and counts, the user count at
-    each.
-    """
-
-    rel: np.ndarray
-    counts: np.ndarray
-    source_day: Hashable
-    f_max: float
-
-    def __post_init__(self) -> None:
-        rel = np.array(self.rel, dtype=float)
-        counts = np.array(self.counts, dtype=float)
-        if rel.ndim != 1 or rel.shape != counts.shape:
-            raise DomainError("rel and counts must be 1-D and of one length")
-        if not len(rel):
-            raise DomainError("a rescaled histogram needs at least one point")
-        if not math.isclose(rel.max(), 1.0, rel_tol=1e-12):
-            raise DomainError("the rescaled cutoff point must sit at 1.0")
-        bad = ~((rel > 0.0) & (rel <= 1.0 + 1e-12))
-        if bad.any():
-            raise DomainError(f"relative activity {rel[bad][0]} outside (0, 1]")
-        if not (counts > 0).all():
-            raise DomainError(f"count {counts[~(counts > 0)][0]} must be positive")
-        for name, array in (("rel", rel), ("counts", counts)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
 
 
 def _line_sums(x: np.ndarray, y: np.ndarray, weights: np.ndarray
@@ -242,7 +211,10 @@ def _as_log_pairs(series) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("need at least 3 days to fit a growth line")
     # Also true for nan, which no comparison admits.
     if not np.all((pairs >= 1.0) & (pairs < np.inf)):
-        raise DomainError("all populations and activities must be finite and >= 1")
+        # check_cutoff names the first bad value as a snapshot row does.
+        for pair in pairs.tolist():
+            for value, column in zip(pair, "PF"):
+                check_cutoff(value, column)
     x = np.log10(pairs[:, 0])
     if x.min() == x.max():
         raise DomainError(f"all {len(x)} days have population {_fmt(pairs[0, 0])};"
@@ -306,16 +278,18 @@ def fit_gamma_ols(series: Iterable[tuple[float, float]]) -> tuple[float, float]:
     return slope, float(mean_y[0] - slope * mean_x[0])
 
 
-def rescale_histogram(snapshot: DailySnapshot) -> RescaledHistogram:
+def rescale_histogram(snapshot: DailySnapshot) -> DailySnapshot:
     """Map a day's histogram n(f) onto master-curve coordinates.
 
-    Divides every activity level by the day's own maximum, which is the
-    realized stand-in for the cutoff; by construction the rightmost point
-    lands at relative activity 1.0 with count >= 1.
+    Divides every activity level, and the total activity, by the day's own
+    maximum, which is the realized stand-in for the cutoff; by construction
+    the rightmost point lands at relative activity 1.0, so the result's
+    f_max is 1.0. The collapse estimators rescale each day themselves, with
+    the same division, and give the same bits for either day.
     """
     f_max = snapshot.f_max
-    return RescaledHistogram(snapshot.levels / f_max, snapshot.counts,
-                             snapshot.day, f_max)
+    return DailySnapshot(snapshot.day, snapshot.total_activity / f_max,
+                         snapshot.levels / f_max, snapshot.counts)
 
 
 def _bin_indices(rel: np.ndarray, bins_per_decade: int) -> np.ndarray:
@@ -333,10 +307,10 @@ def _bin_indices(rel: np.ndarray, bins_per_decade: int) -> np.ndarray:
     return np.maximum(np.floor(scaled).astype(np.int64), 0)
 
 
-def _day_bin_matrices(rescaled: Sequence[RescaledHistogram], bins_per_decade: int
+def _day_bin_matrices(days: Sequence[DailySnapshot], bins_per_decade: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each day binned once: day x bin value and weight matrices (M, I), and
-    each day's smallest relative activity.
+    each day's smallest relative activity f/f_max.
 
     M holds the day's mean count in the bin and I is 1 where the day has a
     point there. For day multiplicities w, the binned cloud of the
@@ -346,10 +320,10 @@ def _day_bin_matrices(rescaled: Sequence[RescaledHistogram], bins_per_decade: in
     populate at least 3 bins.
     """
     bins_per_decade = check_integer(bins_per_decade, "bins_per_decade", 1)
-    if len(rescaled) == 0:
+    if len(days) == 0:
         raise DomainError("need at least one rescaled histogram")
-    sizes = [len(hist.rel) for hist in rescaled]
-    rel = np.concatenate([hist.rel for hist in rescaled])
+    sizes = [len(day.levels) for day in days]
+    rel = np.concatenate([day.levels / day.f_max for day in days])
     day_min_rel = np.minimum.reduceat(rel, np.cumsum(sizes) - sizes)
     if day_min_rel.min() > 0.1:
         raise DomainError(
@@ -357,9 +331,9 @@ def _day_bin_matrices(rescaled: Sequence[RescaledHistogram], bins_per_decade: in
         )
     bins = _bin_indices(rel, bins_per_decade)
     n_bins = 1 + int(bins.max())
-    cells = np.repeat(np.arange(len(rescaled)) * n_bins, sizes) + bins
-    shape = (len(rescaled), n_bins)
-    sums = np.bincount(cells, np.concatenate([hist.counts for hist in rescaled]),
+    cells = np.repeat(np.arange(len(days)) * n_bins, sizes) + bins
+    shape = (len(days), n_bins)
+    sums = np.bincount(cells, np.concatenate([day.counts for day in days]),
                        minlength=shape[0] * n_bins).reshape(shape)
     points = np.bincount(cells, minlength=shape[0] * n_bins).reshape(shape)
     present = points > 0
@@ -369,23 +343,24 @@ def _day_bin_matrices(rescaled: Sequence[RescaledHistogram], bins_per_decade: in
     return means, present.astype(float), day_min_rel
 
 
-def binned_cloud(rescaled: Sequence[RescaledHistogram], bins_per_decade: int = 5
+def binned_cloud(days: Sequence[DailySnapshot], bins_per_decade: int = 5
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Pool rescaled days and average counts in logarithmic bins.
+    """Pool days rescaled by their own f_max and average counts in
+    logarithmic bins.
 
     Bin j spans relative activity (10^-(j+1)/b, 10^-j/b] with geometric
     center 10^-(j+0.5)/b. Each bin value is the mean over contributing days
     of that day's own mean count, so every day carries equal weight.
     Returns (log10 centers, log10 mean counts) for the populated bins.
     """
-    values, weights, _ = _day_bin_matrices(rescaled, bins_per_decade)
+    values, weights, _ = _day_bin_matrices(days, bins_per_decade)
     totals = weights.sum(axis=0)
     populated = np.flatnonzero(totals > 0)
     return (-(populated + 0.5) / bins_per_decade,
             np.log10(values.sum(axis=0)[populated] / totals[populated]))
 
 
-def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
+def pool_and_fit_beta(days: Sequence[DailySnapshot],
                       bins_per_decade: int = 5, bootstrap_reps: int = 1000,
                       seed: int = 0) -> BetaFit:
     """Activity exponent from the pooled, log-binned master curve.
@@ -407,10 +382,10 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
     """
     seed = seeding.check_seed(seed)
     bootstrap_reps = check_integer(bootstrap_reps, "bootstrap_reps", 0)
-    rescaled = list(rescaled)
+    days = list(days)
     day_values, day_weights, day_min_rel = _day_bin_matrices(
-        rescaled, bins_per_decade)
-    n_days = len(rescaled)
+        days, bins_per_decade)
+    n_days = len(days)
     weights = np.vstack([np.ones((1, n_days)),
                          _bootstrap_weights(n_days, bootstrap_reps, seed)])
     sums = np.einsum("rd,db->rb", weights, day_values)
@@ -436,11 +411,11 @@ def pool_and_fit_beta(rescaled: Sequence[RescaledHistogram],
         ci95_beta=_percentile_ci(rep_betas[rep_betas > 1], beta),
         adjusted_r2=_adjusted_r2(-beta, sxx[0], syy[0], sxy[0], int(mask[0].sum())),
         method="collapse-regression",
-        n_points_or_samples=sum(len(hist.rel) for hist in rescaled),
+        n_points_or_samples=sum(len(day.levels) for day in days),
     )
 
 
-def score_against_beta(rescaled: Sequence[RescaledHistogram], beta: float,
+def score_against_beta(days: Sequence[DailySnapshot], beta: float,
                        bins_per_decade: int = 5) -> float:
     """Adjusted R^2 of the pooled cloud against a FIXED slope -beta.
 
@@ -448,7 +423,7 @@ def score_against_beta(rescaled: Sequence[RescaledHistogram], beta: float,
     exponent, not the scale). Can be arbitrarily negative for a bad beta.
     """
     beta = check_beta(beta)
-    centers, values = binned_cloud(rescaled, bins_per_decade)
+    centers, values = binned_cloud(days, bins_per_decade)
     _, _, sxx, syy, sxy = _line_sums(centers, values, np.ones((1, len(centers))))
     return _adjusted_r2(-beta, sxx[0], syy[0], sxy[0], len(centers))
 

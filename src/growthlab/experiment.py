@@ -40,7 +40,6 @@ from .estimators import (
     TlsFit,
     fit_gamma_tls,
     pool_and_fit_beta,
-    rescale_histogram,
     score_against_beta,
 )
 from .ingest import DailySnapshot
@@ -344,12 +343,11 @@ def collapse_check(series, beta_hypothesis: float | None = None,
     snapshots = _snapshots(series)
     if len(snapshots) < 2:
         raise DomainError("need at least 2 days for a collapse check")
-    rescaled = [rescale_histogram(s) for s in snapshots]
     fit = pool_and_fit_beta(
-        rescaled, bins_per_decade=bins_per_decade,
+        snapshots, bins_per_decade=bins_per_decade,
         bootstrap_reps=bootstrap_reps, seed=seed,
     )
     if beta_hypothesis is None:
         return fit.adjusted_r2, fit
-    return score_against_beta(rescaled, beta_hypothesis,
+    return score_against_beta(snapshots, beta_hypothesis,
                               bins_per_decade=bins_per_decade), fit

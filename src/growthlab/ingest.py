@@ -44,7 +44,8 @@ from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .errors import DataError, DomainError, check_cutoff, read_number
+from .errors import (DataError, DomainError, check_cutoff, check_integer,
+                     read_number)
 
 __all__ = [
     "DailySnapshot",
@@ -184,8 +185,8 @@ class EventTable:
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, Day, int]]) -> "EventTable":
         """A table of (user_id, day, count) rows in their order. A user id
-        must be a non-empty str, a day an int or a date, and a count an int in
-        [1, 2^63 - 1]; anything else raises DataError."""
+        must be a non-empty str, a day an int or a date, and a count an int or
+        numpy integer in [1, 2^63 - 1]; anything else raises DataError."""
         builder = _TableBuilder()
         for user_id, day, count in rows:
             builder.add(_check_day(day), _check_user_id(user_id), _check_count(count))
@@ -252,13 +253,10 @@ def _check_user_id(user_id: object) -> str:
 
 
 def _check_count(count: object) -> int:
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise DataError(f"count must be an integer, got {count!r}")
-    if count < 1:
-        raise DataError(f"count must be >= 1, got {count}")
-    if count > _INT64_MAX:
-        raise DataError(f"count {count} does not fit in 64 bits")
-    return count
+    try:
+        return check_integer(count, "count", 1, _INT64_MAX)
+    except DomainError as exc:  # bad data, not a bad parameter
+        raise DataError(str(exc)) from None
 
 
 def _parse_count(raw: object) -> int:

@@ -19,7 +19,6 @@ from growthlab import (
     DailySnapshot,
     DomainError,
     EstimationError,
-    RescaledHistogram,
     SamplerConfig,
     TlsFit,
     estimators,
@@ -40,18 +39,18 @@ def _noisy_pairs(seed=13, slope=1.5, n=40, spread=0.15):
     return list(zip(x, y))
 
 
-def _rescaled(histogram):
-    """A {level: count} dict in master-curve coordinates: each level over
-    the largest."""
+def _day(histogram):
+    """A {level: count} dict of integral counts as a day, levels sorted."""
     levels = np.array(sorted(histogram))
-    return RescaledHistogram(levels / levels[-1],
-                             [histogram[level] for level in levels.tolist()],
-                             None, float(levels[-1]))
+    counts = np.array([histogram[level] for level in levels.tolist()],
+                      dtype=np.int64)
+    return DailySnapshot(0, float((levels * counts.astype(float)).sum()),
+                         levels, counts)
 
 
 def _exact_model_day(beta, bins_per_decade=5, decades=3, per_bin=3,
                      f_max=1000.0):
-    """A rescaled day whose counts follow (f/f_max)^(-beta) exactly.
+    """A day whose counts follow 10^6 (f/f_max)^(-beta), rounded.
 
     Levels sit at the geometric midpoints of the estimator's log bins (the
     top level at the cutoff itself), so no point straddles a bin edge and
@@ -60,8 +59,9 @@ def _exact_model_day(beta, bins_per_decade=5, decades=3, per_bin=3,
     positions = [0.0] + [(j + (t + 0.5) / per_bin) / bins_per_decade
                          for j in range(decades * bins_per_decade)
                          for t in range(per_bin)]
-    histogram = {f_max * 10.0 ** (-p): 10.0 ** (p * beta) for p in positions}
-    return _rescaled(histogram)
+    histogram = {f_max * 10.0 ** (-p): round(1e6 * 10.0 ** (p * beta))
+                 for p in positions}
+    return _day(histogram)
 
 
 class TestFitGammaTls:
@@ -133,18 +133,25 @@ class TestFitGammaTls:
         with pytest.raises(DomainError):
             gl.fit_gamma_tls([(0.5, 10.0), (10.0, 20.0), (100.0, 300.0)])
 
-    @pytest.mark.parametrize("bad", [
-        (100.0, math.nan), (math.nan, 300.0), (100.0, math.inf),
-        (math.inf, 300.0), (100.0, -math.inf), (100.0, 0.5),
-    ])
-    def test_non_finite_or_sub_unit_pairs_are_rejected(self, bad):
-        pairs = [(10.0, 10.0), bad, (1000.0, 3000.0)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DomainError,
-                               match="must be finite and >= 1") as caught:
-                gl.fit_gamma_tls(pairs)
-        assert "bracket" not in str(caught.value)
+    @pytest.mark.parametrize("bad, message", [
+        ((100.0, math.nan), "F must be >= 1, got nan"),
+        ((math.nan, 300.0), "P must be >= 1, got nan"),
+        ((100.0, math.inf), "F must be finite, got inf"),
+        ((math.inf, 300.0), "P must be finite, got inf"),
+        ((100.0, -math.inf), "F must be >= 1, got -inf"),
+        ((100.0, 0.5), "F must be >= 1, got 0.5"),
+        ((0.5, math.nan), "P must be >= 1, got 0.5"),
+    ], ids=["F-nan", "P-nan", "F-inf", "P-inf", "F-minus-inf", "F-half",
+            "P-first"])
+    def test_non_finite_or_sub_unit_pairs_are_rejected(self, bad, message):
+        pairs = [(10.0, 10.0), bad, (1000.0, 3000.0), (0.5, 0.5)]
+        for series in (pairs, np.array(pairs)):
+            for fit in (gl.fit_gamma_tls, gl.fit_gamma_ols):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    with pytest.raises(DomainError) as caught:
+                        fit(series)
+                assert str(caught.value) == message
 
 
     @pytest.mark.parametrize("bad", [[(1, 2), (3,)], [(1, 2), (3, 4), ("a", 5)],
@@ -223,19 +230,42 @@ class TestRescaleHistogram:
         snapshot = DailySnapshot(day=3, total_activity=19.0, levels=[1, 10],
                                  counts=[9, 1])
         rescaled = gl.rescale_histogram(snapshot)
-        assert rescaled.rel.tolist() == [0.1, 1.0]
-        assert rescaled.counts.tolist() == [9.0, 1.0]
-        assert (rescaled.source_day, rescaled.f_max) == (3, 10.0)
-        assert not rescaled.rel.flags.writeable
+        assert rescaled == DailySnapshot(day=3, total_activity=1.9,
+                                         levels=[0.1, 1.0], counts=[9, 1])
+        assert rescaled.levels.tolist() == [0.1, 1.0]
+        assert rescaled.counts.tolist() == [9, 1]
+        assert rescaled.counts.dtype.kind == "i"
+        assert (rescaled.f_max, rescaled.population) == (1.0, 10)
+        assert not rescaled.levels.flags.writeable
         assert not rescaled.counts.flags.writeable
 
-    def test_rejects_nonpositive_levels(self):
-        with pytest.raises(DomainError):
-            RescaledHistogram(np.array([0.0, 1.0]), np.array([3, 1]), None, 10.0)
-
-    def test_rejects_empty_histogram(self):
-        with pytest.raises(DomainError):
-            RescaledHistogram(np.array([]), np.array([]), None, 10.0)
+    @pytest.mark.parametrize("kind", ["integer", "continuous", "halved"])
+    def test_raw_and_rescaled_days_give_the_same_bits(self, kind):
+        # The collapse estimators rescale each day with the same division.
+        cfg = SamplerConfig(beta=1.5, lower_cutoff=1.0,
+                            integerize=kind != "continuous", seed=11)
+        schedule = gl.log_uniform_schedule(
+            seeding.generator(11, seeding.STREAM_SCHEDULE), 8, (1e3, 1e4))
+        days = gl.synthesize_series(schedule, cfg).days
+        if kind == "halved":  # float levels on the half-integers, f_max != 1
+            days = [DailySnapshot(day.day, day.total_activity / 2, day.levels / 2,
+                                  day.counts) for day in days]
+        rescaled = [gl.rescale_histogram(day) for day in days]
+        assert [day.f_max for day in rescaled] == [1.0] * len(days)
+        clouds = [[array.tolist() for array in gl.binned_cloud(series, bins)]
+                  for series in (days, rescaled) for bins in (3, 5)]
+        assert clouds[:2] == clouds[2:]
+        assert (gl.score_against_beta(days, 1.5)
+                == gl.score_against_beta(rescaled, 1.5))
+        if kind == "continuous":
+            # Each continuous level is drawn once, so the cloud is flat.
+            for series in (days, rescaled):
+                with pytest.raises(EstimationError,
+                                   match="^pooled cloud implies beta -0 <= 1;"):
+                    gl.pool_and_fit_beta(series, bootstrap_reps=200, seed=3)
+        else:
+            assert (gl.pool_and_fit_beta(days, bootstrap_reps=200, seed=3)
+                    == gl.pool_and_fit_beta(rescaled, bootstrap_reps=200, seed=3))
 
 
 def _reference_bin_index(rel, bins_per_decade):
@@ -252,12 +282,12 @@ def reference_binned_cloud(rescaled, bins_per_decade=5):
         raise DomainError("bins_per_decade must be at least 1")
     if len(rescaled) == 0:
         raise DomainError("need at least one rescaled histogram")
-    if min(hist.rel.min() for hist in rescaled) > 0.1:
+    if min(day.levels[0] / day.f_max for day in rescaled) > 0.1:
         raise DomainError(
             "pooled points span less than one decade of relative activity")
     per_bin = {}
-    for day_ordinal, hist in enumerate(rescaled):
-        for rel, count in zip(hist.rel.tolist(), hist.counts.tolist()):
+    for day_ordinal, day in enumerate(rescaled):
+        for rel, count in zip((day.levels / day.f_max).tolist(), day.counts.tolist()):
             j = _reference_bin_index(rel, bins_per_decade)
             per_bin.setdefault(j, {}).setdefault(day_ordinal, []).append(count)
     centers, values = [], []
@@ -295,8 +325,8 @@ class TestBinnedCloudMatchesPointReference:
            bins_per_decade=st.integers(min_value=1, max_value=12))
     @settings(max_examples=400, deadline=None)
     def test_same_bins_and_values(self, days, bins_per_decade):
-        rescaled = [_rescaled(day) for day in days]
-        rel = np.concatenate([hist.rel for hist in rescaled])
+        rescaled = [_day(day) for day in days]
+        rel = np.concatenate([day.levels / day.f_max for day in rescaled])
         assert estimators._bin_indices(rel, bins_per_decade).tolist() == [
             _reference_bin_index(value, bins_per_decade) for value in rel.tolist()]
         try:
@@ -311,11 +341,12 @@ class TestBinnedCloudMatchesPointReference:
 
     @pytest.mark.parametrize("bins_per_decade", [1, 2, 5, 10])
     def test_exact_decade_ratios(self, bins_per_decade):
-        day = _rescaled({10**k: 7 - k for k in range(7)})
-        assert day.rel.tolist() == [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]
-        assert estimators._bin_indices(day.rel, bins_per_decade).tolist() == [
-            _reference_bin_index(rel, bins_per_decade) for rel in day.rel.tolist()]
-        assert estimators._bin_indices(day.rel, bins_per_decade).tolist() == [
+        day = _day({10**k: 7 - k for k in range(7)})
+        rel = day.levels / day.f_max
+        assert rel.tolist() == [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]
+        assert estimators._bin_indices(rel, bins_per_decade).tolist() == [
+            _reference_bin_index(value, bins_per_decade) for value in rel.tolist()]
+        assert estimators._bin_indices(rel, bins_per_decade).tolist() == [
             k * bins_per_decade for k in range(6, -1, -1)]
 
     @pytest.mark.parametrize("bins_per_decade, rel", [
@@ -332,7 +363,7 @@ class TestBinnedCloudMatchesPointReference:
 class TestBinnedCloud:
     def test_points_land_at_geometric_bin_centers(self):
         # rel = 10^-0.3 is dead center of bin 1 at 5 bins per decade
-        day = _rescaled({10 ** -0.3 * 50: 4.0,
+        day = _day({10 ** -0.3 * 50: 4.0,
                                     10 ** -2.5 * 50: 9.0, 50: 1.0})
         centers, values = gl.binned_cloud([day])
         assert centers[1] == pytest.approx(-0.3, abs=1e-12)
@@ -341,10 +372,10 @@ class TestBinnedCloud:
     def test_per_day_average_weighs_days_not_points(self):
         # all bottom points placed inside bin 10 (centers at -2.05, -2.15,
         # -2.1 of a 0.2-decade bin), away from its edges
-        day_a = _rescaled({10**-2.05 * 100: 2.0,
+        day_a = _day({10**-2.05 * 100: 2.0,
                                       10**-2.15 * 100: 4.0,
                                       10**-1.1 * 100: 5.0, 100.0: 1.0})
-        day_b = _rescaled({10**-2.1 * 100: 9.0,
+        day_b = _day({10**-2.1 * 100: 9.0,
                                       10**-1.1 * 100: 5.0, 100.0: 1.0})
         centers, values = gl.binned_cloud([day_a, day_b])
         # the bottom bin holds counts {2, 4} from day a and {9} from day b
@@ -352,7 +383,7 @@ class TestBinnedCloud:
         assert 10 ** values[-1] == pytest.approx((3.0 + 9.0) / 2, rel=1e-12)
 
     def test_rejects_span_below_one_decade(self):
-        day = _rescaled({900: 5, 1000: 1})
+        day = _day({900: 5, 1000: 1})
         with pytest.raises(DomainError, match="decade"):
             gl.binned_cloud([day])
 
@@ -361,7 +392,7 @@ class TestBinnedCloud:
             gl.binned_cloud([])
 
     def test_rejects_sparse_clouds(self):
-        day = _rescaled({1: 5, 1000: 1})
+        day = _day({1: 5, 1000: 1})
         with pytest.raises(DomainError, match="bins"):
             gl.binned_cloud([day])
 
@@ -405,7 +436,7 @@ class TestPoolAndFitBeta:
         assert tenfold.n_points_or_samples == 10 * single.n_points_or_samples
 
     def test_rising_cloud_is_outside_the_model_class(self):
-        day = _rescaled({0.001: 1.0, 0.01: 5.0, 0.1: 25.0,
+        day = _day({0.001: 1.0, 0.01: 5.0, 0.1: 25.0,
                                     1.0: 125.0})
         with pytest.raises(EstimationError, match="beta"):
             gl.pool_and_fit_beta([day], bootstrap_reps=0)
@@ -468,8 +499,8 @@ class TestCollapseBootstrapMatchesReplicateLoop:
     @staticmethod
     def _day_sets():
         a, b, c = _sampled_days(3, seed=5)
-        narrow = _rescaled({200: 11, 500: 3, 1000: 1})
-        two_bins = _rescaled({1: 1200, 1000: 1})
+        narrow = _day({200: 11, 500: 3, 1000: 1})
+        two_bins = _day({1: 1200, 1000: 1})
         return {
             "sampled": _sampled_days(6, seed=3),
             "skipped": [a, narrow, two_bins],
@@ -876,13 +907,3 @@ class TestFitTypes:
         with pytest.raises(DomainError):
             BetaFit(beta=1.5, ci95_beta=(1.6, 1.7), adjusted_r2=0.9,
                     method="mle", n_points_or_samples=10)
-
-    def test_rescaled_histogram_invariants(self):
-        with pytest.raises(DomainError):
-            RescaledHistogram(rel=[0.5], counts=[3.0], source_day=0, f_max=10.0)
-        with pytest.raises(DomainError):
-            RescaledHistogram(rel=[0.5, 1.0], counts=[0.0, 1.0], source_day=0,
-                              f_max=10.0)
-        with pytest.raises(DomainError):
-            RescaledHistogram(rel=[0.5, 1.0], counts=[1.0], source_day=0,
-                              f_max=10.0)
